@@ -39,14 +39,17 @@ std::size_t default_threads() {
 struct ThreadPool::Impl {
   std::mutex m;
   std::condition_variable cv_work;   // workers wait for a new generation
-  std::condition_variable cv_done;   // caller waits for done == total
-  // Job state.  fn/total are atomics because straggling workers read them
-  // without the lock; publication order (fn, total, then next) plus the
-  // acquire/release pairing on `next` makes those reads well-defined.
+  std::condition_variable cv_done;   // caller waits for active == 0
+  // Job state.  fn/total are atomics because workers read them without the
+  // lock; publication order (fn, total, then next) plus the acquire/release
+  // pairing on `next` makes those reads well-defined.
   std::atomic<const std::function<void(std::size_t)>*> fn{nullptr};
   std::atomic<std::size_t> total{0};
   std::atomic<std::size_t> next{kParked};
-  std::size_t done = 0;              // guarded by m
+  // Workers inside work(), guarded by m.  run() returns only once this is
+  // zero, so no worker can carry an index it claimed for one job into the
+  // next: a claim is always read against the job it was claimed from.
+  std::size_t active = 0;
   std::uint64_t generation = 0;      // guarded by m
   bool shutdown = false;             // guarded by m
   std::exception_ptr error;          // guarded by m; lowest failing index
@@ -59,8 +62,7 @@ struct ThreadPool::Impl {
     t_in_pool_task = true;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_acq_rel);
-      const std::size_t n = total.load(std::memory_order_acquire);
-      if (i >= n) break;
+      if (i >= total.load(std::memory_order_acquire)) break;
       const auto* f = fn.load(std::memory_order_acquire);
       try {
         (*f)(i);
@@ -71,8 +73,6 @@ struct ThreadPool::Impl {
           error = std::current_exception();
         }
       }
-      std::lock_guard<std::mutex> lk(m);
-      if (++done == n) cv_done.notify_all();
     }
     t_in_pool_task = false;
   }
@@ -85,8 +85,11 @@ struct ThreadPool::Impl {
         cv_work.wait(lk, [&] { return shutdown || generation != seen; });
         if (shutdown) return;
         seen = generation;
+        ++active;
       }
       work();
+      std::lock_guard<std::mutex> lk(m);
+      if (--active == 0) cv_done.notify_all();
     }
   }
 };
@@ -120,7 +123,6 @@ void ThreadPool::run(std::size_t count,
   Impl* s = impl_.get();
   {
     std::lock_guard<std::mutex> lk(s->m);
-    s->done = 0;
     s->error = nullptr;
     s->error_index = std::numeric_limits<std::size_t>::max();
     s->fn.store(&fn, std::memory_order_relaxed);
@@ -134,10 +136,13 @@ void ThreadPool::run(std::size_t count,
   s->work();  // the caller participates
   std::exception_ptr err;
   {
+    // Every index is claimed once the caller's work() returns, and every
+    // claim is made inside some worker's work(); once no worker is inside,
+    // every task has finished.
     std::unique_lock<std::mutex> lk(s->m);
-    s->cv_done.wait(lk, [&] { return s->done == s->total.load(); });
-    // Park the counter so late-waking workers take no indices from the
-    // next job before its fn/total are published.
+    s->cv_done.wait(lk, [&] { return s->active == 0; });
+    // Park the counter so workers that wake late for this generation take
+    // no index; they leave work() without touching the next job.
     s->next.store(kParked, std::memory_order_release);
     err = s->error;
     s->error = nullptr;
