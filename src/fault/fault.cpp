@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/json.hpp"
 
 namespace zeiot::fault {
@@ -60,34 +61,16 @@ std::size_t FaultPlan::count(FaultType type) const {
   return n;
 }
 
-namespace {
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-}
-
-inline std::uint64_t double_bits(double d) {
-  std::uint64_t u;
-  static_assert(sizeof(u) == sizeof(d));
-  __builtin_memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-}  // namespace
-
 std::uint64_t FaultPlan::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  Fnv1a h;
   for (const FaultEvent& e : events_) {
-    fnv_mix(h, double_bits(e.t));
-    fnv_mix(h, static_cast<std::uint64_t>(e.type));
-    fnv_mix(h, e.target);
-    fnv_mix(h, double_bits(e.duration_s));
-    fnv_mix(h, double_bits(e.magnitude));
+    h.mix_bits(e.t);
+    h.mix(static_cast<std::uint64_t>(e.type));
+    h.mix(e.target);
+    h.mix_bits(e.duration_s);
+    h.mix_bits(e.magnitude);
   }
-  return h;
+  return h.value();
 }
 
 void FaultPlan::write_json(std::ostream& out) const {

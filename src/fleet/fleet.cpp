@@ -3,35 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 
 namespace zeiot::fleet {
 
 namespace {
-
-/// FNV-1a over 64-bit words, byte by byte (same scheme as the trace and
-/// span digests, so all three compose into one behavioral identity).
-class Fnv {
- public:
-  void mix(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (word >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_bits(double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    mix(u);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 /// netexec's percentile convention (common/stats nearest_rank_quantile),
 /// shared so the 1-deployment fleet matches NetEvalResult bit-for-bit and
@@ -42,7 +21,7 @@ double pct(std::vector<double> v, double q) {
 }
 
 void seal_digest(DeploymentOutcome& out) {
-  Fnv f;
+  Fnv1a f;
   f.mix(static_cast<std::uint64_t>(out.kind));
   f.mix(out.cell_id);
   f.mix(out.devices);

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <queue>
+
+#include "common/hash.hpp"
 
 namespace zeiot::microdeep {
 
@@ -183,31 +184,18 @@ NodeId WsnTopology::next_hop(NodeId from, NodeId to) const {
 }
 
 std::uint64_t WsnTopology::digest() const {
-  // FNV-1a over 64-bit words, byte by byte — the same scheme as the trace,
-  // span and fleet digests, so all of them compose into one identity.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto mix_bits = [&mix](double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    mix(u);
-  };
-  mix(static_cast<std::uint64_t>(positions_.size()));
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(positions_.size()));
   for (const Point2D& p : positions_) {
-    mix_bits(p.x);
-    mix_bits(p.y);
+    h.mix_bits(p.x);
+    h.mix_bits(p.y);
   }
-  mix_bits(area_.x0);
-  mix_bits(area_.y0);
-  mix_bits(area_.x1);
-  mix_bits(area_.y1);
-  mix_bits(comm_radius_);
-  return h;
+  h.mix_bits(area_.x0);
+  h.mix_bits(area_.y0);
+  h.mix_bits(area_.x1);
+  h.mix_bits(area_.y1);
+  h.mix_bits(comm_radius_);
+  return h.value();
 }
 
 double WsnTopology::mean_degree() const {

@@ -3,6 +3,7 @@
 #include <iomanip>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/json.hpp"
 
 namespace zeiot::obs {
@@ -109,30 +110,19 @@ void SpanRecorder::merge(const SpanRecorder& other) {
 }
 
 std::uint64_t SpanRecorder::digest() const {
-  const auto mix = [](std::uint64_t& h, std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto bits = [](double d) {
-    std::uint64_t u;
-    __builtin_memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fnv1a h;
   for (const SpanEvent& s : spans_) {
-    mix(h, s.trace_id);
-    mix(h, s.id);
-    mix(h, s.parent);
-    mix(h, static_cast<std::uint64_t>(s.kind));
-    mix(h, bits(s.t0));
-    mix(h, bits(s.t1));
-    mix(h, s.a);
-    mix(h, s.b);
-    mix(h, bits(s.value));
+    h.mix(s.trace_id);
+    h.mix(s.id);
+    h.mix(s.parent);
+    h.mix(static_cast<std::uint64_t>(s.kind));
+    h.mix_bits(s.t0);
+    h.mix_bits(s.t1);
+    h.mix(s.a);
+    h.mix(s.b);
+    h.mix_bits(s.value);
   }
-  return h;
+  return h.value();
 }
 
 void SpanRecorder::export_jsonl(std::ostream& out) const {

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/json.hpp"
 
 namespace zeiot::obs {
@@ -68,27 +69,16 @@ void TraceRecorder::merge(const TraceRecorder& other) {
 }
 
 std::uint64_t TraceRecorder::digest() const {
-  const auto mix = [](std::uint64_t& h, std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto bits = [](double d) {
-    std::uint64_t u;
-    __builtin_memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fnv1a h;
   for (std::size_t i = 0; i < count_; ++i) {
     const TraceEvent& e = at(i);
-    mix(h, bits(e.t));
-    mix(h, static_cast<std::uint64_t>(e.type));
-    mix(h, e.a);
-    mix(h, e.b);
-    mix(h, bits(e.value));
+    h.mix_bits(e.t);
+    h.mix(static_cast<std::uint64_t>(e.type));
+    h.mix(e.a);
+    h.mix(e.b);
+    h.mix_bits(e.value);
   }
-  return h;
+  return h.value();
 }
 
 void TraceRecorder::export_jsonl(std::ostream& out) const {

@@ -3,6 +3,7 @@
 #include <deque>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 
 namespace zeiot::serve {
@@ -17,28 +18,17 @@ const char* outcome_name(Outcome o) {
 }
 
 std::uint64_t ServeReport::digest() const {
-  const auto mix = [](std::uint64_t& h, std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto bits = [](double d) {
-    std::uint64_t u;
-    __builtin_memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fnv1a h;
   for (const Response& r : responses) {
-    mix(h, r.id);
-    mix(h, static_cast<std::uint64_t>(r.route));
-    mix(h, static_cast<std::uint64_t>(r.outcome));
-    mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(r.label)));
-    mix(h, bits(r.latency_s));
-    mix(h, r.batch_seq);
-    mix(h, r.plan_hit ? 1 : 0);
+    h.mix(r.id);
+    h.mix(static_cast<std::uint64_t>(r.route));
+    h.mix(static_cast<std::uint64_t>(r.outcome));
+    h.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.label)));
+    h.mix_bits(r.latency_s);
+    h.mix(r.batch_seq);
+    h.mix(r.plan_hit ? 1 : 0);
   }
-  return h;
+  return h.value();
 }
 
 double ServeReport::latency_quantile(Route r, double q) const {
