@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
             energy::Capacitor(2.4e-6, 3.2),
             energy::HysteresisSwitch(3.0, 2.0));
         energy::IntermittentRunConfig rcfg;
-        rcfg.policy = combos[i].second ? energy::CheckpointPolicy::EveryTask
+        rcfg.policy = combos[i].second ? energy::CheckpointPolicy::EveryUnit
                                        : energy::CheckpointPolicy::None;
         rcfg.chain_timeout_s = 30.0;
         return energy::run_workload(dev, energy::default_context_chain(), rcfg,
@@ -277,9 +277,9 @@ int main(int argc, char** argv) {
     double severity;
   };
   const Severity severities[] = {{"s00", 0.0}, {"s40", 0.4}, {"s80", 0.8}};
-  const netexec::CheckpointPolicy policies[] = {
-      netexec::CheckpointPolicy::None, netexec::CheckpointPolicy::EveryUnit,
-      netexec::CheckpointPolicy::EnergyAdaptive};
+  const energy::CheckpointPolicy policies[] = {
+      energy::CheckpointPolicy::None, energy::CheckpointPolicy::EveryUnit,
+      energy::CheckpointPolicy::EnergyAdaptive};
   // Hand-authored deterministic plan per severity: a long intake drought
   // scaling harvest to (1 - s), plus one cell-wide brownout window opening
   // 2 ms in (mid-flight for the first conv layer's frames), s * 80 ms long.
@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     const auto& sev = severities[i / std::size(policies)];
     const auto policy = policies[i % std::size(policies)];
     const auto& cell = drought[i];
-    t6.add_row({sev.tag, netexec::checkpoint_policy_name(policy),
+    t6.add_row({sev.tag, energy::checkpoint_policy_name(policy),
                 Table::pct(cell.accuracy), Table::pct(cell.match_fraction),
                 Table::num(cell.p50_latency_s, 3),
                 Table::num(cell.energy_per_inference_j * 1e6, 1),
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
                 Table::num(static_cast<double>(cell.deferrals), 0),
                 Table::num(static_cast<double>(cell.starved), 0)});
     const std::string key = std::string("e7.drought.") + sev.tag + "." +
-                            netexec::checkpoint_policy_name(policy);
+                            energy::checkpoint_policy_name(policy);
     obs.metrics().gauge(key + ".accuracy").set(cell.accuracy);
     obs.metrics().gauge(key + ".match_fraction").set(cell.match_fraction);
     obs.metrics().gauge(key + ".p50_latency_s").set(cell.p50_latency_s);

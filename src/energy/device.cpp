@@ -4,6 +4,15 @@
 
 namespace zeiot::energy {
 
+const char* checkpoint_policy_name(CheckpointPolicy policy) {
+  switch (policy) {
+    case CheckpointPolicy::None: return "none";
+    case CheckpointPolicy::EveryUnit: return "every_unit";
+    case CheckpointPolicy::EnergyAdaptive: return "adaptive";
+  }
+  return "unknown";
+}
+
 void EnergyLedger::record(const std::string& activity, double joules) {
   ZEIOT_CHECK_MSG(joules >= 0.0, "ledger energy must be >= 0");
   entries_[activity] += joules;

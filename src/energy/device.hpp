@@ -5,6 +5,7 @@
 // ~tens of mW, BLE ~mW, ambient backscatter ~10 µW ("about 1/10,000").
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,6 +27,25 @@ struct ActivityCosts {
   double rx_watt = 2e-3;              // receive/listen
   double sleep_watt = 0.5e-6;         // deep sleep leakage
 };
+
+/// When an intermittent executor commits progress to non-volatile memory.
+/// One policy enum for both intermittent paths: the single-device task
+/// chains (`intermittent_task`) and the distributed executor (`netexec`).
+enum class CheckpointPolicy : std::uint8_t {
+  /// Volatile only: a brown-out wipes all progress.
+  None,
+  /// Commit after every unit of work: each chain task (run_chain); each
+  /// computed unit layer, plus every sensed input (netexec).
+  EveryUnit,
+  /// netexec only (run_chain has no capacitor reserve and rejects it):
+  /// commit sensed inputs and the inbox always (they are unrecoverable),
+  /// but compute outputs only while the capacitor is low — when energy is
+  /// plentiful, re-execution is cheaper than the write burst.
+  EnergyAdaptive,
+};
+
+/// "none", "every_unit" or "adaptive" (report labels and metric keys).
+const char* checkpoint_policy_name(CheckpointPolicy policy);
 
 /// Cost model for committing state to non-volatile memory (FRAM-class).
 /// Shared by the single-device task chains (`intermittent_task`) and the

@@ -20,6 +20,9 @@ ChainStats run_chain(IntermittentDevice& device,
   ZEIOT_CHECK_MSG(!chain.empty(), "empty task chain");
   ZEIOT_CHECK_MSG(cfg.tick_s > 0.0, "tick must be > 0");
   ZEIOT_CHECK_MSG(cfg.chain_timeout_s > 0.0, "timeout must be > 0");
+  ZEIOT_CHECK_MSG(cfg.policy != CheckpointPolicy::EnergyAdaptive,
+                  "run_chain has no capacitor reserve for EnergyAdaptive "
+                  "checkpointing; use None or EveryUnit");
   ZEIOT_CHECK_MSG(cfg.checkpoint.base_j >= 0.0 &&
                       cfg.checkpoint.write_j_per_byte >= 0.0,
                   "checkpoint energy must be >= 0");
@@ -61,7 +64,7 @@ ChainStats run_chain(IntermittentDevice& device,
         st.useful_energy_j += task.energy_j();
         counted[next_task] = true;
       }
-      if (cfg.policy == CheckpointPolicy::EveryTask) {
+      if (cfg.policy == CheckpointPolicy::EveryUnit) {
         // Commit to non-volatile memory; failure to afford the commit
         // leaves the task volatile (it may be lost to the next brown-out).
         const double commit_j = cfg.checkpoint.energy_j(task.state_bytes);

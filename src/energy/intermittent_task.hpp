@@ -35,15 +35,10 @@ struct Task {
 /// The standard context-recognition chain of the paper's devices.
 std::vector<Task> default_context_chain();
 
-enum class CheckpointPolicy {
-  /// Volatile only: any brown-out restarts the chain from task 0.
-  None,
-  /// Commit progress to non-volatile memory after every task.
-  EveryTask,
-};
-
 struct IntermittentRunConfig {
-  CheckpointPolicy policy = CheckpointPolicy::EveryTask;
+  /// None restarts the chain from task 0 on any brown-out; EveryUnit
+  /// commits progress after every task.  EnergyAdaptive is rejected.
+  CheckpointPolicy policy = CheckpointPolicy::EveryUnit;
   /// NVM commit cost model; one commit of task `t` charges
   /// `checkpoint.energy_j(t.state_bytes)`.  Shared with netexec so both
   /// intermittent paths price a checkpointed byte identically.

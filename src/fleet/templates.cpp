@@ -112,14 +112,14 @@ ml::Dataset deployment_dataset(const InferenceTemplate& tmpl,
 
 netexec::NetExecConfig deployment_netexec_config(
     std::uint64_t dep_seed, obs::Observability* obs,
-    netexec::CheckpointPolicy checkpoint) {
+    energy::CheckpointPolicy checkpoint) {
   netexec::NetExecConfig cfg;
   cfg.channel.loss_per_hop = 0.01;  // benign indoor link, as in bench_e1/e2
   Rng base(dep_seed);
   cfg.seed = par::substream(base, kExecKey)();
   cfg.obs = obs;
   cfg.checkpoint.policy = checkpoint;
-  if (checkpoint == netexec::CheckpointPolicy::EnergyAdaptive) {
+  if (checkpoint == energy::CheckpointPolicy::EnergyAdaptive) {
     // The adaptive policy keys off the capacitor level, so it implies the
     // harvest model with a capacitor comfortably above the reserve.
     cfg.harvest.enabled = true;

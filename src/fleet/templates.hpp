@@ -71,7 +71,7 @@ struct DeploymentSpec {
   /// NVM checkpoint policy of the cell's executor (inference cells only).
   /// None preserves the classic volatile executor bit-for-bit; any other
   /// policy makes brownout faults suspend/resume instead of being ignored.
-  netexec::CheckpointPolicy checkpoint = netexec::CheckpointPolicy::None;
+  energy::CheckpointPolicy checkpoint = energy::CheckpointPolicy::None;
 };
 
 /// Immutable shared context of one inference template (E1 / E2).
@@ -126,7 +126,7 @@ ml::Dataset deployment_dataset(const InferenceTemplate& tmpl,
 /// with the default commit costs (energy::CheckpointCosts).
 netexec::NetExecConfig deployment_netexec_config(
     std::uint64_t dep_seed, obs::Observability* obs,
-    netexec::CheckpointPolicy checkpoint = netexec::CheckpointPolicy::None);
+    energy::CheckpointPolicy checkpoint = energy::CheckpointPolicy::None);
 
 /// Coexistence configuration of one backscatter cell (proposed MAC).
 backscatter::CoexistenceConfig deployment_coexistence_config(

@@ -672,7 +672,7 @@ TEST(FaultWiring, NetexecBrownoutWithCheckpointsResumesCorrectLate) {
   }
 
   netexec::NetExecConfig base;
-  base.checkpoint.policy = netexec::CheckpointPolicy::EveryUnit;
+  base.checkpoint.policy = energy::CheckpointPolicy::EveryUnit;
   netexec::NetworkExecutor clean(net, graph, assignment, wsn, base);
   const auto ref = clean.run(sample);
   ASSERT_FALSE(ref.degraded);

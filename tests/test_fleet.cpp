@@ -342,7 +342,7 @@ TEST(FleetConformance, CheckpointedBrownoutWavesIdenticalAcrossThreadCounts) {
   std::vector<DeploymentSpec> specs = {lounge_spec(0), lounge_spec(1),
                                        ir_spec(0)};
   specs[1].fault = f;
-  specs[1].checkpoint = netexec::CheckpointPolicy::EveryUnit;
+  specs[1].checkpoint = energy::CheckpointPolicy::EveryUnit;
 
   const FleetRun one = run_fleet(specs, 1);
   const FleetRun four = run_fleet(specs, 4);
@@ -352,7 +352,7 @@ TEST(FleetConformance, CheckpointedBrownoutWavesIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.span_digest, four.span_digest);
 
   std::vector<DeploymentSpec> volatile_specs = specs;
-  volatile_specs[1].checkpoint = netexec::CheckpointPolicy::None;
+  volatile_specs[1].checkpoint = energy::CheckpointPolicy::None;
   const FleetRun none = run_fleet(volatile_specs, 4);
   ASSERT_EQ(none.result.digest.size(), 3u);
   EXPECT_EQ(one.result.digest[0], none.result.digest[0]) << "neighbor 0";

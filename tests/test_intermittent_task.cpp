@@ -56,7 +56,7 @@ TEST(IntermittentTask, CheckpointsBoundReexecutionWaste) {
   // mid-chain every time: without durable progress the chain restarts
   // from scratch forever; with checkpoints it crawls to completion.
   IntermittentRunConfig with_cp;
-  with_cp.policy = CheckpointPolicy::EveryTask;
+  with_cp.policy = CheckpointPolicy::EveryUnit;
   with_cp.chain_timeout_s = 120.0;
   IntermittentRunConfig no_cp = with_cp;
   no_cp.policy = CheckpointPolicy::None;
@@ -72,6 +72,23 @@ TEST(IntermittentTask, CheckpointsBoundReexecutionWaste) {
   EXPECT_GT(sa.checkpoint_energy_j, 0.0);
   EXPECT_DOUBLE_EQ(sb.checkpoint_energy_j, 0.0);
   EXPECT_GT(sa.power_failures, 0u);
+}
+
+TEST(IntermittentTask, RejectsEnergyAdaptivePolicy) {
+  // EnergyAdaptive keys off a capacitor reserve that run_chain does not
+  // model, so the shared policy enum's third value is refused up front.
+  auto dev = make_device(1e-3, 100e-6, 4.5);
+  IntermittentRunConfig cfg;
+  cfg.policy = CheckpointPolicy::EnergyAdaptive;
+  EXPECT_THROW(run_chain(dev, default_context_chain(), cfg, 0.0), Error);
+}
+
+TEST(IntermittentTask, PolicyLabels) {
+  EXPECT_STREQ(checkpoint_policy_name(CheckpointPolicy::None), "none");
+  EXPECT_STREQ(checkpoint_policy_name(CheckpointPolicy::EveryUnit),
+               "every_unit");
+  EXPECT_STREQ(checkpoint_policy_name(CheckpointPolicy::EnergyAdaptive),
+               "adaptive");
 }
 
 TEST(IntermittentTask, UsefulEnergyCountsDistinctTasks) {
