@@ -8,10 +8,6 @@ namespace zeiot::microdeep {
 
 namespace {
 
-inline bool wanted(const UnitComputeHooks& hooks, UnitId u) {
-  return hooks.unit_filter == nullptr || (*hooks.unit_filter)(u);
-}
-
 inline bool is_lost(const UnitComputeHooks& hooks, UnitId src, UnitId dst) {
   return hooks.lost && hooks.lost(src, dst);
 }
@@ -21,97 +17,91 @@ inline void visit(const UnitComputeHooks& hooks, UnitId src, UnitId dst,
   if (hooks.visited) hooks.visited(src, dst, lost);
 }
 
-}  // namespace
+inline void relu(std::vector<float>& v) {
+  for (float& x : v) x = std::max(0.0f, x);
+}
 
-void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
-                        std::size_t in_layer, std::size_t out_layer,
-                        ActTable& acts, const UnitComputeHooks& hooks) {
+/// The per-unit arithmetic of every producer kind.  `for_each_unit(f)`
+/// calls f(u) for each output unit to compute, in the caller's order.
+template <typename ForEachUnit>
+void compute_layer(ml::Layer& layer, const UnitGraph& graph,
+                   std::size_t in_layer, std::size_t out_layer, ActTable& acts,
+                   const UnitComputeHooks& hooks, ForEachUnit for_each_unit) {
   const auto& layers = graph.layers();
   const UnitLayer& out = layers[out_layer];
   const UnitLayer& in = layers[in_layer];
+  const UnitId in_end = in.first_unit + static_cast<UnitId>(in.num_units());
 
   if (auto* conv = dynamic_cast<ml::Conv2D*>(&layer)) {
     const auto params = conv->params();
     const ml::Tensor& w = params[0]->value;  // (oc, ic, k, k)
     const ml::Tensor& b = params[1]->value;
     const int p = conv->padding();
-    for (int oy = 0; oy < out.height; ++oy) {
-      for (int ox = 0; ox < out.width; ++ox) {
-        const UnitId u =
-            out.first_unit + static_cast<UnitId>(oy * out.width + ox);
-        if (!wanted(hooks, u)) continue;
-        auto& acc = acts[u];
-        acc.assign(static_cast<std::size_t>(out.channels), 0.0f);
-        for (int oc = 0; oc < out.channels; ++oc) {
-          acc[static_cast<std::size_t>(oc)] = b[static_cast<std::size_t>(oc)];
-        }
-        for (const UnitId src : graph.graph_neighbors(u)) {
-          if (src < in.first_unit ||
-              src >= in.first_unit + static_cast<UnitId>(in.num_units())) {
-            continue;  // neighbour in the *next* layer, not an input
-          }
-          const int local = static_cast<int>(src - in.first_unit);
-          const int sy = local / in.width;
-          const int sx = local % in.width;
-          const int ky = sy - oy + p;
-          const int kx = sx - ox + p;
-          ZEIOT_CHECK(ky >= 0 && ky < conv->kernel() && kx >= 0 &&
-                      kx < conv->kernel());
-          const bool lost = is_lost(hooks, src, u);
-          if (!lost) {
-            for (int oc = 0; oc < out.channels; ++oc) {
-              float dot = 0.0f;
-              for (int ic = 0; ic < in.channels; ++ic) {
-                dot += w.at({oc, ic, ky, kx}) *
-                       acts[src][static_cast<std::size_t>(ic)];
-              }
-              acc[static_cast<std::size_t>(oc)] += dot;
-            }
-          }
-          visit(hooks, src, u, lost);
-        }
+    for_each_unit([&](UnitId u) {
+      const int local = static_cast<int>(u - out.first_unit);
+      const int oy = local / out.width;
+      const int ox = local % out.width;
+      auto& acc = acts[u];
+      acc.assign(static_cast<std::size_t>(out.channels), 0.0f);
+      for (int oc = 0; oc < out.channels; ++oc) {
+        acc[static_cast<std::size_t>(oc)] = b[static_cast<std::size_t>(oc)];
       }
-    }
+      for (const UnitId src : graph.graph_neighbors(u)) {
+        if (src < in.first_unit || src >= in_end) {
+          continue;  // neighbour in the *next* layer, not an input
+        }
+        const int in_local = static_cast<int>(src - in.first_unit);
+        const int sy = in_local / in.width;
+        const int sx = in_local % in.width;
+        const int ky = sy - oy + p;
+        const int kx = sx - ox + p;
+        ZEIOT_CHECK(ky >= 0 && ky < conv->kernel() && kx >= 0 &&
+                    kx < conv->kernel());
+        const bool lost = is_lost(hooks, src, u);
+        if (!lost) {
+          for (int oc = 0; oc < out.channels; ++oc) {
+            float dot = 0.0f;
+            for (int ic = 0; ic < in.channels; ++ic) {
+              dot += w.at({oc, ic, ky, kx}) *
+                     acts[src][static_cast<std::size_t>(ic)];
+            }
+            acc[static_cast<std::size_t>(oc)] += dot;
+          }
+        }
+        visit(hooks, src, u, lost);
+      }
+    });
   } else if (dynamic_cast<ml::MaxPool2D*>(&layer) != nullptr) {
-    for (int oy = 0; oy < out.height; ++oy) {
-      for (int ox = 0; ox < out.width; ++ox) {
-        const UnitId u =
-            out.first_unit + static_cast<UnitId>(oy * out.width + ox);
-        if (!wanted(hooks, u)) continue;
-        auto& acc = acts[u];
-        acc.assign(static_cast<std::size_t>(out.channels),
-                   -std::numeric_limits<float>::infinity());
-        for (const UnitId src : graph.graph_neighbors(u)) {
-          if (src < in.first_unit ||
-              src >= in.first_unit + static_cast<UnitId>(in.num_units())) {
-            continue;
+    for_each_unit([&](UnitId u) {
+      auto& acc = acts[u];
+      acc.assign(static_cast<std::size_t>(out.channels),
+                 -std::numeric_limits<float>::infinity());
+      for (const UnitId src : graph.graph_neighbors(u)) {
+        if (src < in.first_unit || src >= in_end) continue;
+        const bool lost = is_lost(hooks, src, u);
+        if (!lost) {
+          for (int c = 0; c < out.channels; ++c) {
+            acc[static_cast<std::size_t>(c)] =
+                std::max(acc[static_cast<std::size_t>(c)],
+                         acts[src][static_cast<std::size_t>(c)]);
           }
-          const bool lost = is_lost(hooks, src, u);
-          if (!lost) {
-            for (int c = 0; c < out.channels; ++c) {
-              acc[static_cast<std::size_t>(c)] =
-                  std::max(acc[static_cast<std::size_t>(c)],
-                           acts[src][static_cast<std::size_t>(c)]);
-            }
-          }
-          visit(hooks, src, u, lost);
         }
-        if (hooks.substitute_missing) {
-          // Every input lost: substitute a neutral (zero) activation
-          // instead of propagating -inf.
-          for (float& v : acc) {
-            if (v == -std::numeric_limits<float>::infinity()) v = 0.0f;
-          }
+        visit(hooks, src, u, lost);
+      }
+      if (hooks.substitute_missing) {
+        // Every input lost: substitute a neutral (zero) activation
+        // instead of propagating -inf.
+        for (float& v : acc) {
+          if (v == -std::numeric_limits<float>::infinity()) v = 0.0f;
         }
       }
-    }
+    });
   } else if (auto* dense = dynamic_cast<ml::Dense*>(&layer)) {
     const auto params = dense->params();
     const ml::Tensor& w = params[0]->value;  // (out, in_features)
     const ml::Tensor& b = params[1]->value;
-    for (int o = 0; o < out.num_units(); ++o) {
-      const UnitId u = out.first_unit + static_cast<UnitId>(o);
-      if (!wanted(hooks, u)) continue;
+    for_each_unit([&](UnitId u) {
+      const int o = static_cast<int>(u - out.first_unit);
       acts[u].assign(1, b[static_cast<std::size_t>(o)]);
       for (int s = 0; s < in.num_units(); ++s) {
         const UnitId src = in.first_unit + static_cast<UnitId>(s);
@@ -128,21 +118,46 @@ void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
         }
         visit(hooks, src, u, lost);
       }
-    }
+    });
   } else {
     throw Error("compute_unit_layer: unsupported layer " + layer.name());
   }
 }
 
+}  // namespace
+
+void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
+                        std::size_t in_layer, std::size_t out_layer,
+                        ActTable& acts, const UnitComputeHooks& hooks) {
+  const UnitLayer& out = graph.layers()[out_layer];
+  compute_layer(layer, graph, in_layer, out_layer, acts, hooks,
+                [&](const auto& f) {
+                  for (int i = 0; i < out.num_units(); ++i) {
+                    f(out.first_unit + static_cast<UnitId>(i));
+                  }
+                });
+}
+
+void compute_units(ml::Layer& layer, const UnitGraph& graph,
+                   std::size_t in_layer, std::size_t out_layer,
+                   const std::vector<UnitId>& units, ActTable& acts) {
+  static const UnitComputeHooks kNoHooks;
+  compute_layer(layer, graph, in_layer, out_layer, acts, kNoHooks,
+                [&](const auto& f) {
+                  for (const UnitId u : units) f(u);
+                });
+}
+
 void apply_relu_layer(const UnitGraph& graph, std::size_t layer_index,
-                      ActTable& acts,
-                      const std::function<bool(UnitId)>* unit_filter) {
+                      ActTable& acts) {
   const UnitLayer& l = graph.layers()[layer_index];
   for (int i = 0; i < l.num_units(); ++i) {
-    const UnitId u = l.first_unit + static_cast<UnitId>(i);
-    if (unit_filter != nullptr && !(*unit_filter)(u)) continue;
-    for (float& v : acts[u]) v = std::max(0.0f, v);
+    relu(acts[l.first_unit + static_cast<UnitId>(i)]);
   }
+}
+
+void apply_relu_units(const std::vector<UnitId>& units, ActTable& acts) {
+  for (const UnitId u : units) relu(acts[u]);
 }
 
 }  // namespace zeiot::microdeep

@@ -36,11 +36,6 @@ struct UnitComputeHooks {
   /// Replace -inf pool outputs (every input lost) by 0 so missing data
   /// never propagates non-finite values.  Enable whenever `lost` can fire.
   bool substitute_missing = false;
-  /// When non-null, only units for which the predicate returns true are
-  /// computed (netexec computes one node's share of a layer at a time; the
-  /// per-unit arithmetic is independent, so any partition of a layer
-  /// yields the same floats).
-  const std::function<bool(UnitId)>* unit_filter = nullptr;
 };
 
 /// Computes the activations of unit layer `out_layer` (produced by network
@@ -51,10 +46,20 @@ void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
                         std::size_t in_layer, std::size_t out_layer,
                         ActTable& acts, const UnitComputeHooks& hooks = {});
 
+/// Computes only `units` (ids within unit layer `out_layer`), with no
+/// hooks.  netexec computes one node's share of a layer at a time; the
+/// per-unit arithmetic is independent, so any partition of a layer yields
+/// the same floats as compute_unit_layer.
+void compute_units(ml::Layer& layer, const UnitGraph& graph,
+                   std::size_t in_layer, std::size_t out_layer,
+                   const std::vector<UnitId>& units, ActTable& acts);
+
 /// In-place ReLU over unit layer `layer_index` (elementwise layers create
 /// no units of their own; they act on their producer's activations).
 void apply_relu_layer(const UnitGraph& graph, std::size_t layer_index,
-                      ActTable& acts,
-                      const std::function<bool(UnitId)>* unit_filter = nullptr);
+                      ActTable& acts);
+
+/// In-place ReLU over `units` only.
+void apply_relu_units(const std::vector<UnitId>& units, ActTable& acts);
 
 }  // namespace zeiot::microdeep

@@ -15,6 +15,22 @@
 //  * fault::FaultInjector integration — a node dying mid-inference stops
 //    transmitting and computing but never deadlocks the event loop.
 //
+// Work is split by lifetime.  The constructor lowers everything that
+// depends only on its inputs, once: the per-layer message plans, each
+// node's input units and initial pending counts, the harvest admission
+// energies, each plan's frame airtime, and the brownout/drought windows of
+// cfg.fault's plan.  Each run() or evaluate() sample then builds one
+// per-inference state machine (NetworkExecutor::Inference, netexec.cpp)
+// that owns the simulator, activations, ledgers, capacitors and NVM
+// images, and whose member handlers (sensing, compute scheduling, hop
+// transport and ARQ, suspend/revive, NVM commits, deadlines) are the
+// simulator's events.
+//
+// The radio and energy model constants are fixed, not configurable:
+// 4 ms ACK timeout doubling per retry, a 9-byte frame header, a 10 ms
+// sensing burst, energy::ActivityCosts and energy::CheckpointCosts
+// defaults, and the capacitor constants in netexec/checkpoint.hpp.
+//
 // Conformance contract (locked down by tests/test_netexec_conformance.cpp):
 // over ChannelConfig::ideal() with zero compute time and no faults, the
 // executor reproduces execute_distributed bit-for-bit — identical logits,
@@ -25,14 +41,12 @@
 
 #include <cstdint>
 
-#include "energy/device.hpp"
 #include "fault/injector.hpp"
 #include "microdeep/assignment.hpp"
 #include "netexec/checkpoint.hpp"
 #include "microdeep/unit_compute.hpp"
 #include "ml/dataset.hpp"
 #include "par/parallel.hpp"
-#include "phy/airtime.hpp"
 
 namespace zeiot::netexec {
 
@@ -46,52 +60,37 @@ struct ChannelConfig {
   /// monotonically across loss levels: raising the probability can only
   /// turn successes into losses, never the reverse).
   double loss_per_hop = 0.0;
-  /// Forwarding overhead added after each hop's airtime (queueing, turnaround).
-  double hop_processing_s = 0.0;
-  /// 802.15.4 O-QPSK airtime model for activation frames.
-  phy::Dot154Phy phy{};
-  /// MAC/NWK header bytes added to every activation payload.
-  std::size_t header_bytes = 9;
-  /// When >= 0, overrides the airtime model with a fixed per-hop latency
-  /// (0 gives the zero-latency conformance channel).
+  /// When >= 0, overrides the 802.15.4 O-QPSK airtime of each frame
+  /// (payload plus a 9-byte header) with a fixed per-hop latency (0 gives
+  /// the zero-latency conformance channel).
   double fixed_hop_latency_s = -1.0;
-
-  /// Airtime of one frame carrying `payload_bytes` of activations.
-  double hop_latency_s(std::size_t payload_bytes) const;
 
   /// Zero-loss / zero-latency channel: the conformance configuration that
   /// must reproduce the ideal executor bit-for-bit.
-  static ChannelConfig ideal();
+  static ChannelConfig ideal() { return ChannelConfig{0.0, 0.0}; }
 };
 
 struct NetExecConfig {
   ChannelConfig channel{};
-  /// Retransmissions allowed per hop before the frame is abandoned.
+  /// Retransmissions allowed per hop before the frame is abandoned; retry
+  /// k waits 4 ms * 2^k for the missing ACK.
   int max_retries = 3;
-  /// First retry delay after a lost frame (no ACK within this window).
-  double ack_timeout_s = 4e-3;
-  /// Retry k waits ack_timeout_s * backoff_factor^k.
-  double backoff_factor = 2.0;
   /// Per-unit MCU compute time (0 gives the zero-time conformance setup).
   double unit_compute_s = 100e-6;
-  /// Energy-accounting duration of the initial sensing activity (does not
-  /// affect timing; inputs are available at t = 0 like the ideal executor).
-  double sense_s = 10e-3;
   /// Node computing unit layer k+1 gives up waiting for remote activations
   /// at absolute time (k+1) * layer_deadline_s and substitutes last-known
   /// values — the termination guarantee of the event loop.
   double layer_deadline_s = 0.25;
   /// Seed of the keyed per-(frame, hop, attempt) loss substreams.
   std::uint64_t seed = 1;
-  energy::ActivityCosts costs{};
   /// Null-sink observability (metrics + MicroDeepHop/PacketTx/PacketRx
   /// traces) following the library convention.
   obs::Observability* obs = nullptr;
   /// Optional fault injector; node death/drop/corrupt/delay are honored at
-  /// plan time fault_time_offset + sim.now().  run() only — evaluate()
+  /// plan time sim.now() of each run.  Its plan's brownout and drought
+  /// windows are read once, at construction.  run() only — evaluate()
   /// requires nullptr (the injector RNG is call-order coupled).
   fault::FaultInjector* fault = nullptr;
-  double fault_time_offset = 0.0;
   /// Quantized activation transport: every inter-node frame carries ONE
   /// byte per channel instead of four.  Frames shrink (payload_bytes =
   /// channels * 1 + header), so airtime, tx/rx energy, and retry exposure
@@ -260,27 +259,40 @@ class NetworkExecutor {
     std::size_t in_layer = 0;   // consumed unit layer
     std::size_t out_layer = 0;  // produced unit layer
     bool relu_after = false;    // folded elementwise ReLU
-    std::size_t payload_bytes = 0;  // activation bytes per message
+    std::size_t payload_bytes = 0;  // activation + header bytes per frame
+    double air_s = 0.0;             // airtime of one frame on one hop
     std::uint64_t first_uid = 0;    // global uid of messages[0]
     std::vector<Message> messages;  // canonical executor dedup order
     std::vector<std::vector<std::size_t>> out_msgs;  // per src node
     std::vector<std::vector<std::size_t>> in_msgs;   // per dst node
     std::vector<std::vector<UnitId>> local_srcs;     // per node, same-node deps
     std::vector<std::vector<UnitId>> units;          // produced units per node
+    /// Per node: inputs awaited before computing (one per remote message,
+    /// plus one for all same-node inputs together).
+    std::vector<std::size_t> pending0;
+    /// Per node (harvest only): capacitor charge needed to start computing
+    /// — compute burst + worst-case commit + first TX of every frame the
+    /// result ships.
+    std::vector<double> admission_j;
   };
 
+  /// A [lo, hi) window of cfg.fault's plan on one node.
+  struct Window {
+    double lo = 0.0;
+    double hi = 0.0;
+    double scale = 1.0;  // harvest scale (droughts)
+  };
+
+  /// One inference's state machine (defined in netexec.cpp).
+  struct Inference;
+
   void build_plans();
-  /// `spans` (nullable) receives the causal span tree of this inference
-  /// under a root Inference span with the given `trace_id` (by convention
-  /// the inference's loss-substream seed, making trace ids seed-derived
-  /// and stable across reruns and thread counts).
-  NetInferenceResult run_impl(const ml::Tensor& sample, std::uint64_t seed,
-                              obs::Observability* obs,
-                              fault::FaultInjector* fault,
-                              microdeep::ActTable* memory,
-                              obs::SpanRecorder* spans = nullptr,
-                              std::uint64_t trace_id = 0) const;
-  /// Upper bound on spans one run_impl can record (used to size per-slot
+  /// Brownout and drought windows of cfg.fault's plan, per node.  The plan
+  /// is pure data: reading it consumes no injector RNG.
+  void scan_fault_windows();
+  /// Revival time when `t` falls inside a brownout window of node n, else -1.
+  double brownout_until(NodeId n, double t) const;
+  /// Upper bound on spans one inference can record (used to size per-slot
   /// recorders in evaluate() so nothing is dropped).
   std::size_t spans_per_run_bound() const;
 
@@ -290,6 +302,10 @@ class NetworkExecutor {
   const microdeep::WsnTopology& wsn_;
   NetExecConfig cfg_;
   std::vector<LayerPlan> plans_;
+  std::vector<std::vector<UnitId>> own_inputs_;  // input units per node
+  std::vector<std::vector<Window>> brownouts_;   // merged, per node
+  std::vector<std::vector<Window>> droughts_;    // per node
+  double last_revival_ = 0.0;  // end of the latest brownout window
   std::vector<std::size_t> nvm_bytes_;  // worst-case checkpoint image per node
   microdeep::ActTable memory_;  // last-known activations across run() calls
   std::uint64_t runs_ = 0;      // run() counter, keys per-inference substreams
