@@ -199,14 +199,16 @@ TEST_P(CoexistenceSweep, InvariantsHold) {
   EXPECT_GE(m.mean_latency_s, 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, CoexistenceSweep,
-    ::testing::Values(CoexParam{MacMode::Proposed, 2.0, 2},
-                      CoexParam{MacMode::Proposed, 50.0, 8},
-                      CoexParam{MacMode::Proposed, 500.0, 16},
-                      CoexParam{MacMode::Naive, 2.0, 2},
-                      CoexParam{MacMode::Naive, 50.0, 8},
-                      CoexParam{MacMode::Naive, 500.0, 16}));
+// gtest names each case by the bytes of its CoexParam, padding included.
+// A static array has its padding zero-initialised, so the names stay the
+// same from build to build; temporaries would carry stack garbage there.
+constexpr CoexParam kCoexGrid[] = {
+    {MacMode::Proposed, 2.0, 2}, {MacMode::Proposed, 50.0, 8},
+    {MacMode::Proposed, 500.0, 16}, {MacMode::Naive, 2.0, 2},
+    {MacMode::Naive, 50.0, 8}, {MacMode::Naive, 500.0, 16}};
+
+INSTANTIATE_TEST_SUITE_P(Grid, CoexistenceSweep,
+                         ::testing::ValuesIn(kCoexGrid));
 
 }  // namespace
 }  // namespace zeiot::backscatter
