@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   std::cout << "fleet: " << cfg.deployments.size() << " deployments ("
             << e6_cells << " E6 cells x " << e6_tags << " tags, " << e1_cells
             << " E1 lounges, " << e2_cells << " E2 arrays), wave size "
-            << cfg.wave_size << "\n";
+            << fleet::kFleetWaveSize << "\n";
 
   fleet::FleetSimulator sim(std::move(cfg));
   const auto t0 = std::chrono::steady_clock::now();

@@ -173,7 +173,6 @@ FleetResult FleetSimulator::run(par::ThreadPool* pool) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t n = cfg_.deployments.size();
   ZEIOT_CHECK_MSG(n > 0, "fleet has no deployments");
-  ZEIOT_CHECK_MSG(cfg_.wave_size > 0, "wave_size must be > 0");
 
   FleetResult res;
   res.kind.resize(n);
@@ -192,13 +191,13 @@ FleetResult FleetSimulator::run(par::ThreadPool* pool) {
   double weighted_accuracy = 0.0;
   double total_energy = 0.0;
 
-  // Waves bound live per-slot contexts to wave_size.  The wave layout is
-  // a pure function of (n, wave_size): results cannot depend on it beyond
-  // peak memory, and the sequential merge below still runs in global slot
+  // Waves bound live per-slot contexts to kFleetWaveSize.  The wave layout
+  // is a pure function of n: results cannot depend on it beyond peak
+  // memory, and the sequential merge below still runs in global slot
   // order because waves are processed in order.
   for (std::size_t wave_begin = 0; wave_begin < n;
-       wave_begin += cfg_.wave_size) {
-    const std::size_t wave_end = std::min(n, wave_begin + cfg_.wave_size);
+       wave_begin += kFleetWaveSize) {
+    const std::size_t wave_end = std::min(n, wave_begin + kFleetWaveSize);
     const std::size_t wave_n = wave_end - wave_begin;
     std::vector<std::unique_ptr<obs::Observability>> slots(wave_n);
     std::vector<DeploymentOutcome> outcomes(wave_n);
@@ -225,7 +224,7 @@ FleetResult FleetSimulator::run(par::ThreadPool* pool) {
       const std::size_t g = wave_begin + i;
       DeploymentOutcome& out = outcomes[i];
       if (cfg_.obs != nullptr && slots[i] != nullptr) {
-        if (cfg_.merge_metrics) cfg_.obs->metrics().merge(slots[i]->metrics());
+        cfg_.obs->metrics().merge(slots[i]->metrics());
         if (cfg_.merge_records) {
           cfg_.obs->trace().merge(slots[i]->trace());
           if (cfg_.obs->spans_enabled() && slots[i]->spans_enabled()) {

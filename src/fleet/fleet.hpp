@@ -18,10 +18,10 @@
 //  (4) a fault plan injected into one deployment never perturbs neighbors.
 //
 // Memory is bounded two ways for million-device runs: deployments are
-// processed in fixed "waves" (only wave_size per-slot contexts live at
-// once — the wave layout is a pure function of the config, so it cannot
-// leak into results), and the per-deployment event queues recycle their
-// events through sim::Simulator's freelist arena.
+// processed in fixed "waves" (only kFleetWaveSize per-slot contexts live
+// at once — the wave layout is a pure function of the deployment count,
+// so it cannot leak into results), and the per-deployment event queues
+// recycle their events through sim::Simulator's freelist arena.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +34,15 @@
 
 namespace zeiot::fleet {
 
+/// Deployments simulated per wave; bounds live per-slot contexts.
+inline constexpr std::size_t kFleetWaveSize = 1024;
+
 struct FleetConfig {
   std::uint64_t seed = 1;
   std::vector<DeploymentSpec> deployments;
 
-  /// Fleet-level sink for merged per-deployment registries and fleet.*
-  /// metrics (nullable, library convention).
+  /// Fleet-level sink for fleet.* metrics and the per-deployment metrics
+  /// registries, merged in slot order (nullable, library convention).
   obs::Observability* obs = nullptr;
 
   /// Per-deployment recorder capacities.  span_capacity 0 keeps span
@@ -47,8 +50,6 @@ struct FleetConfig {
   std::size_t trace_capacity = 512;
   std::size_t span_capacity = 0;
 
-  /// Merge per-deployment metrics registries into `obs` (slot order).
-  bool merge_metrics = true;
   /// Also merge per-deployment trace rings and span streams into `obs`.
   /// Off by default: a fleet-level ring holding a blend of thousands of
   /// deployments is rarely useful, and merging is O(events).
@@ -57,9 +58,6 @@ struct FleetConfig {
   /// Record wall-clock gauges (fleet.wall_s / fleet.devices_per_s).
   /// Wall time is host noise, so the byte-identity tests keep this off.
   bool record_timing = false;
-
-  /// Deployments simulated per wave; bounds live per-slot contexts.
-  std::size_t wave_size = 1024;
 };
 
 /// Result of one deployment, in deployment-local terms.  For inference

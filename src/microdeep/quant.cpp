@@ -1,15 +1,61 @@
 #include "microdeep/quant.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.hpp"
-#include "ml/quantize.hpp"
 
 namespace zeiot::microdeep {
+
+namespace {
+
+float absmax_range(const float* p, std::size_t n) {
+  float m = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(p[i]));
+  return m;
+}
+
+/// Per-boundary activation absmax of `net` over (up to max_samples of) a
+/// calibration batch: index 0 is the network input, index i+1 the output
+/// of layer i.
+std::vector<float> calibration_absmax(ml::Network& net,
+                                      const ml::Tensor& calibration,
+                                      int max_samples) {
+  ZEIOT_CHECK_MSG(calibration.ndim() >= 2, "calibration batch must be (N,...)");
+  ZEIOT_CHECK_MSG(max_samples > 0, "max_samples must be > 0");
+  ml::Tensor cur = calibration;
+  if (calibration.dim(0) > max_samples) {
+    std::vector<int> sub_shape = calibration.shape();
+    sub_shape[0] = max_samples;
+    ml::Tensor sub(sub_shape);
+    std::copy(calibration.data(), calibration.data() + sub.size(), sub.data());
+    cur = std::move(sub);
+  }
+  std::vector<float> absmax;
+  absmax.reserve(net.num_layers() + 1);
+  absmax.push_back(absmax_range(cur.data(), cur.size()));
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    cur = net.layer(i).forward(cur, /*train=*/false);
+    absmax.push_back(absmax_range(cur.data(), cur.size()));
+  }
+  return absmax;
+}
+
+}  // namespace
+
+std::int8_t quantize_value(float v, float scale) {
+  // Round and clamp in double, before any integer conversion, so a
+  // quotient beyond every integer range saturates instead of overflowing.
+  const double q = static_cast<double>(v) / static_cast<double>(scale);
+  if (std::isnan(q)) return 0;
+  return static_cast<std::int8_t>(std::clamp(std::round(q), -127.0, 127.0));
+}
 
 std::vector<float> calibrate_unit_activation_scales(
     ml::Network& net, const UnitGraph& graph, const ml::Tensor& calibration,
     int max_samples) {
   const std::vector<float> absmax =
-      ml::calibration_absmax(net, calibration, max_samples);
+      calibration_absmax(net, calibration, max_samples);
   const std::size_t num_unit_layers = graph.layers().size();
   ZEIOT_CHECK_MSG(num_unit_layers >= 1, "unit graph has no layers");
 

@@ -1,20 +1,26 @@
-// Maps static int8 activation calibration onto unit layers.
+// The int8 activation grid of netexec's quantized transport.
 //
 // netexec's quantized transport sends every unit activation as ONE byte on
-// the symmetric int8 grid; the grid's scale per unit layer comes from the
-// same calibration pass QuantizedNetwork uses (absmax over a calibration
-// batch through the float network).  A unit layer's transmitted values are
-// the values the NEXT unit-producing net layer consumes — i.e. after any
-// folded elementwise layers (ReLU, Flatten, Dropout) have been applied —
-// matching exactly what the executor moves between nodes.
+// the symmetric int8 grid; the grid's scale per unit layer comes from a
+// static calibration pass (absmax over a calibration batch through the
+// float network).  A unit layer's transmitted values are the values the
+// NEXT unit-producing net layer consumes — i.e. after any folded
+// elementwise layers (ReLU, Flatten, Dropout) have been applied — matching
+// exactly what the executor moves between nodes.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "microdeep/unit_graph.hpp"
 #include "ml/tensor.hpp"
 
 namespace zeiot::microdeep {
+
+/// clamp(round_half_away(v / scale), -127, 127) — the symmetric int8 grid.
+/// Out-of-range quotients (a tiny scale, an infinite v) saturate with
+/// their own sign; NaN maps to 0.
+std::int8_t quantize_value(float v, float scale);
 
 /// Per-unit-layer activation scales (scale = absmax/127, 1.0 for all-zero
 /// boundaries), indexed like graph.layers().  Runs the float network over

@@ -14,8 +14,6 @@ const Backend kScalarBackend{
     "scalar",
     &detail::sgemm_accum_scalar,
     &detail::sgemm_abt_accum_scalar,
-    &detail::igemm_abt_accum_scalar,
-    &detail::im2col_scalar,
 };
 
 const Backend* table_for(BackendKind kind) {

@@ -1,8 +1,7 @@
-// Runtime-dispatched SIMD backend table for the GEMM/im2col kernels.
+// Runtime-dispatched SIMD backend table for the float GEMM kernels.
 //
-// Every hot-path entry point (sgemm_accum, sgemm_abt_accum, igemm_abt_accum,
-// im2col) routes through one function-pointer table selected ONCE at first
-// use:
+// Both GEMM entry points (sgemm_accum, sgemm_abt_accum) route through one
+// function-pointer table selected ONCE at first use:
 //
 //   1. the ZEIOT_KERNEL_BACKEND environment variable ("scalar", "avx2",
 //      "auto"/unset) — requesting a backend the host cannot run throws
@@ -13,26 +12,22 @@
 // Determinism contract: each backend keeps its OWN fixed summation order —
 // a pure function of the operand shapes, never of the worker count — so a
 // given backend is bit-identical at any ZEIOT_THREADS and across reruns.
-// Backends may differ from each other within small ULP bounds on float
-// kernels (the scalar order groups k-terms in fours; the AVX2 order uses
-// 8-lane FMA chains); tests/test_kernel_backends.cpp pins both the per-
-// backend bit-identity and the cross-backend ULP agreement.  The int8
-// kernel is exact integer arithmetic, so its results are identical across
-// ALL backends.
+// Backends may differ from each other within small ULP bounds (the scalar
+// order groups k-terms in fours; the AVX2 order uses 8-lane FMA chains);
+// tests/test_kernel_backends.cpp pins both the per-backend bit-identity
+// and the cross-backend ULP agreement.
 //
 // The dispatch matrix:
 //
-//   backend | float GEMMs              | int8 GEMM          | im2col
-//   --------+--------------------------+--------------------+--------------
-//   scalar  | cache-blocked, k-by-4    | exact i32 dots     | row copies
-//   avx2    | 8-lane FMA register tile | madd_epi16 widening| (same: pure
-//           |                          | (exact, == scalar) |  data movement)
+//   backend | sgemm_accum              | sgemm_abt_accum
+//   --------+--------------------------+-------------------------------
+//   scalar  | cache-blocked, k-by-4    | 4 B rows per block, ascending k
+//   avx2    | 8-lane FMA register tile | 8 k-lanes per dot, fixed reduce
 //
 // NEON is a recognised name but reports unavailable until an aarch64
 // backend lands; the scalar loops auto-vectorise reasonably there.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace zeiot::ml::kernels {
@@ -43,11 +38,6 @@ inline constexpr int kNumBackendKinds = 3;
 
 using SgemmFn = void (*)(int m, int n, int k, const float* a, int lda,
                          const float* b, int ldb, float* c, int ldc);
-using IgemmAbtFn = void (*)(int m, int n, int k, const std::int8_t* a,
-                            int lda, const std::int8_t* b, int ldb,
-                            std::int32_t* c, int ldc);
-using Im2colFn = void (*)(const float* x, int channels, int h, int w,
-                          int kernel, int pad, int oh, int ow, float* out);
 
 /// One dispatch-table row.  All pointers are non-null for available
 /// backends.
@@ -56,8 +46,6 @@ struct Backend {
   const char* name = "scalar";
   SgemmFn sgemm_accum = nullptr;
   SgemmFn sgemm_abt_accum = nullptr;
-  IgemmAbtFn igemm_abt_accum = nullptr;
-  Im2colFn im2col = nullptr;
 };
 
 /// The active table row.  First call resolves ZEIOT_KERNEL_BACKEND / CPUID;
@@ -99,11 +87,6 @@ void sgemm_accum_scalar(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc);
 void sgemm_abt_accum_scalar(int m, int n, int k, const float* a, int lda,
                             const float* b, int ldb, float* c, int ldc);
-void igemm_abt_accum_scalar(int m, int n, int k, const std::int8_t* a,
-                            int lda, const std::int8_t* b, int ldb,
-                            std::int32_t* c, int ldc);
-void im2col_scalar(const float* x, int channels, int h, int w, int kernel,
-                   int pad, int oh, int ow, float* out);
 
 /// Null when the AVX2 translation unit was compiled without AVX2 support
 /// (non-x86 target or a compiler without -mavx2/-mfma).

@@ -1,7 +1,6 @@
 #include "ml/kernels/gemm.hpp"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "ml/kernels/backend.hpp"
 
@@ -26,12 +25,6 @@ void sgemm_accum(int m, int n, int k, const float* a, int lda, const float* b,
 void sgemm_abt_accum(int m, int n, int k, const float* a, int lda,
                      const float* b, int ldb, float* c, int ldc) {
   active_backend().sgemm_abt_accum(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void igemm_abt_accum(int m, int n, int k, const std::int8_t* a, int lda,
-                     const std::int8_t* b, int ldb, std::int32_t* c,
-                     int ldc) {
-  active_backend().igemm_abt_accum(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void transpose(int rows, int cols, const float* src, int lds, float* dst,
@@ -114,28 +107,6 @@ void sgemm_abt_accum_scalar(int m, int n, int k, const float* a, int lda,
       const float* __restrict brow = b + static_cast<std::size_t>(j) * ldb;
       float s = 0.0f;
       for (int kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
-      crow[j] += s;
-    }
-  }
-}
-
-void igemm_abt_accum_scalar(int m, int n, int k, const std::int8_t* a,
-                            int lda, const std::int8_t* b, int ldb,
-                            std::int32_t* c, int ldc) {
-  // Exact int32 arithmetic: any evaluation order gives the same result, so
-  // the int8 kernel is bit-identical across backends by construction.
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* __restrict arow =
-        a + static_cast<std::size_t>(i) * lda;
-    std::int32_t* __restrict crow = c + static_cast<std::size_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      const std::int8_t* __restrict brow =
-          b + static_cast<std::size_t>(j) * ldb;
-      std::int32_t s = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        s += static_cast<std::int32_t>(arow[kk]) *
-             static_cast<std::int32_t>(brow[kk]);
-      }
       crow[j] += s;
     }
   }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace zeiot::ml::kernels {
 
@@ -31,15 +30,6 @@ void sgemm_accum(int m, int n, int k, const float* a, int lda, const float* b,
 /// each dot product accumulates in ascending k order.
 void sgemm_abt_accum(int m, int n, int k, const float* a, int lda,
                      const float* b, int ldb, float* c, int ldc);
-
-/// C (m x n, int32) += A (m x k, int8) * B^T with B stored row-major as
-/// (n x k, int8) — the quantized-inference form shared by conv (A = weight
-/// rows, B = transposed int8 im2col panel) and dense (A = activation rows,
-/// B = weight rows).  Accumulation is exact int32 arithmetic (|a|,|b| <= 127
-/// so the dot fits comfortably for k < 2^16), which makes the result
-/// bit-identical across ALL backends, not merely per-backend.
-void igemm_abt_accum(int m, int n, int k, const std::int8_t* a, int lda,
-                     const std::int8_t* b, int ldb, std::int32_t* c, int ldc);
 
 /// dst (cols x rows, row stride ldd) = transpose of src (rows x cols, row
 /// stride lds).  Tiled to keep both sides cache-friendly.

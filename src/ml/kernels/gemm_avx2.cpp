@@ -16,8 +16,6 @@
 //                   terms k ≡ L mod 8, ascending), then the fixed pairwise
 //                   lane reduce (0+4,1+5,2+6,3+7 → 02,13 → 0123…), then the
 //                   scalar k-tail terms in ascending order.
-//   igemm_abt_accum exact int32 arithmetic — bit-identical to every other
-//                   backend regardless of order.
 //
 // All loads/stores are unaligned-tolerant (loadu/maskload); Tensor and
 // Workspace hand out 64-byte-aligned bases anyway, so these decay to
@@ -50,15 +48,6 @@ inline float hsum8(__m256 v) {
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
   return _mm_cvtss_f32(s);
-}
-
-inline std::int32_t hsum8_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x55));
-  return _mm_cvtsi128_si32(s);
 }
 
 // One 4-row x 16-column register tile of sgemm_accum: C block lives in 8
@@ -226,39 +215,11 @@ void sgemm_abt_accum_avx2(int m, int n, int k, const float* a, int lda,
   }
 }
 
-void igemm_abt_accum_avx2(int m, int n, int k, const std::int8_t* a, int lda,
-                          const std::int8_t* b, int ldb, std::int32_t* c,
-                          int ldc) {
-  const int k16 = k & ~15;
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * lda;
-    std::int32_t* crow = c + static_cast<std::size_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      const std::int8_t* brow = b + static_cast<std::size_t>(j) * ldb;
-      __m256i acc = _mm256_setzero_si256();
-      for (int kk = 0; kk < k16; kk += 16) {
-        // 16 int8 -> 16 int16 each side; madd pairs into 8 exact int32
-        // partials (each |term| <= 2 * 127^2, far below int32 range).
-        const __m256i a16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(arow + kk)));
-        const __m256i b16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(brow + kk)));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, b16));
-      }
-      std::int32_t s = hsum8_epi32(acc);
-      for (int kk = k16; kk < k; ++kk) {
-        s += static_cast<std::int32_t>(arow[kk]) *
-             static_cast<std::int32_t>(brow[kk]);
-      }
-      crow[j] += s;
-    }
-  }
-}
-
 const Backend kAvx2Backend{
-    BackendKind::Avx2,         "avx2",
-    &sgemm_accum_avx2,         &sgemm_abt_accum_avx2,
-    &igemm_abt_accum_avx2,     &im2col_scalar,
+    BackendKind::Avx2,
+    "avx2",
+    &sgemm_accum_avx2,
+    &sgemm_abt_accum_avx2,
 };
 
 }  // namespace

@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "ml/kernels/backend.hpp"
-
 namespace zeiot::ml::kernels {
 
 void im2col(const float* x, int channels, int h, int w, int kernel, int pad,
             int oh, int ow, float* out) {
-  active_backend().im2col(x, channels, h, w, kernel, pad, oh, ow, out);
-}
-
-namespace detail {
-
-// Pure data movement (copies and zero fills — no arithmetic), so every
-// backend currently shares this body; it sits in the dispatch table so a
-// future backend can fuse packing with quantization.
-void im2col_scalar(const float* x, int channels, int h, int w, int kernel,
-                   int pad, int oh, int ow, float* out) {
   float* dst = out;
   for (int ic = 0; ic < channels; ++ic) {
     const float* plane =
@@ -44,8 +32,6 @@ void im2col_scalar(const float* x, int channels, int h, int w, int kernel,
     }
   }
 }
-
-}  // namespace detail
 
 void col2im_accum(const float* cols, int channels, int h, int w, int kernel,
                   int pad, int oh, int ow, float* gx) {

@@ -10,8 +10,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x5A45494F;  // "ZEIO"
 constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kQuantMagic = 0x5A454951;  // "ZEIQ"
-constexpr std::uint32_t kQuantVersion = 1;
 
 void write_u32(std::ostream& os, std::uint32_t v) {
   // Little-endian, explicitly.
@@ -106,131 +104,6 @@ void load_weights(Network& net, const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   ZEIOT_CHECK_MSG(is.is_open(), "cannot open " << path << " for reading");
   load_weights(net, is);
-}
-
-namespace {
-
-void write_i32(std::ostream& os, std::int32_t v) {
-  write_u32(os, static_cast<std::uint32_t>(v));
-}
-
-std::int32_t read_i32(std::istream& is) {
-  return static_cast<std::int32_t>(read_u32(is));
-}
-
-void write_i8_block(std::ostream& os, const std::vector<std::int8_t>& v) {
-  write_u32(os, static_cast<std::uint32_t>(v.size()));
-  if (!v.empty()) {
-    os.write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(v.size()));
-  }
-}
-
-std::vector<std::int8_t> read_i8_block(std::istream& is) {
-  const std::uint32_t count = read_u32(is);
-  std::vector<std::int8_t> v(count);
-  if (count > 0) {
-    is.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(count));
-    ZEIOT_CHECK_MSG(is.good(), "quantized weight stream truncated");
-  }
-  return v;
-}
-
-}  // namespace
-
-void save_quantized(const QuantizedNetwork& qnet, std::ostream& os) {
-  write_u32(os, kQuantMagic);
-  write_u32(os, kQuantVersion);
-  const auto& shape = qnet.input_shape();
-  write_u32(os, static_cast<std::uint32_t>(shape.size()));
-  for (int d : shape) write_u32(os, static_cast<std::uint32_t>(d));
-  write_f32(os, qnet.input_scale());
-  write_u32(os, static_cast<std::uint32_t>(qnet.ops().size()));
-  for (const QuantOp& op : qnet.ops()) {
-    write_u32(os, static_cast<std::uint32_t>(op.kind));
-    write_i32(os, op.in_channels);
-    write_i32(os, op.out_channels);
-    write_i32(os, op.kernel);
-    write_i32(os, op.padding);
-    write_i32(os, op.in_features);
-    write_i32(os, op.out_features);
-    write_i32(os, op.pool_k);
-    write_u32(os, (op.relu_after ? 1u : 0u) | (op.dequant_output ? 2u : 0u));
-    write_f32(os, op.in_scale);
-    write_f32(os, op.out_scale);
-    write_i8_block(os, op.weight);
-    write_u32(os, static_cast<std::uint32_t>(op.bias.size()));
-    for (std::int32_t b : op.bias) write_i32(os, b);
-    write_u32(os, static_cast<std::uint32_t>(op.requant.size()));
-    for (const RequantScale& r : op.requant) {
-      write_i32(os, r.multiplier);
-      write_i32(os, r.shift);
-    }
-    write_u32(os, static_cast<std::uint32_t>(op.dequant_scale.size()));
-    for (float s : op.dequant_scale) write_f32(os, s);
-  }
-  ZEIOT_CHECK_MSG(os.good(), "quantized weight stream write failed");
-}
-
-void save_quantized(const QuantizedNetwork& qnet, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  ZEIOT_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  save_quantized(qnet, os);
-}
-
-QuantizedNetwork load_quantized(std::istream& is) {
-  ZEIOT_CHECK_MSG(read_u32(is) == kQuantMagic,
-                  "not a zeiot quantized weight stream");
-  const std::uint32_t version = read_u32(is);
-  ZEIOT_CHECK_MSG(version == kQuantVersion,
-                  "unsupported quantized weight version " << version);
-  const std::uint32_t rank = read_u32(is);
-  ZEIOT_CHECK_MSG(rank >= 1 && rank <= 4, "bad quantized input rank " << rank);
-  std::vector<int> input_shape(rank);
-  for (auto& d : input_shape) d = static_cast<int>(read_u32(is));
-  const float input_scale = read_f32(is);
-  const std::uint32_t num_ops = read_u32(is);
-  std::vector<QuantOp> ops(num_ops);
-  for (QuantOp& op : ops) {
-    const std::uint32_t kind = read_u32(is);
-    ZEIOT_CHECK_MSG(kind <= static_cast<std::uint32_t>(QuantOp::Kind::Dense),
-                    "bad quantized op kind " << kind);
-    op.kind = static_cast<QuantOp::Kind>(kind);
-    op.in_channels = read_i32(is);
-    op.out_channels = read_i32(is);
-    op.kernel = read_i32(is);
-    op.padding = read_i32(is);
-    op.in_features = read_i32(is);
-    op.out_features = read_i32(is);
-    op.pool_k = read_i32(is);
-    const std::uint32_t flags = read_u32(is);
-    op.relu_after = (flags & 1u) != 0;
-    op.dequant_output = (flags & 2u) != 0;
-    op.in_scale = read_f32(is);
-    op.out_scale = read_f32(is);
-    op.weight = read_i8_block(is);
-    op.bias.resize(read_u32(is));
-    for (auto& b : op.bias) b = read_i32(is);
-    op.requant.resize(read_u32(is));
-    for (auto& r : op.requant) {
-      r.multiplier = read_i32(is);
-      r.shift = read_i32(is);
-    }
-    op.dequant_scale.resize(read_u32(is));
-    for (auto& s : op.dequant_scale) s = read_f32(is);
-  }
-  ZEIOT_CHECK_MSG(is.good(), "quantized weight stream read failed");
-  is.peek();
-  ZEIOT_CHECK_MSG(is.eof(), "trailing bytes after quantized weight stream");
-  return load_quantized_detail(std::move(ops), std::move(input_shape),
-                               input_scale);
-}
-
-QuantizedNetwork load_quantized(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  ZEIOT_CHECK_MSG(is.is_open(), "cannot open " << path << " for reading");
-  return load_quantized(is);
 }
 
 }  // namespace zeiot::ml

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "ml/network.hpp"
-#include "ml/quantize.hpp"
 
 namespace zeiot::ml {
 
@@ -26,18 +25,5 @@ void save_weights(const Network& net, const std::string& path);
 /// Throws zeiot::Error on format mismatch or stream failure.
 void load_weights(Network& net, std::istream& is);
 void load_weights(Network& net, const std::string& path);
-
-/// Writes a quantized network (op list, geometry, int8 weights, int32
-/// biases, requant tables, scales) to `os`.  Unlike the float format the
-/// container is self-describing: load_quantized reconstructs the network
-/// without a pre-built architecture.  Magic "ZEIQ", version 1,
-/// little-endian.  Throws zeiot::Error on stream failure.
-void save_quantized(const QuantizedNetwork& qnet, std::ostream& os);
-void save_quantized(const QuantizedNetwork& qnet, const std::string& path);
-
-/// Loads a quantized network saved by save_quantized.  Throws zeiot::Error
-/// on format mismatch, truncation, or trailing bytes.
-QuantizedNetwork load_quantized(std::istream& is);
-QuantizedNetwork load_quantized(const std::string& path);
 
 }  // namespace zeiot::ml

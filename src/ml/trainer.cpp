@@ -1,7 +1,6 @@
 #include "ml/trainer.hpp"
 
 #include <algorithm>
-#include <iostream>
 #include <limits>
 
 #include "obs/obs.hpp"
@@ -200,11 +199,6 @@ TrainHistory Trainer::fit(const Dataset& train, const Dataset& val,
       if (improved) best_train_loss = es.train_loss;
     }
     since_best = improved ? 0 : since_best + 1;
-    if (cfg.verbose) {
-      std::cerr << "epoch " << epoch + 1 << "/" << cfg.epochs << " loss="
-                << es.train_loss << " train_acc=" << es.train_accuracy
-                << " val_acc=" << es.val_accuracy << '\n';
-    }
     if (cfg.patience > 0 && since_best >= cfg.patience) break;
   }
   return hist;

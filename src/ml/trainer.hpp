@@ -41,8 +41,6 @@ struct TrainConfig {
   /// accuracy, or — when no validation set is supplied — lower epoch
   /// train loss.
   int patience = 0;
-  /// Print per-epoch progress to stderr.
-  bool verbose = false;
   /// Samples per data-parallel shard.  Fixed shard boundaries (not tied to
   /// the worker count) are what keep training reproducible; lower values
   /// expose more parallelism, higher values amortize more per-shard work.

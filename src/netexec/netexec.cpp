@@ -8,7 +8,7 @@
 
 #include "common/stats.hpp"
 #include "energy/device.hpp"
-#include "ml/quantize.hpp"
+#include "microdeep/quant.hpp"
 #include "phy/airtime.hpp"
 #include "sim/simulator.hpp"
 
@@ -114,7 +114,8 @@ NetworkExecutor::NetworkExecutor(ml::Network& net,
                     "quantized_transport requires one activation scale per "
                     "unit layer (microdeep::calibrate_unit_activation_scales)");
     for (const float s : cfg_.act_scales) {
-      ZEIOT_CHECK_MSG(s > 0.0f, "activation scales must be positive");
+      ZEIOT_CHECK_MSG(s > 0.0f && std::isfinite(s),
+                      "activation scales must be finite and positive");
     }
   }
   if (cfg_.harvest.enabled) {
@@ -551,7 +552,9 @@ struct NetworkExecutor::Inference {
     const float qs =
         cfg.quantized_transport ? cfg.act_scales[plan.in_layer] : 0.0f;
     auto snap = [qs](std::vector<float>& v) {
-      for (float& x : v) x = static_cast<float>(ml::quantize_value(x, qs)) * qs;
+      for (float& x : v) {
+        x = static_cast<float>(microdeep::quantize_value(x, qs)) * qs;
+      }
     };
     std::vector<std::pair<UnitId, std::vector<float>>> saved;
     auto substitute = [&](UnitId src, bool remote) {

@@ -99,8 +99,9 @@ struct NetExecConfig {
   /// clamp(round(v / s), -127, 127) * s with s = act_scales[unit layer].
   /// Same-node activations never touch the radio and stay exact, as do
   /// locally substituted values; remote substitutes are snapped because the
-  /// consumer only ever saw the quantized stream.  Requires one positive
-  /// scale per unit layer (microdeep::calibrate_unit_activation_scales).
+  /// consumer only ever saw the quantized stream.  Requires one finite
+  /// positive scale per unit layer
+  /// (microdeep::calibrate_unit_activation_scales).
   bool quantized_transport = false;
   std::vector<float> act_scales;
   /// NVM checkpointing (see netexec/checkpoint.hpp).  With a policy other

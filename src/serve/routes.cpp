@@ -88,21 +88,6 @@ RouteSet::RouteSet(const RouteSetConfig& c)
     e1.net.set_pool(cfg.pool);
     e2.net.set_pool(cfg.pool);
   }
-  if (cfg.quantize_cnn) {
-    // Calibrate each route's int8 network on its own request pool — the
-    // exact distribution the serving path will see.  Build is deterministic
-    // (pure function of net weights + pool), so every server constructed
-    // from the same config serves identical quantized labels.
-    auto quantize_route = [](CnnRoute& route) {
-      std::vector<std::size_t> idx(route.pool.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-      const auto [calib, labels] = route.pool.batch(idx);
-      route.qnet = std::make_unique<ml::QuantizedNetwork>(
-          ml::QuantizedNetwork::build(route.net, route.shape, calib));
-    };
-    quantize_route(e1);
-    quantize_route(e2);
-  }
   const Rng base(cfg.seed);
 
   // E3: train the congestion likelihoods, then precompute the request
@@ -204,9 +189,7 @@ std::vector<int> RouteSet::execute(Route r,
       idx.reserve(samples.size());
       for (const std::uint32_t s : samples) idx.push_back(s);
       const auto [x, y] = route.pool.batch(idx);
-      const ml::Tensor out = route.qnet != nullptr
-                                 ? route.qnet->forward(x)
-                                 : route.net.forward(x, /*train=*/false);
+      const ml::Tensor out = route.net.forward(x, /*train=*/false);
       const auto n = static_cast<std::size_t>(samples.size());
       const auto classes = static_cast<std::size_t>(out.shape().back());
       const float* logits = out.data();

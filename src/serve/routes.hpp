@@ -36,7 +36,6 @@
 #include "ml/dataset.hpp"
 #include "ml/knn.hpp"
 #include "ml/network.hpp"
-#include "ml/quantize.hpp"
 #include "ml/standardize.hpp"
 #include "sensing/rssi/room_count.hpp"
 #include "sensing/rssi/train_car.hpp"
@@ -75,12 +74,6 @@ struct RouteSetConfig {
   std::uint64_t seed = 99;
   /// Worker pool for batched CNN forwards (null = par::global_pool()).
   par::ThreadPool* pool = nullptr;
-  /// Serve the CNN routes (E1/E2) through an int8 QuantizedNetwork built at
-  /// construction, calibrated on each route's own request pool.  The float
-  /// network is kept — it still backs the unit graph and plan machinery —
-  /// but execute() runs the quantized forward.  Non-CNN routes are
-  /// unaffected.
-  bool quantize_cnn = false;
 };
 
 /// One CNN route's immutable context.
@@ -103,9 +96,6 @@ struct CnnRoute {
   ml::Dataset pool;  // request sample pool (fixed-seed datagen)
   std::vector<microdeep::WsnTopology> variants;
   std::vector<std::uint64_t> variant_digests;  // digest per variant
-  /// Int8 serving path (RouteSetConfig::quantize_cnn): built once from the
-  /// float net, calibrated on `pool`.  Null when quantization is off.
-  std::unique_ptr<ml::QuantizedNetwork> qnet;
 };
 
 /// Immutable shared context of all five routes.

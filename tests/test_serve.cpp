@@ -11,11 +11,15 @@
 //    search bit-for-bit (no dangling node-index assumptions), and the LRU
 //    hit/miss/eviction bookkeeping is exact;
 //  * spans — every ServeRequest root is tiled exactly by its ServeQueue +
-//    ServeService children (the netexec phase-tiling convention).
+//    ServeService children (the netexec phase-tiling convention);
+//  * labels — every served label is the one its route's own model gives
+//    for the request's sample.
 #include "serve/serve.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include "microdeep/comm_cost.hpp"
@@ -398,6 +402,74 @@ TEST(Metrics, ServeCountersAndSloGaugesMatchReport) {
             rep.latency_quantile(Route::E4RoomCount, 0.99));
   EXPECT_EQ(m.gauge_value("serve.slo.e4_room_count.p50_s"),
             rep.latency_quantile(Route::E4RoomCount, 0.50));
+}
+
+// Every served label, recomputed from its route's own model on the
+// request's sample.  A CNN label comes from one batched forward, so it is
+// recomputed over the same batch: the responses sharing its batch_seq, in
+// id order.
+TEST(Labels, ServedLabelsMatchTheRouteModels) {
+  RouteSet& routes = shared_routes();
+  WorkloadConfig w = test_workload(600);
+  w.route_mix = {0.2, 0.2, 0.2, 0.2, 0.2};
+  const auto reqs = generate_workload(w, routes);
+  const ServeReport rep = Server(&routes, test_config()).run(reqs);
+
+  std::array<std::size_t, kNumRoutes> checked{};
+  std::map<std::uint32_t, std::vector<std::uint64_t>> cnn_batches;
+  for (const Response& r : rep.responses) {
+    if (r.outcome != Outcome::Served) continue;
+    const std::size_t s = reqs[r.id].sample;
+    switch (r.route) {
+      case Route::E1Temperature:
+      case Route::E2Fall:
+        cnn_batches[r.batch_seq].push_back(r.id);
+        continue;
+      case Route::E3Congestion: {
+        // Base-3 digits, car 0 least significant.
+        const auto levels = routes.e3_estimator.estimate(
+            routes.e3_scenarios[s], routes.e3_positions[s]);
+        int packed = 0;
+        for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
+          packed = packed * 3 + static_cast<int>(*it);
+        }
+        EXPECT_EQ(r.label, packed) << "request " << r.id;
+        break;
+      }
+      case Route::E4RoomCount:
+        EXPECT_EQ(r.label,
+                  routes.e4_estimator.estimate(routes.e4_measurements[s]))
+            << "request " << r.id;
+        break;
+      case Route::E5Csi:
+        EXPECT_EQ(r.label, routes.e5_knn.predict(routes.e5_pool[s]))
+            << "request " << r.id;
+        break;
+    }
+    ++checked[static_cast<std::size_t>(r.route)];
+  }
+  for (const auto& [seq, ids] : cnn_batches) {
+    const Route route = rep.responses[ids.front()].route;
+    CnnRoute& cnn = routes.cnn(route);
+    std::vector<std::size_t> idx;
+    for (const std::uint64_t id : ids) idx.push_back(reqs[id].sample);
+    const auto [x, y] = cnn.pool.batch(idx);
+    const ml::Tensor out = cnn.net.forward(x, /*train=*/false);
+    const auto classes = static_cast<std::size_t>(out.shape().back());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const Response& r = rep.responses[ids[i]];
+      EXPECT_EQ(r.route, route) << "batch " << seq << " mixes routes";
+      const float* logits = out.data() + i * classes;
+      const auto want =
+          std::max_element(logits, logits + classes) - logits;
+      EXPECT_EQ(r.label, want) << "request " << r.id << " in batch " << seq;
+      ++checked[static_cast<std::size_t>(route)];
+    }
+  }
+  for (std::size_t r = 0; r < kNumRoutes; ++r) {
+    EXPECT_GT(checked[r], 0u) << route_name(static_cast<Route>(r))
+                              << " served nothing";
+  }
 }
 
 }  // namespace
