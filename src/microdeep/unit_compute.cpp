@@ -1,21 +1,11 @@
 #include "microdeep/unit_compute.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace zeiot::microdeep {
 
 namespace {
-
-inline bool is_lost(const UnitComputeHooks& hooks, UnitId src, UnitId dst) {
-  return hooks.lost && hooks.lost(src, dst);
-}
-
-inline void visit(const UnitComputeHooks& hooks, UnitId src, UnitId dst,
-                  bool lost) {
-  if (hooks.visited) hooks.visited(src, dst, lost);
-}
 
 inline void relu(std::vector<float>& v) {
   for (float& x : v) x = std::max(0.0f, x);
@@ -26,7 +16,7 @@ inline void relu(std::vector<float>& v) {
 template <typename ForEachUnit>
 void compute_layer(ml::Layer& layer, const UnitGraph& graph,
                    std::size_t in_layer, std::size_t out_layer, ActTable& acts,
-                   const UnitComputeHooks& hooks, ForEachUnit for_each_unit) {
+                   ForEachUnit for_each_unit) {
   const auto& layers = graph.layers();
   const UnitLayer& out = layers[out_layer];
   const UnitLayer& in = layers[in_layer];
@@ -57,18 +47,14 @@ void compute_layer(ml::Layer& layer, const UnitGraph& graph,
         const int kx = sx - ox + p;
         ZEIOT_CHECK(ky >= 0 && ky < conv->kernel() && kx >= 0 &&
                     kx < conv->kernel());
-        const bool lost = is_lost(hooks, src, u);
-        if (!lost) {
-          for (int oc = 0; oc < out.channels; ++oc) {
-            float dot = 0.0f;
-            for (int ic = 0; ic < in.channels; ++ic) {
-              dot += w.at({oc, ic, ky, kx}) *
-                     acts[src][static_cast<std::size_t>(ic)];
-            }
-            acc[static_cast<std::size_t>(oc)] += dot;
+        for (int oc = 0; oc < out.channels; ++oc) {
+          float dot = 0.0f;
+          for (int ic = 0; ic < in.channels; ++ic) {
+            dot += w.at({oc, ic, ky, kx}) *
+                   acts[src][static_cast<std::size_t>(ic)];
           }
+          acc[static_cast<std::size_t>(oc)] += dot;
         }
-        visit(hooks, src, u, lost);
       }
     });
   } else if (dynamic_cast<ml::MaxPool2D*>(&layer) != nullptr) {
@@ -78,21 +64,10 @@ void compute_layer(ml::Layer& layer, const UnitGraph& graph,
                  -std::numeric_limits<float>::infinity());
       for (const UnitId src : graph.graph_neighbors(u)) {
         if (src < in.first_unit || src >= in_end) continue;
-        const bool lost = is_lost(hooks, src, u);
-        if (!lost) {
-          for (int c = 0; c < out.channels; ++c) {
-            acc[static_cast<std::size_t>(c)] =
-                std::max(acc[static_cast<std::size_t>(c)],
-                         acts[src][static_cast<std::size_t>(c)]);
-          }
-        }
-        visit(hooks, src, u, lost);
-      }
-      if (hooks.substitute_missing) {
-        // Every input lost: substitute a neutral (zero) activation
-        // instead of propagating -inf.
-        for (float& v : acc) {
-          if (v == -std::numeric_limits<float>::infinity()) v = 0.0f;
+        for (int c = 0; c < out.channels; ++c) {
+          acc[static_cast<std::size_t>(c)] =
+              std::max(acc[static_cast<std::size_t>(c)],
+                       acts[src][static_cast<std::size_t>(c)]);
         }
       }
     });
@@ -105,18 +80,13 @@ void compute_layer(ml::Layer& layer, const UnitGraph& graph,
       acts[u].assign(1, b[static_cast<std::size_t>(o)]);
       for (int s = 0; s < in.num_units(); ++s) {
         const UnitId src = in.first_unit + static_cast<UnitId>(s);
-        const bool lost = is_lost(hooks, src, u);
-        if (!lost) {
-          // Flatten order is NCHW: feature index = ic*H*W + (y*W + x).
-          float dot = 0.0f;
-          for (int ic = 0; ic < in.channels; ++ic) {
-            const int feature = ic * in.num_units() + s;
-            dot += w.at({o, feature}) *
-                   acts[src][static_cast<std::size_t>(ic)];
-          }
-          acts[u][0] += dot;
+        // Flatten order is NCHW: feature index = ic*H*W + (y*W + x).
+        float dot = 0.0f;
+        for (int ic = 0; ic < in.channels; ++ic) {
+          const int feature = ic * in.num_units() + s;
+          dot += w.at({o, feature}) * acts[src][static_cast<std::size_t>(ic)];
         }
-        visit(hooks, src, u, lost);
+        acts[u][0] += dot;
       }
     });
   } else {
@@ -126,11 +96,30 @@ void compute_layer(ml::Layer& layer, const UnitGraph& graph,
 
 }  // namespace
 
+void load_input_units(const UnitGraph& graph, const ml::Tensor& sample,
+                      ActTable& acts) {
+  const UnitLayer& input = graph.layers().front();
+  ZEIOT_CHECK_MSG(sample.ndim() == 3 && sample.dim(0) == input.channels &&
+                      sample.dim(1) == input.height &&
+                      sample.dim(2) == input.width,
+                  "sample shape does not match the unit graph input");
+  for (int y = 0; y < input.height; ++y) {
+    for (int x = 0; x < input.width; ++x) {
+      auto& a = acts[input.first_unit +
+                     static_cast<UnitId>(y * input.width + x)];
+      a.resize(static_cast<std::size_t>(input.channels));
+      for (int c = 0; c < input.channels; ++c) {
+        a[static_cast<std::size_t>(c)] = sample.at({c, y, x});
+      }
+    }
+  }
+}
+
 void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
                         std::size_t in_layer, std::size_t out_layer,
-                        ActTable& acts, const UnitComputeHooks& hooks) {
+                        ActTable& acts) {
   const UnitLayer& out = graph.layers()[out_layer];
-  compute_layer(layer, graph, in_layer, out_layer, acts, hooks,
+  compute_layer(layer, graph, in_layer, out_layer, acts,
                 [&](const auto& f) {
                   for (int i = 0; i < out.num_units(); ++i) {
                     f(out.first_unit + static_cast<UnitId>(i));
@@ -141,8 +130,7 @@ void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
 void compute_units(ml::Layer& layer, const UnitGraph& graph,
                    std::size_t in_layer, std::size_t out_layer,
                    const std::vector<UnitId>& units, ActTable& acts) {
-  static const UnitComputeHooks kNoHooks;
-  compute_layer(layer, graph, in_layer, out_layer, acts, kNoHooks,
+  compute_layer(layer, graph, in_layer, out_layer, acts,
                 [&](const auto& f) {
                   for (const UnitId u : units) f(u);
                 });
@@ -158,6 +146,26 @@ void apply_relu_layer(const UnitGraph& graph, std::size_t layer_index,
 
 void apply_relu_units(const std::vector<UnitId>& units, ActTable& acts) {
   for (const UnitId u : units) relu(acts[u]);
+}
+
+ActTable unit_walk(ml::Network& net, const UnitGraph& graph,
+                   const ml::Tensor& sample) {
+  ActTable acts(graph.num_units());
+  load_input_units(graph, sample, acts);
+  std::size_t cur = 0;  // unit layer the next producer consumes
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    ml::Layer& layer = net.layer(li);
+    const int out = graph.unit_layer_of_net_layer(li);
+    if (out >= 0) {
+      compute_unit_layer(layer, graph, cur, static_cast<std::size_t>(out),
+                         acts);
+      cur = static_cast<std::size_t>(out);
+    } else if (dynamic_cast<ml::ReLU*>(&layer) != nullptr) {
+      apply_relu_layer(graph, cur, acts);
+    }
+    // Flatten and Dropout (inference) do not change unit activations.
+  }
+  return acts;
 }
 
 }  // namespace zeiot::microdeep

@@ -1,16 +1,16 @@
-// Shared per-unit arithmetic of the distributed forward pass.
+// Per-unit arithmetic of the distributed forward pass.
 //
-// Both MicroDeep executors — the ideal in-memory walk
-// (microdeep/executor.hpp) and the network-in-the-loop event simulation
-// (netexec/netexec.hpp) — compute layer activations through these kernels.
-// The loops here define the *canonical evaluation order* (output units in
-// row-major order, inputs in graph-neighbour / feature order), so any two
-// executors that feed the same input activations produce bit-identical
-// floats: the conformance suite relies on this to assert that a zero-loss
-// zero-latency channel reproduces the ideal executor exactly.
+// These kernels are what each sensor node runs on its share of a layer:
+// netexec (netexec/netexec.hpp) computes every node's units through them,
+// and unit_walk() runs them over the whole graph with no network in
+// between.  The loops define the *canonical evaluation order* (output
+// units in row-major order, inputs in graph-neighbour / feature order), so
+// any caller that feeds the same input activations gets bit-identical
+// floats.  That makes unit_walk() the bitwise reference for netexec over a
+// lossless channel; ml::Network::forward matches it only to ~1e-3, because
+// its GEMM sums in a different order.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "microdeep/unit_graph.hpp"
@@ -21,22 +21,11 @@ namespace zeiot::microdeep {
 /// channel count (1 for dense units).
 using ActTable = std::vector<std::vector<float>>;
 
-/// Hooks threaded through the layer walk so each executor keeps its own
-/// message accounting without duplicating the arithmetic.  All callbacks
-/// may be empty (treated as "never lost" / no-op).
-struct UnitComputeHooks {
-  /// True when `src`'s activation never reached `dst`'s executor; the
-  /// contribution is then skipped (missing-data semantics).  Called once
-  /// per (input unit, consumer unit) pair, in canonical order — fault
-  /// injectors that consume RNG on this path stay reproducible.
-  std::function<bool(UnitId src, UnitId dst)> lost;
-  /// Called after each (input, consumer) contribution was applied or
-  /// skipped — the arrival-time / message-dedup hook of the ideal executor.
-  std::function<void(UnitId src, UnitId dst, bool lost)> visited;
-  /// Replace -inf pool outputs (every input lost) by 0 so missing data
-  /// never propagates non-finite values.  Enable whenever `lost` can fire.
-  bool substitute_missing = false;
-};
+/// Writes a (C,H,W) sample into the input units of `acts` (one C-vector
+/// per grid location).  Throws zeiot::Error when the shape does not match
+/// the graph's input layer.
+void load_input_units(const UnitGraph& graph, const ml::Tensor& sample,
+                      ActTable& acts);
 
 /// Computes the activations of unit layer `out_layer` (produced by network
 /// layer `layer`) from the `in_layer` activations already present in
@@ -44,12 +33,12 @@ struct UnitComputeHooks {
 /// zeiot::Error otherwise.
 void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
                         std::size_t in_layer, std::size_t out_layer,
-                        ActTable& acts, const UnitComputeHooks& hooks = {});
+                        ActTable& acts);
 
-/// Computes only `units` (ids within unit layer `out_layer`), with no
-/// hooks.  netexec computes one node's share of a layer at a time; the
-/// per-unit arithmetic is independent, so any partition of a layer yields
-/// the same floats as compute_unit_layer.
+/// Computes only `units` (ids within unit layer `out_layer`).  netexec
+/// computes one node's share of a layer at a time; the per-unit arithmetic
+/// is independent, so any partition of a layer yields the same floats as
+/// compute_unit_layer.
 void compute_units(ml::Layer& layer, const UnitGraph& graph,
                    std::size_t in_layer, std::size_t out_layer,
                    const std::vector<UnitId>& units, ActTable& acts);
@@ -61,5 +50,13 @@ void apply_relu_layer(const UnitGraph& graph, std::size_t layer_index,
 
 /// In-place ReLU over `units` only.
 void apply_relu_units(const std::vector<UnitId>& units, ActTable& acts);
+
+/// Runs one (C,H,W) sample through `net` unit by unit: compute_unit_layer
+/// for each unit-producing net layer and apply_relu_layer for each ReLU,
+/// in net-layer order.  Returns every unit's activation, after its folded
+/// ReLU; the last unit layer holds the logits.  `net` must be the network
+/// `graph` was built from.
+ActTable unit_walk(ml::Network& net, const UnitGraph& graph,
+                   const ml::Tensor& sample);
 
 }  // namespace zeiot::microdeep

@@ -1,5 +1,5 @@
-// Flat feature-vector dataset used by the classical classifiers (kNN,
-// logistic regression, Gaussian naive Bayes) that back the CSI and RSSI
+// Flat feature-vector dataset used by the classical classifiers (kNN and
+// Gaussian naive Bayes) that back the CSI and RSSI
 // sensing pipelines.
 #pragma once
 

@@ -15,7 +15,9 @@
 //   sgemm_abt_accum per element: 8 lane accumulators over k (lane L sums
 //                   terms k ≡ L mod 8, ascending), then the fixed pairwise
 //                   lane reduce (0+4,1+5,2+6,3+7 → 02,13 → 0123…), then the
-//                   scalar k-tail terms in ascending order.
+//                   scalar k-tail terms in ascending order, each one fused
+//                   multiply-add (std::fma: the build disables implicit
+//                   contraction, so the fusion is spelled out).
 //
 // All loads/stores are unaligned-tolerant (loadu/maskload); Tensor and
 // Workspace hand out 64-byte-aligned bases anyway, so these decay to
@@ -26,6 +28,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -191,10 +194,10 @@ void sgemm_abt_accum_avx2(int m, int n, int k, const float* a, int lda,
       float s3 = hsum8(v3);
       for (int kk = k8; kk < k; ++kk) {
         const float av = arow[kk];
-        s0 += av * b0[kk];
-        s1 += av * b1[kk];
-        s2 += av * b2[kk];
-        s3 += av * b3[kk];
+        s0 = std::fma(av, b0[kk], s0);
+        s1 = std::fma(av, b1[kk], s1);
+        s2 = std::fma(av, b2[kk], s2);
+        s3 = std::fma(av, b3[kk], s3);
       }
       crow[j + 0] += s0;
       crow[j + 1] += s1;
@@ -209,7 +212,7 @@ void sgemm_abt_accum_avx2(int m, int n, int k, const float* a, int lda,
                             _mm256_loadu_ps(brow + kk), v);
       }
       float s = hsum8(v);
-      for (int kk = k8; kk < k; ++kk) s += arow[kk] * brow[kk];
+      for (int kk = k8; kk < k; ++kk) s = std::fma(arow[kk], brow[kk], s);
       crow[j] += s;
     }
   }

@@ -201,8 +201,7 @@ void NetworkExecutor::build_plans() {
 
     // Walk consumer units and their inputs in the exact order of the
     // shared unit-compute kernel, deduplicating per (producer unit,
-    // consumer node) — the ideal executor's message set, in its insertion
-    // order.
+    // consumer node) — the message set compute_comm_cost counts.
     std::unordered_set<std::uint64_t> seen;
     auto visit_src = [&](UnitId src, NodeId dst_node) {
       const NodeId src_node = assignment_.node_of(src);
@@ -380,21 +379,7 @@ struct NetworkExecutor::Inference {
       : ex(executor), seed(loss_seed), obs(observability),
         memory(last_known),
         sp(spans != nullptr && spans->enabled() ? spans : nullptr) {
-    const microdeep::UnitLayer& input = ex.graph_.layers().front();
-    ZEIOT_CHECK_MSG(sample.ndim() == 3 && sample.dim(0) == input.channels &&
-                        sample.dim(1) == input.height &&
-                        sample.dim(2) == input.width,
-                    "sample shape does not match the unit graph input");
-    for (int y = 0; y < input.height; ++y) {
-      for (int x = 0; x < input.width; ++x) {
-        const UnitId u =
-            input.first_unit + static_cast<UnitId>(y * input.width + x);
-        acts[u].resize(static_cast<std::size_t>(input.channels));
-        for (int c = 0; c < input.channels; ++c) {
-          acts[u][static_cast<std::size_t>(c)] = sample.at({c, y, x});
-        }
-      }
-    }
+    microdeep::load_input_units(ex.graph_, sample, acts);
     if (ckpt) {
       nvm_state.resize(n_nodes);
       for (NodeId n = 0; n < n_nodes; ++n) {

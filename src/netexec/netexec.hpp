@@ -1,10 +1,8 @@
 // Network-in-the-loop MicroDeep execution (paper Sec. IV.A / IV.C).
 //
-// The ideal executor (microdeep/executor.hpp) delivers activations by
-// assumption: every cross-node message arrives after hop_latency_s * hops,
-// never lost, never queued.  NetworkExecutor closes that gap — it lowers
-// the same per-(producer unit, consumer node) message set into timestamped
-// frames forwarded hop by hop inside sim::Simulator, with
+// NetworkExecutor is the one MicroDeep executor.  It lowers the
+// per-(producer unit, consumer node) message set of an assignment into
+// timestamped frames forwarded hop by hop inside sim::Simulator, with
 //  * per-hop airtime from phy::Dot154Phy (or a fixed override),
 //  * per-node radio/CPU serialization,
 //  * loss, retry/timeout/exponential backoff, and per-frame abandonment,
@@ -32,11 +30,14 @@
 // defaults, and the capacitor constants in netexec/checkpoint.hpp.
 //
 // Conformance contract (locked down by tests/test_netexec_conformance.cpp):
-// over ChannelConfig::ideal() with zero compute time and no faults, the
-// executor reproduces execute_distributed bit-for-bit — identical logits,
-// identical logical message set, identical MicroDeepHop trace multiset —
-// because both walk the shared microdeep/unit_compute kernels in the same
-// canonical order.
+// an inference with no substituted activation (not degraded: no loss, no
+// fault, every layer deadline met) returns the logits of
+// microdeep::unit_walk bit-for-bit, because every node computes its units
+// through the same microdeep/unit_compute kernels in the same canonical
+// order.  Over ChannelConfig::ideal() with zero compute time, the
+// MicroDeepHop trace is also exactly one event per (producer unit,
+// consumer node) pair of the unit graph's cross-node edges, at t = 0 —
+// the message set microdeep::compute_comm_cost counts.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +66,8 @@ struct ChannelConfig {
   /// the zero-latency conformance channel).
   double fixed_hop_latency_s = -1.0;
 
-  /// Zero-loss / zero-latency channel: the conformance configuration that
-  /// must reproduce the ideal executor bit-for-bit.
+  /// Zero-loss / zero-latency channel: with zero unit compute time every
+  /// frame starts and lands at t = 0 (the conformance configuration).
   static ChannelConfig ideal() { return ChannelConfig{0.0, 0.0}; }
 };
 

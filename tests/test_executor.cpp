@@ -1,10 +1,13 @@
-#include "microdeep/executor.hpp"
-
+// The MicroDeep forward pass as the nodes run it: microdeep::unit_walk
+// against ml::Network::forward, and netexec::NetworkExecutor's logits,
+// message count and latency on lossless channels.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 
 #include "microdeep/comm_cost.hpp"
+#include "microdeep/unit_compute.hpp"
+#include "netexec/netexec.hpp"
 
 namespace zeiot::microdeep {
 namespace {
@@ -32,8 +35,19 @@ ml::Tensor random_sample(std::vector<int> shape, std::uint64_t seed) {
   return t;
 }
 
-/// The executor's dataflow must reproduce the tensor-level forward pass
-/// exactly — this is the deep validation of the unit graph structure.
+/// A lossless channel with a fixed per-hop latency and per-unit compute
+/// time.
+netexec::NetExecConfig timed_config(double hop_s, double unit_s) {
+  netexec::NetExecConfig cfg;
+  cfg.channel.fixed_hop_latency_s = hop_s;
+  cfg.unit_compute_s = unit_s;
+  return cfg;
+}
+
+/// The unit walk must reproduce the tensor-level forward pass (to GEMM
+/// summation-order rounding) — the deep validation of the unit graph
+/// structure — and netexec over the assignment must reproduce the unit
+/// walk's logits bit for bit.
 void expect_matches_network(ml::Network& net, const std::vector<int>& shape,
                             const Assignment& a, const UnitGraph& g,
                             const WsnTopology& wsn, std::uint64_t seed) {
@@ -42,11 +56,20 @@ void expect_matches_network(ml::Network& net, const std::vector<int>& shape,
   batched.insert(batched.begin(), 1);
   const ml::Tensor expected =
       net.forward(sample.reshape(batched), /*train=*/false);
-  const auto result = execute_distributed(net, g, a, wsn, sample);
-  ASSERT_EQ(result.output.shape(), expected.shape());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(result.output[i], expected[i], 1e-3)
+  const ActTable acts = unit_walk(net, g, sample);
+  const UnitLayer& last = g.layers().back();
+  ASSERT_EQ(expected.shape(), (std::vector<int>{1, last.num_units()}));
+  netexec::NetworkExecutor exec(net, g, a, wsn);
+  const auto got = exec.run(sample);
+  ASSERT_EQ(got.output.shape(), expected.shape());
+  EXPECT_FALSE(got.degraded);
+  for (int i = 0; i < last.num_units(); ++i) {
+    const float walk = acts[last.first_unit + static_cast<UnitId>(i)][0];
+    EXPECT_NEAR(walk, expected[static_cast<std::size_t>(i)], 1e-3)
         << "logit " << i << " diverges";
+    const float net_logit = got.output[static_cast<std::size_t>(i)];
+    EXPECT_EQ(std::memcmp(&net_logit, &walk, sizeof(float)), 0)
+        << "logit " << i << ": netexec " << net_logit << " vs walk " << walk;
   }
 }
 
@@ -94,13 +117,13 @@ TEST(Executor, MessageCountMatchesCostModel) {
   const auto g = UnitGraph::build(net, {1, 6, 6});
   const auto wsn = WsnTopology::grid(kArea, 4, 4);
   const auto a = assign_nearest(g, wsn);
-  const auto result =
-      execute_distributed(net, g, a, wsn, random_sample({1, 6, 6}, 31));
+  netexec::NetworkExecutor exec(net, g, a, wsn);
+  const auto result = exec.run(random_sample({1, 6, 6}, 31));
   CommCostOptions opts;
   opts.include_backward = false;
   opts.aggregate_dense = false;  // the executor counts unicast messages
   const auto cost = compute_comm_cost(a, wsn, opts);
-  EXPECT_DOUBLE_EQ(result.total_messages, cost.total_messages);
+  EXPECT_EQ(static_cast<double>(result.messages), cost.total_messages);
 }
 
 TEST(Executor, CentralizedSinkSerializesCompute) {
@@ -115,14 +138,14 @@ TEST(Executor, CentralizedSinkSerializesCompute) {
   const auto sample = random_sample({1, 8, 8}, 41);
   // Compute-bound regime (slow MCUs, fast radio): the sink's serial
   // execution of every unit dominates, and spreading parallelises it.
-  LatencyModel compute_bound;
-  compute_bound.hop_latency_s = 0.5e-3;
-  compute_bound.unit_compute_s = 1e-3;
-  const auto rc =
-      execute_distributed(net_a, ga, central, wsn, sample, compute_bound);
-  const auto rs =
-      execute_distributed(net_b, gb, spread, wsn, sample, compute_bound);
-  EXPECT_GT(rc.inference_latency_s, rs.inference_latency_s);
+  const auto compute_bound = timed_config(0.5e-3, 1e-3);
+  netexec::NetworkExecutor ec(net_a, ga, central, wsn, compute_bound);
+  netexec::NetworkExecutor es(net_b, gb, spread, wsn, compute_bound);
+  const auto rc = ec.run(sample);
+  const auto rs = es.run(sample);
+  EXPECT_FALSE(rc.degraded);
+  EXPECT_FALSE(rs.degraded);
+  EXPECT_GT(rc.latency_s, rs.latency_s);
 }
 
 TEST(Executor, LatencyScalesWithHopLatency) {
@@ -132,27 +155,25 @@ TEST(Executor, LatencyScalesWithHopLatency) {
   const auto wsn = WsnTopology::grid(kArea, 4, 4);
   const auto a = assign_nearest(g, wsn);
   const auto sample = random_sample({1, 6, 6}, 51);
-  LatencyModel slow;
-  slow.hop_latency_s = 10e-3;
-  LatencyModel fast;
-  fast.hop_latency_s = 0.5e-3;
-  const auto rs = execute_distributed(net, g, a, wsn, sample, slow);
-  const auto rf = execute_distributed(net, g, a, wsn, sample, fast);
-  EXPECT_GT(rs.inference_latency_s, rf.inference_latency_s);
+  netexec::NetworkExecutor slow(net, g, a, wsn, timed_config(10e-3, 100e-6));
+  netexec::NetworkExecutor fast(net, g, a, wsn, timed_config(0.5e-3, 100e-6));
+  EXPECT_GT(slow.run(sample).latency_s, fast.run(sample).latency_s);
 }
 
-TEST(Executor, ZeroLatencyModelStillComputes) {
+TEST(Executor, ZeroLatencyChannelStillComputes) {
   Rng rng(8);
   ml::Network net = make_cnn(rng, 1, 6);
   const auto g = UnitGraph::build(net, {1, 6, 6});
   const auto wsn = WsnTopology::grid(kArea, 4, 4);
   const auto a = assign_nearest(g, wsn);
-  LatencyModel zero;
-  zero.hop_latency_s = 0.0;
+  netexec::NetExecConfig zero;
+  zero.channel = netexec::ChannelConfig::ideal();
   zero.unit_compute_s = 0.0;
-  const auto r =
-      execute_distributed(net, g, a, wsn, random_sample({1, 6, 6}, 61), zero);
-  EXPECT_DOUBLE_EQ(r.inference_latency_s, 0.0);
+  netexec::NetworkExecutor exec(net, g, a, wsn, zero);
+  const auto r = exec.run(random_sample({1, 6, 6}, 61));
+  EXPECT_DOUBLE_EQ(r.latency_s, 0.0);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_GT(r.messages, 0u);
 }
 
 TEST(Executor, RejectsWrongSampleShape) {
@@ -161,9 +182,10 @@ TEST(Executor, RejectsWrongSampleShape) {
   const auto g = UnitGraph::build(net, {1, 6, 6});
   const auto wsn = WsnTopology::grid(kArea, 4, 4);
   const auto a = assign_nearest(g, wsn);
-  EXPECT_THROW(
-      execute_distributed(net, g, a, wsn, random_sample({1, 5, 6}, 71)),
-      Error);
+  const auto bad = random_sample({1, 5, 6}, 71);
+  netexec::NetworkExecutor exec(net, g, a, wsn);
+  EXPECT_THROW(exec.run(bad), Error);
+  EXPECT_THROW(unit_walk(net, g, bad), Error);
 }
 
 }  // namespace

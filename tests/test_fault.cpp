@@ -16,7 +16,6 @@
 #include "fault/invariants.hpp"
 #include "mac/collection.hpp"
 #include "mac/csma.hpp"
-#include "microdeep/executor.hpp"
 #include "netexec/netexec.hpp"
 #include "sim/simulator.hpp"
 
@@ -403,6 +402,28 @@ TEST(FaultWiring, CoexistenceChaosIsSeedReproducible) {
       << "the plan should actually bite at this intensity";
 }
 
+/// One netexec inference of `sample` under `fault` (nullable).
+netexec::NetInferenceResult run_netexec(
+    ml::Network& net, const microdeep::UnitGraph& graph,
+    const microdeep::Assignment& a, const microdeep::WsnTopology& wsn,
+    const ml::Tensor& sample, FaultInjector* fault,
+    double layer_deadline_s = netexec::NetExecConfig{}.layer_deadline_s) {
+  netexec::NetExecConfig cfg;
+  cfg.fault = fault;
+  cfg.layer_deadline_s = layer_deadline_s;
+  netexec::NetworkExecutor exec(net, graph, a, wsn, cfg);
+  return exec.run(sample);
+}
+
+void expect_same_bits(const ml::Tensor& a, const ml::Tensor& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const float fa = a[i], fb = b[i];
+    EXPECT_EQ(std::memcmp(&fa, &fb, sizeof(float)), 0)
+        << "logit " << i << ": " << fa << " vs " << fb;
+  }
+}
+
 TEST(FaultWiring, ExecutorEmptyPlanMatchesNoInjectorExactly) {
   Rng rng(1);
   ml::Network net;
@@ -420,16 +441,14 @@ TEST(FaultWiring, ExecutorEmptyPlanMatchesNoInjectorExactly) {
   for (std::size_t i = 0; i < sample.size(); ++i) {
     sample[i] = static_cast<float>(srng.uniform(-1.0, 1.0));
   }
-  const auto base = microdeep::execute_distributed(net, graph, a, wsn, sample);
+  const auto base = run_netexec(net, graph, a, wsn, sample, nullptr);
   FaultInjector empty{FaultPlan{}};
-  const auto with = microdeep::execute_distributed(
-      net, graph, a, wsn, sample, {}, nullptr, &empty, 1.0);
-  ASSERT_EQ(base.output.size(), with.output.size());
-  for (std::size_t i = 0; i < base.output.size(); ++i) {
-    EXPECT_EQ(base.output[i], with.output[i]) << "logit " << i;
-  }
-  EXPECT_EQ(base.inference_latency_s, with.inference_latency_s);
-  EXPECT_EQ(with.messages_faulted, 0.0);
+  const auto with = run_netexec(net, graph, a, wsn, sample, &empty);
+  expect_same_bits(base.output, with.output);
+  EXPECT_EQ(base.latency_s, with.latency_s);
+  EXPECT_EQ(base.transmissions, with.transmissions);
+  EXPECT_EQ(with.frames_lost, 0u);
+  EXPECT_FALSE(with.degraded);
 }
 
 TEST(FaultWiring, ExecutorSurvivesTotalMessageLoss) {
@@ -449,11 +468,11 @@ TEST(FaultWiring, ExecutorSurvivesTotalMessageLoss) {
   }
   FaultInjector all_lost(FaultPlan(
       {{0.0, FaultType::MessageDrop, kAllTargets, 100.0, 1.0}}));
-  const auto res = microdeep::execute_distributed(
-      net, graph, a, wsn, sample, {}, nullptr, &all_lost, 1.0);
-  EXPECT_GT(res.messages_faulted, 0.0);
-  EXPECT_EQ(res.messages_faulted, res.total_messages)
-      << "every cross-node message sits inside the certain-drop window";
+  const auto res = run_netexec(net, graph, a, wsn, sample, &all_lost);
+  EXPECT_GT(res.messages, 0u);
+  EXPECT_EQ(res.frames_lost, res.messages)
+      << "every cross-node frame sits inside the certain-drop window";
+  EXPECT_TRUE(res.degraded);
   for (std::size_t i = 0; i < res.output.size(); ++i) {
     EXPECT_TRUE(std::isfinite(res.output[i]))
         << "missing data must degrade, never produce inf/nan";
@@ -473,17 +492,19 @@ TEST(FaultWiring, ExecutorDelayStretchesLatency) {
   for (std::size_t i = 0; i < sample.size(); ++i) {
     sample[i] = 0.5f;
   }
-  const auto base = microdeep::execute_distributed(net, graph, a, wsn, sample);
+  // Layer deadlines well past the injected delay: the default 0.25 s would
+  // fire before the delayed frames land and substitute their values.
+  constexpr double kDeadline = 5.0;
+  const auto base =
+      run_netexec(net, graph, a, wsn, sample, nullptr, kDeadline);
   FaultInjector slow(FaultPlan(
       {{0.0, FaultType::MessageDelay, kAllTargets, 100.0, 0.250}}));
-  const auto delayed = microdeep::execute_distributed(
-      net, graph, a, wsn, sample, {}, nullptr, &slow, 1.0);
-  EXPECT_GT(delayed.inference_latency_s, base.inference_latency_s + 0.2)
+  const auto delayed =
+      run_netexec(net, graph, a, wsn, sample, &slow, kDeadline);
+  EXPECT_GT(delayed.latency_s, base.latency_s + 0.2)
       << "every cross-node hop gained 250 ms";
-  for (std::size_t i = 0; i < base.output.size(); ++i) {
-    EXPECT_EQ(base.output[i], delayed.output[i])
-        << "delay changes timing, never values";
-  }
+  EXPECT_FALSE(delayed.degraded);
+  expect_same_bits(base.output, delayed.output);  // timing, never values
 }
 
 TEST(FaultWiring, DeviceDroughtStopsChargingAndBrownoutDeniesWork) {

@@ -1,12 +1,14 @@
-// Golden-trace regression: a fixed-seed end-to-end scenario (backscatter
-// coexistence under fault injection + a distributed MicroDeep inference)
-// exports its event trace as JSONL and must match the checked-in snapshot
-// byte for byte.  Any behavioral drift — event reordering, RNG stream
-// changes, altered fault schedules — shows up as a first-divergence diff.
+// Golden-trace regression: two fixed-seed scenarios export their records
+// as JSONL and must match the checked-in snapshots byte for byte — the
+// flat event trace of backscatter coexistence under fault injection
+// (e2e_trace.jsonl), and the span tree of two lossy network-in-the-loop
+// MicroDeep inferences (e2e_spans.jsonl).  Any behavioral drift — event
+// reordering, RNG stream changes, altered fault schedules — shows up as a
+// first-divergence diff.
 //
 // To regenerate after an *intentional* behavior change:
 //   ZEIOT_UPDATE_GOLDEN=1 ./build/tests/test_golden_trace
-// then commit the updated tests/golden/e2e_trace.jsonl with the change.
+// then commit the updated tests/golden/*.jsonl with the change.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,7 +19,6 @@
 
 #include "backscatter/coexistence.hpp"
 #include "fault/injector.hpp"
-#include "microdeep/executor.hpp"
 #include "netexec/netexec.hpp"
 
 namespace zeiot {
@@ -26,11 +27,10 @@ namespace {
 constexpr const char* kGoldenPath = ZEIOT_GOLDEN_DIR "/e2e_trace.jsonl";
 constexpr const char* kGoldenSpansPath = ZEIOT_GOLDEN_DIR "/e2e_spans.jsonl";
 
-// The scenario is deliberately small (a few thousand events) so the golden
-// file stays reviewable, but crosses every traced subsystem: sim kernel,
-// backscatter MAC, WLAN, fault injection, and MicroDeep hops.
+// The scenario is deliberately small (about 800 events) so the golden
+// file stays reviewable, but crosses the sim kernel, backscatter MAC, WLAN
+// and fault injection.
 void run_scenario(obs::Observability& obs) {
-  // Phase 1: coexistence under chaos.
   backscatter::CoexistenceConfig cfg;
   cfg.mode = backscatter::MacMode::Proposed;
   cfg.duration_s = 8.0;
@@ -56,28 +56,6 @@ void run_scenario(obs::Observability& obs) {
   sim.set_observability(&obs);
   sim.set_fault_injector(&inj);
   (void)sim.run();
-
-  // Phase 2: one distributed inference over a planned grid.
-  Rng rng(5);
-  ml::Network net;
-  net.emplace<ml::Conv2D>(1, 3, 3, 1, rng);
-  net.emplace<ml::ReLU>();
-  net.emplace<ml::MaxPool2D>(2);
-  net.emplace<ml::Flatten>();
-  net.emplace<ml::Dense>(3 * 4 * 4, 6, rng);
-  net.emplace<ml::ReLU>();
-  net.emplace<ml::Dense>(6, 2, rng);
-
-  const Rect area{0.0, 0.0, 10.0, 10.0};
-  const auto wsn = microdeep::WsnTopology::grid(area, 4, 4);
-  const auto graph = microdeep::UnitGraph::build(net, {1, 8, 8});
-  const auto assignment = microdeep::assign_balanced_heuristic(graph, wsn);
-  ml::Tensor sample({1, 8, 8});
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    sample[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-  }
-  (void)microdeep::execute_distributed(net, graph, assignment, wsn, sample,
-                                       {}, &obs);
 }
 
 // Span-golden scenario: two fixed-seed lossy network-in-the-loop

@@ -8,7 +8,8 @@
 //     precision reference (and with each other) within documented ULP
 //     bounds on randomized shapes covering every remainder path;
 //   * the int8 transport grid — quantize_value rounding, clamping and
-//     saturation against hand-computed vectors;
+//     saturation against hand-computed vectors, and calibration scales
+//     that are bit-identical under every backend;
 //   * 64-byte alignment regression — Tensor, AlignedVector, Workspace
 //     carvings (the AVX2 tile loads rely on it for aligned-ish streams);
 //   * per-node memory model + budget-constrained assignment search — the
@@ -408,6 +409,32 @@ TEST(UnitActivationScales, OneFinitePositiveScalePerUnitLayer) {
   // Deterministic: same inputs, same scales.
   EXPECT_EQ(scales,
             microdeep::calibrate_unit_activation_scales(net, graph, calib));
+}
+
+TEST(UnitActivationScales, IdenticalAcrossBackends) {
+  // The scales come from the scalar unit kernels the nodes run, never from
+  // the dispatched GEMM, so int8 frames carry the same grid on every host.
+  Rng rng(32);
+  ml::Network net = make_cnn(rng, 3, 10);
+  const std::vector<int> shape{3, 10, 10};
+  const UnitGraph graph = UnitGraph::build(net, shape);
+  const Tensor calib = random_batch(32, shape, 15);
+  std::vector<float> scalar;
+  {
+    ScopedBackend pin(BackendKind::Scalar);
+    scalar = microdeep::calibrate_unit_activation_scales(net, graph, calib);
+  }
+  if (!backend_available(BackendKind::Avx2)) {
+    GTEST_SKIP() << "no AVX2 backend on this host";
+  }
+  ScopedBackend pin(BackendKind::Avx2);
+  const auto avx2 =
+      microdeep::calibrate_unit_activation_scales(net, graph, calib);
+  ASSERT_EQ(scalar.size(), avx2.size());
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&scalar[i], &avx2[i], sizeof(float)), 0)
+        << "unit layer " << i << ": " << scalar[i] << " vs " << avx2[i];
+  }
 }
 
 // ---------------------------------------------------------------------------

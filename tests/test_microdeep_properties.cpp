@@ -2,10 +2,12 @@
 // for every combination of deployment style and assignment strategy.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "microdeep/comm_cost.hpp"
-#include "microdeep/executor.hpp"
+#include "microdeep/unit_compute.hpp"
+#include "netexec/netexec.hpp"
 
 namespace zeiot::microdeep {
 namespace {
@@ -148,13 +150,23 @@ TEST_P(MicroDeepPropertyTest, ExecutorMatchesNetworkForward) {
   }
   const ml::Tensor expected =
       net_.forward(sample.reshape({1, 2, 8, 8}), false);
-  const auto result =
-      execute_distributed(net_, graph_, assignment_, wsn_, sample);
+  // The unit walk tracks the tensor forward pass to GEMM rounding, and
+  // netexec over this deployment and assignment reproduces the walk's
+  // logits bit for bit.
+  const ActTable acts = unit_walk(net_, graph_, sample);
+  netexec::NetworkExecutor exec(net_, graph_, assignment_, wsn_);
+  const auto result = exec.run(sample);
   ASSERT_EQ(result.output.shape(), expected.shape());
+  EXPECT_FALSE(result.degraded);
+  EXPECT_GE(result.latency_s, 0.0);
+  const UnitLayer& last = graph_.layers().back();
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(result.output[i], expected[i], 1e-3);
+    const float walk = acts[last.first_unit + static_cast<UnitId>(i)][0];
+    EXPECT_NEAR(walk, expected[i], 1e-3);
+    const float got = result.output[i];
+    EXPECT_EQ(std::memcmp(&got, &walk, sizeof(float)), 0)
+        << "logit " << i << ": netexec " << got << " vs walk " << walk;
   }
-  EXPECT_GE(result.inference_latency_s, 0.0);
 }
 
 TEST_P(MicroDeepPropertyTest, FailureMigrationPreservesUnitCount) {

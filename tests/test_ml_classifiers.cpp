@@ -2,9 +2,10 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "ml/gaussian_nb.hpp"
 #include "ml/knn.hpp"
-#include "ml/logistic.hpp"
 #include "ml/standardize.hpp"
 
 namespace zeiot::ml {
@@ -116,39 +117,6 @@ TEST(Knn, RejectsMisuse) {
   EXPECT_THROW(knn.predict({1.0, 2.0}), Error);
 }
 
-TEST(Logistic, LearnsBlobs) {
-  FeatureMatrix x;
-  LabelVector y;
-  make_blobs(80, 6, x, y, 0.5);
-  Rng rng(7);
-  LogisticRegression lr;
-  lr.fit(x, y, rng);
-  EXPECT_GT(lr.score(x, y), 0.97);
-  EXPECT_EQ(lr.num_classes(), 3);
-}
-
-TEST(Logistic, ProbabilitiesSumToOne) {
-  FeatureMatrix x;
-  LabelVector y;
-  make_blobs(40, 8, x, y);
-  Rng rng(9);
-  LogisticRegression lr;
-  lr.fit(x, y, rng);
-  const auto p = lr.predict_proba(x[0]);
-  double s = 0.0;
-  for (double v : p) {
-    EXPECT_GE(v, 0.0);
-    s += v;
-  }
-  EXPECT_NEAR(s, 1.0, 1e-9);
-}
-
-TEST(Logistic, RejectsMisuse) {
-  LogisticRegression lr;
-  EXPECT_THROW(lr.predict({1.0}), Error);
-  EXPECT_THROW(LogisticRegression({0, 32, 0.1, 0.0}), Error);
-}
-
 TEST(GaussianNb, LearnsBlobs) {
   FeatureMatrix x;
   LabelVector y;
@@ -212,13 +180,9 @@ TEST(Classifiers, AgreeOnEasyProblem) {
   knn.fit(xtr, ytr);
   GaussianNaiveBayes nb;
   nb.fit(xtr, ytr);
-  Rng rng(14);
-  LogisticRegression lr;
-  lr.fit(xtr, ytr, rng);
   int agree = 0;
   for (std::size_t i = 0; i < xte.size(); ++i) {
-    const int a = knn.predict(xte[i]);
-    if (a == nb.predict(xte[i]) && a == lr.predict(xte[i])) ++agree;
+    if (knn.predict(xte[i]) == nb.predict(xte[i])) ++agree;
   }
   EXPECT_GT(static_cast<double>(agree) / static_cast<double>(xte.size()), 0.95);
 }

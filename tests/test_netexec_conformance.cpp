@@ -1,10 +1,11 @@
 // Differential conformance suite: NetworkExecutor (network-in-the-loop)
-// against the ideal MicroDeep executor.
+// against the plain unit walk and the comm-cost message set.
 //
 // The load-bearing contract: over a zero-loss/zero-latency channel the
-// event-driven execution must reproduce execute_distributed bit-for-bit —
-// identical logits, identical logical message count, and an identical
-// MicroDeepHop trace multiset (canonical digest) — on randomized
+// event-driven execution must reproduce microdeep::unit_walk's logits
+// bit-for-bit, and its MicroDeepHop trace must be exactly one event per
+// (producer unit, consumer node) pair of the unit graph's cross-node
+// edges — the messages compute_comm_cost counts — on randomized
 // topologies and assignments.  Lossy channels must be deterministic per
 // seed, and raising the loss probability must never reduce the number of
 // retransmissions (keyed-substream monotone coupling).
@@ -15,9 +16,13 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <tuple>
+#include <utility>
 
-#include "microdeep/executor.hpp"
+#include "common/hash.hpp"
+#include "microdeep/comm_cost.hpp"
+#include "microdeep/unit_compute.hpp"
 #include "par/thread_pool.hpp"
 
 namespace zeiot::netexec {
@@ -58,15 +63,9 @@ NetExecConfig ideal_config() {
   return cfg;
 }
 
-/// MicroDeepHop events only (netexec additionally traces per-hop
-/// PacketTx/PacketRx, which the ideal executor does not model), sorted
-/// into canonical order so the two executors' event interleavings compare
-/// as multisets.
-std::vector<obs::TraceEvent> hop_events(const obs::Observability& o) {
-  std::vector<obs::TraceEvent> evs;
-  for (const obs::TraceEvent& e : o.trace().snapshot()) {
-    if (e.type == obs::TraceType::MicroDeepHop) evs.push_back(e);
-  }
+/// Sorts events into canonical order, so two event lists compare as
+/// multisets.
+std::vector<obs::TraceEvent> canonical(std::vector<obs::TraceEvent> evs) {
   std::sort(evs.begin(), evs.end(),
             [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
               return std::tie(a.t, a.a, a.b, a.value) <
@@ -75,26 +74,63 @@ std::vector<obs::TraceEvent> hop_events(const obs::Observability& o) {
   return evs;
 }
 
+/// MicroDeepHop events only (netexec additionally traces per-hop
+/// PacketTx/PacketRx), in canonical order.
+std::vector<obs::TraceEvent> hop_events(const obs::Observability& o) {
+  std::vector<obs::TraceEvent> evs;
+  for (const obs::TraceEvent& e : o.trace().snapshot()) {
+    if (e.type == obs::TraceType::MicroDeepHop) evs.push_back(e);
+  }
+  return canonical(std::move(evs));
+}
+
+/// The hop events an ideal-channel inference must trace, derived from the
+/// unit graph alone: one per (producer unit, consumer node) pair over the
+/// cross-node dependency edges, at t = 0, from the producer's node to the
+/// consumer's with the route's hop count as value, in canonical order.
+std::vector<obs::TraceEvent> reference_hops(const UnitGraph& graph,
+                                            const Assignment& assignment,
+                                            const WsnTopology& wsn) {
+  std::set<std::pair<microdeep::UnitId, microdeep::NodeId>> messages;
+  for (const microdeep::UnitEdge& e : graph.edges()) {
+    const microdeep::NodeId dst = assignment.node_of(e.dst);
+    if (assignment.node_of(e.src) != dst) messages.insert({e.src, dst});
+  }
+  std::vector<obs::TraceEvent> evs;
+  for (const auto& [src, dst] : messages) {
+    const microdeep::NodeId sn = assignment.node_of(src);
+    evs.push_back({0.0, obs::TraceType::MicroDeepHop, sn, dst,
+                   static_cast<double>(wsn.hops(sn, dst))});
+  }
+  return canonical(std::move(evs));
+}
+
 /// FNV-1a over the canonical event list (bit-exact field encoding, the
 /// TraceRecorder::digest convention applied to the sorted view).
 std::uint64_t canonical_digest(const std::vector<obs::TraceEvent>& evs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const void* p, std::size_t len) {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv1a h;
   for (const obs::TraceEvent& e : evs) {
-    mix(&e.t, sizeof(e.t));
-    const auto ty = static_cast<std::uint8_t>(e.type);
-    mix(&ty, sizeof(ty));
-    mix(&e.a, sizeof(e.a));
-    mix(&e.b, sizeof(e.b));
-    mix(&e.value, sizeof(e.value));
+    h.mix_bits(e.t);
+    h.mix(static_cast<std::uint64_t>(e.type));
+    h.mix(e.a);
+    h.mix(e.b);
+    h.mix_bits(e.value);
   }
-  return h;
+  return h.value();
+}
+
+/// Logits of microdeep::unit_walk as a (1, K) tensor, like
+/// NetInferenceResult::output.
+ml::Tensor walk_logits(ml::Network& net, const UnitGraph& graph,
+                       const ml::Tensor& sample) {
+  const microdeep::ActTable acts = microdeep::unit_walk(net, graph, sample);
+  const microdeep::UnitLayer& last = graph.layers().back();
+  ml::Tensor out({1, last.num_units()});
+  for (int i = 0; i < last.num_units(); ++i) {
+    out[static_cast<std::size_t>(i)] =
+        acts[last.first_unit + static_cast<microdeep::UnitId>(i)][0];
+  }
+  return out;
 }
 
 void expect_bitwise_equal(const ml::Tensor& a, const ml::Tensor& b) {
@@ -109,7 +145,16 @@ void expect_bitwise_equal(const ml::Tensor& a, const ml::Tensor& b) {
   }
 }
 
+/// An Assignment points at the UnitGraph it was built on, so a Scenario
+/// rebinds its assignment to its own graph and is never copied or moved.
 struct Scenario {
+  Scenario(ml::Network n, UnitGraph g, WsnTopology w, const Assignment& a,
+           std::vector<int> input_shape)
+      : net(std::move(n)), graph(std::move(g)), wsn(std::move(w)),
+        assignment(&graph, a.unit_map()), shape(std::move(input_shape)) {}
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
+
   ml::Network net;
   UnitGraph graph;
   WsnTopology wsn;
@@ -130,7 +175,7 @@ Scenario make_scenario(std::uint64_t seed) {
       : topo == 1 ? WsnTopology::jittered_grid(kArea, 4, 4, rng)
                   : WsnTopology::random_uniform(kArea, 16, rng);
   const int kind = static_cast<int>(rng.uniform_int(0, 2));
-  Assignment assignment =
+  const Assignment assignment =
       kind == 0 ? microdeep::assign_nearest(graph, wsn)
       : kind == 1
           ? microdeep::assign_centralized(
@@ -139,8 +184,8 @@ Scenario make_scenario(std::uint64_t seed) {
                     rng.uniform_int(0, static_cast<std::int64_t>(
                                            wsn.num_nodes()) - 1)))
           : microdeep::assign_balanced_heuristic(graph, wsn);
-  return {std::move(net), std::move(graph), std::move(wsn),
-          std::move(assignment), std::vector<int>{in_ch, grid, grid}};
+  return {std::move(net), std::move(graph), std::move(wsn), assignment,
+          std::vector<int>{in_ch, grid, grid}};
 }
 
 TEST(NetexecConformance, IdealChannelBitMatchesExecutorRandomized) {
@@ -148,27 +193,26 @@ TEST(NetexecConformance, IdealChannelBitMatchesExecutorRandomized) {
     Scenario s = make_scenario(seed);
     const ml::Tensor sample = random_sample(s.shape, 100 + seed);
 
-    obs::Observability ideal_obs(1 << 16);
-    microdeep::LatencyModel zero;
-    zero.hop_latency_s = 0.0;
-    zero.unit_compute_s = 0.0;
-    const auto ref = execute_distributed(s.net, s.graph, s.assignment, s.wsn,
-                                         sample, zero, &ideal_obs);
-
     obs::Observability net_obs(1 << 16);
     NetExecConfig cfg = ideal_config();
     cfg.obs = &net_obs;
     NetworkExecutor exec(s.net, s.graph, s.assignment, s.wsn, cfg);
     const auto got = exec.run(sample);
 
-    expect_bitwise_equal(got.output, ref.output);
-    EXPECT_EQ(static_cast<double>(got.messages), ref.total_messages)
+    expect_bitwise_equal(got.output, walk_logits(s.net, s.graph, sample));
+    microdeep::CommCostOptions unicast;
+    unicast.aggregate_dense = false;
+    unicast.include_backward = false;
+    const auto ref_hops = reference_hops(s.graph, s.assignment, s.wsn);
+    EXPECT_EQ(static_cast<double>(ref_hops.size()),
+              microdeep::compute_comm_cost(s.assignment, s.wsn, unicast)
+                  .total_messages)
         << "seed " << seed;
+    EXPECT_EQ(got.messages, ref_hops.size()) << "seed " << seed;
     EXPECT_FALSE(got.degraded);
     EXPECT_EQ(got.frames_lost, 0u);
     EXPECT_EQ(got.retransmissions, 0u);
 
-    const auto ref_hops = hop_events(ideal_obs);
     const auto got_hops = hop_events(net_obs);
     ASSERT_EQ(ref_hops.size(), got_hops.size()) << "seed " << seed;
     EXPECT_EQ(ref_hops, got_hops) << "seed " << seed;
@@ -183,12 +227,10 @@ TEST(NetexecConformance, LosslessRealTimingStillBitMatchesOutputs) {
   // radio/CPU serialization, and nonzero compute time.
   Scenario s = make_scenario(3);
   const ml::Tensor sample = random_sample(s.shape, 42);
-  const auto ref =
-      execute_distributed(s.net, s.graph, s.assignment, s.wsn, sample);
 
   NetworkExecutor exec(s.net, s.graph, s.assignment, s.wsn, NetExecConfig{});
   const auto got = exec.run(sample);
-  expect_bitwise_equal(got.output, ref.output);
+  expect_bitwise_equal(got.output, walk_logits(s.net, s.graph, sample));
   EXPECT_GT(got.latency_s, 0.0);
   EXPECT_GT(got.energy_j, 0.0);
   EXPECT_FALSE(got.degraded);
@@ -458,11 +500,7 @@ TEST(NetexecConformance, LastKnownMemorySubstitutesAcrossInferences) {
   Assignment assignment = microdeep::assign_centralized(graph, wsn, 9);
   const ml::Tensor sample = random_sample({2, 6, 6}, 55);
 
-  microdeep::LatencyModel zero;
-  zero.hop_latency_s = 0.0;
-  zero.unit_compute_s = 0.0;
-  const auto ideal =
-      execute_distributed(net, graph, assignment, wsn, sample, zero);
+  const ml::Tensor ideal = walk_logits(net, graph, sample);
 
   NetExecConfig lossy;
   lossy.channel.loss_per_hop = 0.9;
@@ -476,7 +514,7 @@ TEST(NetexecConformance, LastKnownMemorySubstitutesAcrossInferences) {
 
   const auto second = exec.run(sample);
   EXPECT_TRUE(second.degraded);  // frames are still lost...
-  expect_bitwise_equal(second.output, ideal.output);  // ...values are not
+  expect_bitwise_equal(second.output, ideal);  // ...values are not
 
   // reset_memory() returns the executor to the cold zero-substitute state.
   exec.reset_memory();

@@ -13,16 +13,8 @@
 // each NetInferenceResult, and compares one digest per combination with
 // the value recorded when the suite was written.  A mismatch means the
 // executor's observable behaviour changed.
-//
-// The digests hold for builds without FMA code generation, the default
-// x86-64 build.  A build with -mfma (the CI kernels leg) lets the compiler
-// fuse multiply-adds in data generation and the unit kernels, which moves
-// every float, so the suite skips there; the conformance suite still
-// checks that build against the ideal executor.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -32,7 +24,7 @@
 #include "common/hash.hpp"
 #include "fault/injector.hpp"
 #include "fleet/templates.hpp"
-#include "microdeep/unit_compute.hpp"
+#include "microdeep/quant.hpp"
 #include "netexec/netexec.hpp"
 
 namespace zeiot {
@@ -73,52 +65,6 @@ fault::FaultPlan brownout_and_drought() {
                          30e-3, 1.0}});
 }
 
-/// Per-unit-layer int8 transport scales (absmax / 127 of what each unit
-/// layer transmits, after folded ReLUs) over the first samples of the pool.
-/// Walks the scalar unit kernels instead of calling
-/// microdeep::calibrate_unit_activation_scales: that runs the float network
-/// through the runtime-dispatched GEMM backend, so its scales (and every
-/// int8 digest here) would depend on the host's SIMD support.
-std::vector<float> unit_walk_scales(fleet::InferenceTemplate& t) {
-  const auto& layers = t.graph.layers();
-  const microdeep::UnitLayer& input = layers.front();
-  std::vector<float> absmax(layers.size(), 0.0f);
-  for (std::size_t s = 0; s < 8; ++s) {
-    microdeep::ActTable acts(t.graph.num_units());
-    for (int y = 0; y < input.height; ++y) {
-      for (int x = 0; x < input.width; ++x) {
-        auto& a = acts[input.first_unit +
-                       static_cast<microdeep::UnitId>(y * input.width + x)];
-        for (int c = 0; c < input.channels; ++c) {
-          a.push_back(t.data.x(s).at({c, y, x}));
-        }
-      }
-    }
-    std::size_t cur = 0;
-    for (std::size_t li = 0; li < t.net.num_layers(); ++li) {
-      const int out = t.graph.unit_layer_of_net_layer(li);
-      if (out >= 0) {
-        microdeep::compute_unit_layer(t.net.layer(li), t.graph, cur,
-                                      static_cast<std::size_t>(out), acts);
-        cur = static_cast<std::size_t>(out);
-      } else if (dynamic_cast<ml::ReLU*>(&t.net.layer(li)) != nullptr) {
-        microdeep::apply_relu_layer(t.graph, cur, acts);
-      }
-    }
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-      for (int i = 0; i < layers[l].num_units(); ++i) {
-        for (const float v :
-             acts[layers[l].first_unit + static_cast<microdeep::UnitId>(i)]) {
-          absmax[l] = std::max(absmax[l], std::fabs(v));
-        }
-      }
-    }
-  }
-  std::vector<float> scales;
-  for (const float m : absmax) scales.push_back(m > 0.0f ? m / 127.0f : 1.0f);
-  return scales;
-}
-
 /// One checkpoint arm: a policy, and the capacitor charge at t = 0 when
 /// the harvest model is on (0 = off).  60 uJ runs the capacitor dry, so
 /// admission defers and, under the drought, deadlines starve computes;
@@ -149,10 +95,12 @@ std::string combo_name(bool int8, const Arm& arm, bool faulted) {
 /// transport (float, then int8), one {clean, fault} pair per arm of kArms.
 void expect_pinned(fleet::InferenceTemplate& tmpl, std::uint64_t seed,
                    const std::vector<std::uint64_t>& want) {
-#if defined(__FMA__)
-  GTEST_SKIP() << "digests are recorded for builds without FMA contraction";
-#endif
-  const std::vector<float> scales = unit_walk_scales(tmpl);
+  // int8 transport scales over the first 8 samples of the pool.
+  const ml::Tensor calibration =
+      tmpl.data.batch({0, 1, 2, 3, 4, 5, 6, 7}).first;
+  const std::vector<float> scales =
+      microdeep::calibrate_unit_activation_scales(tmpl.net, tmpl.graph,
+                                                  calibration);
 
   std::size_t i = 0;
   for (const bool int8 : {false, true}) {

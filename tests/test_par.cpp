@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "microdeep/distributed.hpp"
-#include "microdeep/executor.hpp"
 #include "microdeep/search.hpp"
 #include "ml/trainer.hpp"
+#include "netexec/netexec.hpp"
 #include "par/parallel.hpp"
 
 using namespace zeiot;
@@ -343,8 +343,8 @@ TEST(Determinism, AssignmentSearchPicksSameWinnerAcrossPoolSizes) {
 }
 
 TEST(Determinism, ExecutorTraceDigestMatchesAcrossPoolSizes) {
-  // End-to-end probe: train with a pool of 1 vs 4, then run the distributed
-  // executor over the resulting weights with tracing on.  Identical weights
+  // End-to-end probe: train with a pool of 1 vs 4, then run one netexec
+  // inference over the resulting weights with tracing on.  Identical weights
   // and assignment must give identical traces (bit-exact digest).
   auto digest_with = [&](std::size_t threads) {
     ThreadPool pool(threads);
@@ -365,8 +365,10 @@ TEST(Determinism, ExecutorTraceDigestMatchesAcrossPoolSizes) {
       sample[i] = static_cast<float>(srng.uniform(-1.0, 1.0));
     }
     obs::Observability obs;
-    microdeep::execute_distributed(net, graph, assignment, wsn, sample,
-                                   microdeep::LatencyModel{}, &obs);
+    netexec::NetExecConfig ncfg;
+    ncfg.obs = &obs;
+    netexec::NetworkExecutor exec(net, graph, assignment, wsn, ncfg);
+    (void)exec.run(sample);
     return obs.trace().digest();
   };
   EXPECT_EQ(digest_with(1), digest_with(4));

@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "radio/ber.hpp"
-#include "radio/fading.hpp"
 #include "radio/link.hpp"
 #include "radio/propagation.hpp"
 
@@ -142,43 +141,6 @@ TEST_P(BerMonotonicTest, HigherSnrNeverWorse) {
 INSTANTIATE_TEST_SUITE_P(SnrGrid, BerMonotonicTest,
                          ::testing::Values(0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0,
                                            16.0));
-
-TEST(Fading, RayleighUnitMeanPower) {
-  Rng rng(3);
-  double s = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) s += rayleigh_power_gain(rng);
-  EXPECT_NEAR(s / n, 1.0, 0.03);
-}
-
-TEST(Fading, RayleighCoeffUnitMeanPower) {
-  Rng rng(3);
-  double s = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) s += std::norm(rayleigh_coeff(rng));
-  EXPECT_NEAR(s / n, 1.0, 0.03);
-}
-
-TEST(Fading, RicianUnitMeanAndConcentration) {
-  Rng rng(5);
-  double s0 = 0.0, s10 = 0.0, v10 = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    s0 += rician_power_gain(rng, 0.0);
-    const double g = rician_power_gain(rng, 10.0);
-    s10 += g;
-    v10 += (g - 1.0) * (g - 1.0);
-  }
-  EXPECT_NEAR(s0 / n, 1.0, 0.03);
-  EXPECT_NEAR(s10 / n, 1.0, 0.03);
-  // High K concentrates around the mean (variance << Rayleigh's 1).
-  EXPECT_LT(v10 / n, 0.3);
-}
-
-TEST(Fading, RejectsNegativeK) {
-  Rng rng(5);
-  EXPECT_THROW(rician_power_gain(rng, -1.0), Error);
-}
 
 TEST(LinkBudget, SnrConsistency) {
   LogDistance m(40.0, 2.0);
