@@ -13,6 +13,15 @@
 // each NetInferenceResult, and compares one digest per combination with
 // the value recorded when the suite was written.  A mismatch means the
 // executor's observable behaviour changed.
+//
+// The EqualTimeOrder cases pin the order of equal-time events under radio
+// contention, where it is most fragile: frames waiting for a busy radio,
+// arrivals and retries landing exactly on a radio-free instant, holders
+// dying and reviving while frames wait, fault windows drawing the
+// injector RNG per transmission.  Their digests also mix the PacketTx /
+// PacketRx / MicroDeepHop trace and the span tree, so a frame that leaves
+// one position early or late changes them even when every result field
+// happens to agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +35,7 @@
 #include "fleet/templates.hpp"
 #include "microdeep/quant.hpp"
 #include "netexec/netexec.hpp"
+#include "obs/obs.hpp"
 
 namespace zeiot {
 namespace {
@@ -181,6 +191,85 @@ constexpr std::uint64_t kIrArrayE2[] = {
     18206678468639042628ULL, 17760373357687873900ULL,
 };
 
+/// One equal-time-order case: a tweak of the template's deployment config
+/// (1% loss, balanced-heuristic assignment) and an optional fault plan.
+struct OrderCase {
+  const char* name;
+  bool centralized;  // assign_centralized(graph, wsn, 0) instead
+  bool fixed_hop;    // fixed_hop_latency_s = unit_compute_s
+  energy::CheckpointPolicy policy;
+  std::vector<fault::FaultEvent> faults;
+};
+
+std::vector<OrderCase> order_cases(bool with_centralized) {
+  using fault::FaultEvent;
+  using fault::FaultType;
+  using fault::kAllTargets;
+  constexpr auto kNone = energy::CheckpointPolicy::None;
+  std::vector<OrderCase> cases;
+  cases.push_back({"balanced", false, false, kNone, {}});
+  if (with_centralized) {
+    // Every frame converges on node 0: the deepest relay queues.
+    cases.push_back({"centralized", true, false, kNone, {}});
+  }
+  // Arrivals and computes land exactly on radio-free instants.
+  cases.push_back({"fixed_hop", false, true, kNone, {}});
+  // Relays die 3 ms in, with frames queued behind their radios, and come
+  // back at 9 ms.
+  std::vector<FaultEvent> relays;
+  for (const std::uint32_t n : {1u, 2u, 5u, 8u}) {
+    relays.push_back(FaultEvent{3e-3, FaultType::NodeDeath, n, 0.0, 1.0});
+    relays.push_back(FaultEvent{9e-3, FaultType::NodeRevival, n, 0.0, 1.0});
+  }
+  cases.push_back({"relay_death", false, false, kNone, relays});
+  // The injector draws per transmission, so its RNG order is the
+  // transmission order.
+  cases.push_back({"drop_window", false, false, kNone,
+                   {FaultEvent{0.0, FaultType::MessageDrop, kAllTargets,
+                               50e-3, 0.3}}});
+  cases.push_back({"delay_window", false, false, kNone,
+                   {FaultEvent{1e-3, FaultType::MessageDelay, kAllTargets,
+                               20e-3, 0.5e-3}}});
+  // Waiting frames of browned-out holders replay at revival.
+  cases.push_back({"every_unit_brownout", false, false,
+                   energy::CheckpointPolicy::EveryUnit,
+                   {FaultEvent{2e-3, FaultType::Brownout, kAllTargets, 10e-3,
+                               1.0}}});
+  return cases;
+}
+
+/// Runs each case three times in sequence on one executor and checks one
+/// digest per case (result fields, then the trace and span digests of the
+/// whole run) against `want`, in order_cases order.
+void expect_order_pinned(fleet::InferenceTemplate& tmpl, std::uint64_t seed,
+                         bool with_centralized,
+                         const std::vector<std::uint64_t>& want) {
+  const microdeep::Assignment centralized =
+      microdeep::assign_centralized(tmpl.graph, tmpl.wsn, 0);
+  const std::vector<OrderCase> cases = order_cases(with_centralized);
+  ASSERT_EQ(cases.size(), want.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const OrderCase& c = cases[i];
+    obs::Observability obs(1 << 18, 1 << 18);
+    netexec::NetExecConfig cfg =
+        fleet::deployment_netexec_config(seed, &obs, c.policy);
+    if (c.centralized) cfg.layer_deadline_s = 5.0;
+    if (c.fixed_hop) cfg.channel.fixed_hop_latency_s = cfg.unit_compute_s;
+    fault::FaultInjector inj{fault::FaultPlan(c.faults)};
+    if (!c.faults.empty()) cfg.fault = &inj;
+    netexec::NetworkExecutor exec(
+        tmpl.net, tmpl.graph, c.centralized ? centralized : tmpl.assignment,
+        tmpl.wsn, cfg);
+    Fnv1a d;
+    for (std::size_t s = 0; s < 3; ++s) mix_result(d, exec.run(tmpl.data.x(s)));
+    ASSERT_EQ(obs.trace().dropped(), 0u) << c.name;
+    ASSERT_EQ(obs.spans().dropped(), 0u) << c.name;
+    d.mix(obs.trace().digest());
+    d.mix(obs.spans().digest());
+    EXPECT_EQ(d.value(), want[i]) << c.name << ": got " << d.value() << "ULL";
+  }
+}
+
 TEST(NetexecPinned, LoungeE1) {
   auto tmpl = fleet::make_lounge_template();
   expect_pinned(*tmpl, 11, {std::begin(kLoungeE1), std::end(kLoungeE1)});
@@ -189,6 +278,38 @@ TEST(NetexecPinned, LoungeE1) {
 TEST(NetexecPinned, IrArrayE2) {
   auto tmpl = fleet::make_ir_array_template();
   expect_pinned(*tmpl, 12, {std::begin(kIrArrayE2), std::end(kIrArrayE2)});
+}
+
+// Recorded from the executor that re-polled a busy radio with one event per
+// waiting frame; a radio queue must reproduce them unchanged.
+constexpr std::uint64_t kOrderLoungeE1[] = {
+    8789040979796226286ULL,  // balanced
+    18053212004606496548ULL,  // centralized
+    6700417433726143162ULL,  // fixed_hop
+    3048285800777051367ULL,  // relay_death
+    7740191458795277179ULL,  // drop_window
+    1231909871041919735ULL,  // delay_window
+    11295170795444387678ULL,  // every_unit_brownout
+};
+constexpr std::uint64_t kOrderIrArrayE2[] = {
+    7585668663682426065ULL,  // balanced
+    2642785401129785308ULL,  // fixed_hop
+    17520608972311896736ULL,  // relay_death
+    1194813184035715728ULL,  // drop_window
+    9563517667866470753ULL,  // delay_window
+    6476144506701686852ULL,  // every_unit_brownout
+};
+
+TEST(NetexecPinned, EqualTimeOrderLoungeE1) {
+  auto tmpl = fleet::make_lounge_template();
+  expect_order_pinned(*tmpl, 11, /*with_centralized=*/true,
+                      {std::begin(kOrderLoungeE1), std::end(kOrderLoungeE1)});
+}
+
+TEST(NetexecPinned, EqualTimeOrderIrArrayE2) {
+  auto tmpl = fleet::make_ir_array_template();
+  expect_order_pinned(*tmpl, 12, /*with_centralized=*/false,
+                      {std::begin(kOrderIrArrayE2), std::end(kOrderIrArrayE2)});
 }
 
 }  // namespace
