@@ -24,6 +24,17 @@
 // transport and ARQ, suspend/revive, NVM commits, deadlines) are the
 // simulator's events.
 //
+// Radio serialization is a per-node FIFO.  A node's radio sends one frame
+// at a time; a frame that finds it busy joins the node's queue with the
+// ticket (radio-free time, a position reserved from the simulator via
+// sim::Simulator::reserve) — the (time, position) at which an event that
+// re-polled the radio in its place would have run.  Tickets only grow, so
+// each queue is in ticket order, and a node with waiting frames has exactly
+// one drain event, at its head's ticket.  Frames therefore leave in the
+// order such re-polls would have fired, every fault check and injector
+// draw happens where a re-poll's would, and an arrival that lands on a
+// radio-free instant before a waiting frame's ticket goes first.
+//
 // The radio and energy model constants are fixed, not configurable:
 // 4 ms ACK timeout doubling per retry, a 9-byte frame header, a 10 ms
 // sensing burst, energy::ActivityCosts and energy::CheckpointCosts

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 namespace zeiot::sim {
@@ -13,22 +12,23 @@ Simulator::~Simulator() {
   for (Event* ev : free_) delete ev;
 }
 
-EventHandle Simulator::push(Time t, Callback cb) {
+EventHandle Simulator::push(Time t, std::uint64_t seq, Callback cb) {
+  ZEIOT_CHECK_MSG(live_ids_.insert(seq).second,
+                  "position " << seq << " already holds a pending event");
   Event* ev;
   if (free_.empty()) {
-    ev = new Event{t, next_seq_++, std::move(cb), false};
+    ev = new Event{t, seq, std::move(cb), false};
   } else {
     ev = free_.back();
     free_.pop_back();
     ev->time = t;
-    ev->seq = next_seq_++;
+    ev->seq = seq;
     ev->cb = std::move(cb);
     ev->cancelled = false;
   }
   heap_.push(ev);
-  live_ids_.insert(ev->seq);
-  if (observer_ != nullptr) observer_->on_scheduled(t, ev->seq);
-  return EventHandle(ev->seq);
+  if (observer_ != nullptr) observer_->on_scheduled(t, seq);
+  return EventHandle(seq);
 }
 
 void Simulator::recycle(Event* ev) {
@@ -38,13 +38,36 @@ void Simulator::recycle(Event* ev) {
 
 EventHandle Simulator::schedule(Time delay, Callback cb) {
   ZEIOT_CHECK_MSG(delay >= 0.0, "schedule() requires delay >= 0, got " << delay);
-  return push(now_ + delay, std::move(cb));
+  return push(now_ + delay, next_seq_++, std::move(cb));
 }
 
 EventHandle Simulator::schedule_at(Time t, Callback cb) {
   ZEIOT_CHECK_MSG(t >= now_, "schedule_at() in the past: t=" << t
                                                              << " now=" << now_);
-  return push(t, std::move(cb));
+  return push(t, next_seq_++, std::move(cb));
+}
+
+EventHandle Simulator::schedule_at(Time t, Position pos, Callback cb) {
+  ZEIOT_CHECK_MSG(pos.seq_ != 0 && pos.seq_ < next_seq_,
+                  "schedule_at() at a position that was never reserved");
+  ZEIOT_CHECK_MSG(t > now_ || (t == now_ && pos.seq_ > now_seq_),
+                  "schedule_at() at a position before the running event: t="
+                      << t << " now=" << now_);
+  return push(t, pos.seq_, std::move(cb));
+}
+
+bool Simulator::has_pending_before(Time t, Position pos) {
+  while (!heap_.empty()) {
+    Event* top = heap_.top();
+    if (top->time > t || (top->time == t && top->seq >= pos.seq_)) {
+      return false;  // the earliest event orders after, so all do
+    }
+    if (live_ids_.count(top->seq) != 0) return true;
+    // Cancelled: discard it now, as pop_and_run would when it surfaced.
+    heap_.pop();
+    recycle(top);
+  }
+  return false;
 }
 
 bool Simulator::cancel(EventHandle h) {
@@ -64,19 +87,22 @@ bool Simulator::pop_and_run() {
     return false;
   }
   now_ = ev->time;
+  now_seq_ = ev->seq;
   const Time t = ev->time;
   const std::uint64_t seq = ev->seq;
+  // The event goes back to free_ before its callback runs, so a callback
+  // that throws cannot leak it.
+  Callback cb = std::move(ev->cb);
+  recycle(ev);
   if (observer_ == nullptr) {
-    ev->cb();
-    recycle(ev);
+    cb();
     if (post_step_hook_) post_step_hook_(t);
     return true;
   }
   // Wall-clock timing of the callback only happens when observed, so the
   // unobserved hot path stays a single pointer test.
   const auto start = std::chrono::steady_clock::now();
-  ev->cb();
-  recycle(ev);
+  cb();
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
   observer_->on_executed(t, seq, live_ids_.size(), wall.count());
@@ -100,7 +126,10 @@ std::size_t Simulator::run_until(Time t) {
   while (!heap_.empty() && heap_.top()->time <= t) {
     if (pop_and_run()) ++executed;
   }
-  now_ = std::max(now_, t);
+  if (t > now_) {
+    now_ = t;
+    now_seq_ = 0;  // nothing has run at t yet
+  }
   return executed;
 }
 

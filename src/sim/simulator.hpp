@@ -30,6 +30,20 @@ class EventHandle {
   std::uint64_t id_ = 0;  // 0 = null handle
 };
 
+/// A tie-break position among events at equal times, reserved by
+/// Simulator::reserve(): the sequence id an event scheduled at that moment
+/// would have taken.  Default-constructed positions are null (never
+/// reserved).
+class Position {
+ public:
+  Position() = default;
+
+ private:
+  friend class Simulator;
+  explicit Position(std::uint64_t seq) : seq_(seq) {}
+  std::uint64_t seq_ = 0;  // 0 = null position
+};
+
 /// Optional observer of simulator internals (scheduling, execution,
 /// cancellation, queue depth, per-callback wall time).  The default
 /// implementations are no-ops, so observers override only what they need.
@@ -72,6 +86,28 @@ class Simulator {
 
   /// Schedules `cb` at absolute time `t` (t >= now()).
   EventHandle schedule_at(Time t, Callback cb);
+
+  // Position primitives.  Events run in (time, position) order, and each
+  // ordinary schedule takes the next position in turn (the FIFO
+  // tie-break).  These three let a caller keep many would-be events in a
+  // queue of its own and put one of them on the heap at a time, while each
+  // still runs exactly where it would have run had it been scheduled.
+
+  /// Reserves the position the next schedule() or schedule_at() would get,
+  /// without scheduling anything.  It consumes that position, so every
+  /// later event's position is as if an event had been scheduled here.
+  Position reserve() { return Position(next_seq_++); }
+
+  /// Schedules `cb` at (t, pos): it runs exactly where an event scheduled
+  /// for time t at the moment `pos` was reserved would have run.  Throws
+  /// when `pos` is null or not yet handed out by this simulator, when it
+  /// already holds a pending event, or when (t, pos) orders at or before
+  /// the running event.
+  EventHandle schedule_at(Time t, Position pos, Callback cb);
+
+  /// True when a pending event orders strictly before (t, pos), i.e. would
+  /// run before an event at (t, pos).  Cancelled events do not count.
+  bool has_pending_before(Time t, Position pos);
 
   /// Cancels a previously scheduled event.  Returns false if the event
   /// already ran, was already cancelled, or the handle is null.
@@ -118,7 +154,7 @@ class Simulator {
     }
   };
 
-  EventHandle push(Time t, Callback cb);
+  EventHandle push(Time t, std::uint64_t seq, Callback cb);
   /// Pops the earliest event; returns true if its callback ran (false for
   /// lazily-cancelled events surfacing from the heap).
   bool pop_and_run();
@@ -127,6 +163,7 @@ class Simulator {
   void recycle(Event* ev);
 
   Time now_ = 0.0;
+  std::uint64_t now_seq_ = 0;  // position of the running (or last run) event
   std::uint64_t next_seq_ = 1;
   // Events are heap-allocated so the priority queue can hold stable
   // pointers, but popped events are recycled through free_ instead of

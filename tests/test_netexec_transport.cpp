@@ -1,0 +1,193 @@
+// Hop transport of NetworkExecutor: per-node radio serialization.
+//
+// A node's radio sends one frame at a time; frames that find it busy wait
+// in the node's radio queue and leave in the order their re-polls would
+// have fired.  These tests pin that behaviour on a scenario small enough
+// to predict frame by frame, and bound the simulator events the queue
+// spends per transmission on the E1 template.
+#include "netexec/netexec.hpp"
+
+#include <gtest/gtest.h>
+
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "fault/injector.hpp"
+#include "fleet/templates.hpp"
+
+namespace zeiot::netexec {
+namespace {
+
+using microdeep::Assignment;
+using microdeep::UnitGraph;
+using microdeep::WsnTopology;
+
+constexpr double kAir = 1e-3;  // fixed per-hop airtime
+
+ml::Network make_net() {
+  Rng rng(7);
+  ml::Network net;
+  net.emplace<ml::Conv2D>(1, 1, 3, 1, rng);
+  net.emplace<ml::Flatten>();
+  net.emplace<ml::Dense>(16, 2, rng);
+  return net;
+}
+
+/// Five nodes in radio range of each other.  Node 0 senses the whole 4x4
+/// input; conv unit i runs on node 1 + i % 4 and the logits on node 1, so
+/// every frame of plan 0 leaves node 0 for a neighbour one hop away.
+struct Clique {
+  Clique()
+      : net(make_net()),
+        graph(UnitGraph::build(net, {1, 4, 4})),
+        wsn({{5, 5}, {4, 5}, {6, 5}, {5, 4}, {5, 6}}, Rect{0, 0, 10, 10},
+            3.0),
+        assignment(&graph, unit_map(graph)) {}
+  Clique(const Clique&) = delete;
+  Clique& operator=(const Clique&) = delete;
+
+  static std::vector<NodeId> unit_map(const UnitGraph& g) {
+    std::vector<NodeId> map(g.num_units(), 1);
+    const microdeep::UnitLayer& in = g.layers()[0];
+    const microdeep::UnitLayer& conv = g.layers()[1];
+    for (int i = 0; i < in.num_units(); ++i) map[in.first_unit + i] = 0;
+    for (int i = 0; i < conv.num_units(); ++i) {
+      map[conv.first_unit + i] = static_cast<NodeId>(1 + i % 4);
+    }
+    return map;
+  }
+
+  /// Destination of each plan-0 frame in the executor's canonical message
+  /// order: consumer units in order, each one's input neighbours in order,
+  /// one message per (producer unit, consumer node).
+  std::vector<NodeId> plan0_destinations() const {
+    const microdeep::UnitLayer& in = graph.layers()[0];
+    const microdeep::UnitLayer& conv = graph.layers()[1];
+    std::set<std::pair<UnitId, NodeId>> seen;
+    std::vector<NodeId> dsts;
+    for (int i = 0; i < conv.num_units(); ++i) {
+      const UnitId u = conv.first_unit + static_cast<UnitId>(i);
+      const NodeId n = assignment.node_of(u);
+      for (const UnitId src : graph.graph_neighbors(u)) {
+        const bool input =
+            src >= in.first_unit &&
+            src < in.first_unit + static_cast<UnitId>(in.num_units());
+        if (input && seen.insert({src, n}).second) dsts.push_back(n);
+      }
+    }
+    return dsts;
+  }
+
+  ml::Network net;
+  UnitGraph graph;
+  WsnTopology wsn;
+  Assignment assignment;
+};
+
+ml::Tensor sample() {
+  Rng rng(3);
+  ml::Tensor t({1, 4, 4});
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return t;
+}
+
+NetExecConfig lossless(obs::Observability* o) {
+  NetExecConfig cfg;
+  cfg.channel.fixed_hop_latency_s = kAir;
+  cfg.unit_compute_s = 0.0;
+  cfg.obs = o;
+  return cfg;
+}
+
+/// PacketTx events sent by `node`, in trace order.
+std::vector<obs::TraceEvent> sent_by(const obs::Observability& o,
+                                     NodeId node) {
+  std::vector<obs::TraceEvent> tx;
+  for (const obs::TraceEvent& e : o.trace().snapshot()) {
+    if (e.type == obs::TraceType::PacketTx && e.a == node) tx.push_back(e);
+  }
+  return tx;
+}
+
+TEST(NetexecTransport, OneNodesFramesLeaveBackToBackInMessageOrder) {
+  Clique c;
+  obs::Observability o(1 << 12);
+  NetworkExecutor exec(c.net, c.graph, c.assignment, c.wsn, lossless(&o));
+  const NetInferenceResult r = exec.run(sample());
+  EXPECT_FALSE(r.degraded);
+
+  const std::vector<NodeId> want = c.plan0_destinations();
+  const std::vector<obs::TraceEvent> tx = sent_by(o, 0);
+  ASSERT_GT(want.size(), 4u);
+  ASSERT_EQ(tx.size(), want.size());
+  // Each frame starts the instant the previous one's airtime ends:
+  // t0 = 0, then t0 + air, t0 + 2 air, ... summed as the radio sums them.
+  double t = 0.0;
+  for (std::size_t i = 0; i < tx.size(); ++i) {
+    EXPECT_EQ(tx[i].t, t) << "frame " << i;
+    EXPECT_EQ(tx[i].b, want[i]) << "frame " << i;
+    t += kAir;
+  }
+}
+
+TEST(NetexecTransport, FramesWaitingAtADeadNodeAreLostWhenItsRadioFrees) {
+  // Node 0's first frame is on air over [0, air); the others wait for the
+  // radio to free at t = air.  A death that covers t = air loses every
+  // waiting frame there, even though the node revives before any of them
+  // could have left; a death that ends before t = air loses none.
+  using fault::FaultEvent;
+  using fault::FaultType;
+  struct Case {
+    double death_t, revival_t;
+    bool covers_radio_free;
+  };
+  for (const Case& k : {Case{0.5 * kAir, 1.5 * kAir, true},
+                        Case{0.2 * kAir, 0.8 * kAir, false}}) {
+    Clique c;
+    fault::FaultInjector inj{fault::FaultPlan(
+        {FaultEvent{k.death_t, FaultType::NodeDeath, 0, 0.0, 1.0},
+         FaultEvent{k.revival_t, FaultType::NodeRevival, 0, 0.0, 1.0}})};
+    obs::Observability o(1 << 12);
+    NetExecConfig cfg = lossless(&o);
+    cfg.fault = &inj;
+    NetworkExecutor exec(c.net, c.graph, c.assignment, c.wsn, cfg);
+    const NetInferenceResult r = exec.run(sample());
+
+    const std::size_t frames = c.plan0_destinations().size();
+    const std::vector<obs::TraceEvent> tx = sent_by(o, 0);
+    if (k.covers_radio_free) {
+      EXPECT_EQ(r.frames_lost, frames - 1);
+      ASSERT_EQ(tx.size(), 1u);
+      EXPECT_EQ(tx[0].t, 0.0);
+      EXPECT_TRUE(r.degraded);
+    } else {
+      EXPECT_EQ(r.frames_lost, 0u);
+      EXPECT_EQ(tx.size(), frames);
+      EXPECT_FALSE(r.degraded);
+    }
+  }
+}
+
+TEST(NetexecTransport, FewSimulatorEventsPerTransmission) {
+  // A waiting frame costs no event of its own: per transmission the
+  // simulator runs its arrival, about one radio-queue drain, and the
+  // inference's share of sense/compute/deadline events.  Re-polling the
+  // radio with one event per waiting frame per busy airtime would spend
+  // about 14 per transmission here.
+  auto tmpl = fleet::make_lounge_template();
+  obs::Observability o;
+  NetworkExecutor exec(tmpl->net, tmpl->graph, tmpl->assignment, tmpl->wsn,
+                       fleet::deployment_netexec_config(11, &o));
+  for (std::size_t s = 0; s < 2; ++s) exec.run(tmpl->data.x(s));
+  const double tx = o.metrics().counter_value("netexec.exec.transmissions");
+  const double events = o.metrics().counter_value("netexec.exec.sim_events");
+  ASSERT_GT(tx, 1000.0);
+  EXPECT_LT(events / tx, 4.0) << events << " events for " << tx
+                              << " transmissions";
+}
+
+}  // namespace
+}  // namespace zeiot::netexec

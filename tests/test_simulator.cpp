@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/sim_probe.hpp"
@@ -134,6 +136,131 @@ TEST(Simulator, PendingTracksCancellation) {
   EXPECT_EQ(sim.pending(), 2u);
   sim.cancel(h);
   EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, ThrowingCallbackPropagatesAndLeavesTheRestRunnable) {
+  // The throwing event is retired before its callback runs: the exception
+  // leaves run(), nothing leaks (the sanitizer legs check), and the other
+  // event still runs on the next call.
+  Simulator sim;
+  bool second = false;
+  sim.schedule(1.0, [] { throw std::runtime_error("handler failed"); });
+  sim.schedule(2.0, [&] { second = true; });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(second);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(second);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorPosition, ReservedEventRunsWhereItWasReserved) {
+  // The same script twice: once scheduling "r" when its position is taken,
+  // once reserving the position then and scheduling "r" at it later, from
+  // an earlier event.  Ordinary events at the same time, scheduled before
+  // and after the reservation, bracket it the same way in both.
+  std::vector<std::vector<std::string>> orders;
+  for (const bool reserved : {false, true}) {
+    Simulator sim;
+    std::vector<std::string> order;
+    sim.schedule_at(1.0, [&] { order.push_back("before"); });
+    Position pos;
+    if (reserved) {
+      pos = sim.reserve();
+    } else {
+      sim.schedule_at(1.0, [&] { order.push_back("r"); });
+    }
+    sim.schedule_at(1.0, [&] { order.push_back("after"); });
+    sim.schedule_at(0.5, [&] {
+      order.push_back("early");
+      if (reserved) sim.schedule_at(1.0, pos, [&] { order.push_back("r"); });
+    });
+    sim.run();
+    orders.push_back(order);
+  }
+  const std::vector<std::string> want = {"early", "before", "r", "after"};
+  EXPECT_EQ(orders[0], want);
+  EXPECT_EQ(orders[1], want);
+}
+
+TEST(SimulatorPosition, HasPendingBeforeOrdersByTimeThenPosition) {
+  Simulator sim;
+  const Position lower = sim.reserve();
+  sim.schedule_at(2.0, [] {});  // the pending event, between the two
+  const Position higher = sim.reserve();
+  EXPECT_FALSE(sim.has_pending_before(1.0, higher));  // earlier time
+  EXPECT_FALSE(sim.has_pending_before(2.0, lower));   // same time, before
+  EXPECT_TRUE(sim.has_pending_before(2.0, higher));   // same time, after
+  EXPECT_TRUE(sim.has_pending_before(3.0, lower));    // later time
+  sim.run();
+  EXPECT_FALSE(sim.has_pending_before(3.0, higher));  // it ran
+}
+
+TEST(SimulatorPosition, CancelledEventsDoNotCount) {
+  Simulator sim;
+  const EventHandle h = sim.schedule_at(1.0, [] {});
+  sim.schedule_at(2.0, [] {});
+  const Position pos = sim.reserve();
+  EXPECT_TRUE(sim.cancel(h));
+  EXPECT_FALSE(sim.has_pending_before(1.5, pos));
+  EXPECT_TRUE(sim.has_pending_before(2.5, pos));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+}
+
+TEST(SimulatorPosition, RejectsPositionsItCannotHonour) {
+  Simulator sim;
+  const Position early = sim.reserve();
+  EXPECT_THROW(sim.schedule_at(1.0, Position{}, [] {}), Error);
+  Simulator other;
+  for (int i = 0; i < 4; ++i) other.reserve();
+  EXPECT_THROW(sim.schedule_at(1.0, other.reserve(), [] {}), Error);
+  bool checked = false;
+  sim.schedule_at(1.0, [&] {
+    // (1.0, early) orders before this running event; a position reserved
+    // now orders after it, at this time but not before it.
+    EXPECT_THROW(sim.schedule_at(1.0, early, [] {}), Error);
+    const Position now = sim.reserve();
+    EXPECT_THROW(sim.schedule_at(0.5, now, [] {}), Error);
+    EXPECT_NO_THROW(sim.schedule_at(1.0, now, [] {}));
+    EXPECT_THROW(sim.schedule_at(2.0, now, [] {}), Error);  // already held
+    checked = true;
+  });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_TRUE(checked);
+}
+
+TEST(SimulatorPosition, ReservationConsumesExactlyOneId) {
+  // A worker finds a resource busy at t = 1 and waits for t = 2, either as
+  // a re-poll event scheduled at once or as a reserved position scheduled
+  // later.  The probe traces every fired event's id, and the two traces
+  // match: the reservation took the re-poll's id and no other.
+  std::vector<std::vector<obs::TraceEvent>> fired;
+  for (const bool reserved : {false, true}) {
+    obs::Observability o;
+    obs::SimulatorProbe probe(o);
+    Simulator sim;
+    sim.set_observer(&probe);
+    const auto work = [&sim] { sim.schedule(1.0, [] {}); };
+    sim.schedule_at(1.0, [&] {
+      Position pos;
+      if (reserved) {
+        pos = sim.reserve();
+      } else {
+        sim.schedule_at(2.0, work);
+      }
+      sim.schedule_at(2.0, [] {});
+      if (reserved) sim.schedule_at(2.0, pos, work);
+    });
+    sim.run();
+    std::vector<obs::TraceEvent> evs;
+    for (const obs::TraceEvent& e : o.trace().snapshot()) {
+      if (e.type == obs::TraceType::EventFired) evs.push_back(e);
+    }
+    fired.push_back(evs);
+  }
+  ASSERT_EQ(fired[0].size(), 4u);
+  EXPECT_EQ(fired[0], fired[1]);
 }
 
 TEST(PeriodicTimer, FiresRepeatedly) {
