@@ -77,9 +77,7 @@ void ablate(const std::string& workload, const ml::Network& net,
 
 int main() {
   std::cout << "=== A1: assignment-strategy ablation ===\n";
-  // Trace room for the heuristic latency rows: netexec traces every frame
-  // hop (~14k events).
-  obs::Observability obs(1u << 15);
+  obs::Observability obs;
   Table t({"workload", "assignment", "max cost", "mean cost",
            "max units/node", "cross edges"});
 

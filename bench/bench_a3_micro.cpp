@@ -430,7 +430,7 @@ int main(int argc, char** argv) {
         for (int i = 0; i < kRuns; ++i) (void)exec.run(sample);
       };
       const double noobs_s = bench::time_workload([&] { replay(nullptr); });
-      obs::Observability null_obs;  // metrics + trace, spans disabled
+      obs::Observability null_obs;  // metrics only, spans disabled
       const double null_s = bench::time_workload([&] { replay(&null_obs); });
       obs::Observability span_obs;
       span_obs.enable_spans(1 << 18);

@@ -55,8 +55,7 @@ fault::FaultSpec chaos_spec(double intensity) {
   return spec;
 }
 
-CoexistenceMetrics run_chaos(double intensity, obs::Observability* obs,
-                             std::uint64_t* trace_digest = nullptr) {
+CoexistenceMetrics run_chaos(double intensity, obs::Observability* obs) {
   CoexistenceConfig cfg;
   cfg.mode = MacMode::Proposed;
   cfg.duration_s = g_duration_s;
@@ -69,11 +68,7 @@ CoexistenceMetrics run_chaos(double intensity, obs::Observability* obs,
   CoexistenceSimulator sim(cfg);
   sim.set_observability(obs);
   sim.set_fault_injector(&inj);
-  const auto m = sim.run();
-  if (obs != nullptr && trace_digest != nullptr) {
-    *trace_digest = obs->trace().digest();
-  }
-  return m;
+  return sim.run();
 }
 
 }  // namespace
@@ -154,17 +149,26 @@ int main(int argc, char** argv) {
   }
   t3.print(std::cout);
 
-  // Reproducibility contract: one intensity, two fresh observability
-  // contexts — the event traces (protocol + fault interleaving) must match
-  // bit for bit.
+  // Reproducibility contract: one intensity, two fresh recorders with room
+  // for the whole run — the records (protocol + fault interleaving) must
+  // match bit for bit.  The full 60 s run records about 22k spans and
+  // instants.
   obs::Observability rep_a, rep_b;
-  std::uint64_t digest_a = 0, digest_b = 0;
-  (void)run_chaos(2.0, &rep_a, &digest_a);
-  (void)run_chaos(2.0, &rep_b, &digest_b);
-  ZEIOT_CHECK_MSG(digest_a == digest_b,
-                  "chaos trace digest must be seed-reproducible");
-  std::cout << "chaos trace digest (intensity 2.0): " << digest_a
-            << " — identical across two runs\n";
+  rep_a.enable_spans(1 << 16);
+  rep_b.enable_spans(1 << 16);
+  (void)run_chaos(2.0, &rep_a);
+  (void)run_chaos(2.0, &rep_b);
+  for (const obs::Observability* rep : {&rep_a, &rep_b}) {
+    ZEIOT_CHECK_MSG(rep->spans().size() > 0 && rep->spans().dropped() == 0,
+                    "chaos record must hold the whole run ("
+                        << rep->spans().size() << " kept, "
+                        << rep->spans().dropped() << " dropped)");
+  }
+  ZEIOT_CHECK_MSG(rep_a.spans().digest() == rep_b.spans().digest(),
+                  "chaos record digest must be seed-reproducible");
+  std::cout << "chaos record digest (intensity 2.0): "
+            << rep_a.spans().digest() << " over " << rep_a.spans().size()
+            << " records — identical across two runs\n";
   bench::write_bench_report("bench_e6_backscatter_mac", g_obs);
   return 0;
 }

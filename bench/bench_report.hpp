@@ -113,7 +113,7 @@ auto parallel_sweep(std::size_t points, obs::Observability& obs, Fn&& fn,
 
 inline void run_calibration_probes(obs::Observability& obs) {
   // The probes run in a *private* context and contribute metrics only:
-  // merging their spans or traces into `obs` would pollute the bench's own
+  // merging their spans into `obs` would pollute the bench's own
   // causal record (e.g. the root-span count of a netexec bench must equal
   // its inference count, not inferences + calibration rounds).
   obs::Observability calib;
@@ -135,25 +135,17 @@ inline void run_calibration_probes(obs::Observability& obs) {
 
 /// Runs the calibration probes into `obs`, then writes
 /// `<name>.metrics.json` (honouring ZEIOT_METRICS_DIR).  Before
-/// serializing it surfaces the lossiness of the recorders as metrics —
-/// `obs.trace.dropped_events` and `obs.spans.dropped` counters — and
-/// prints a warning line when either recorder overflowed, so a truncated
-/// record never masquerades as a complete one (tools/obs_report.py turns
-/// the span warning into a CI failure).  Profiler regions are published as
-/// prof.* gauges, and when spans were recorded the sibling
-/// `<name>.spans.jsonl` + `<name>.trace.json` exports are written too.
+/// serializing it surfaces the lossiness of the span recorder as the
+/// `obs.spans.dropped` counter and prints a warning line when it
+/// overflowed, so a truncated record never masquerades as a complete one
+/// (tools/obs_report.py turns the warning into a CI failure).  Profiler
+/// regions are published as prof.* gauges, and when spans were recorded
+/// the sibling `<name>.spans.jsonl` + `<name>.trace.json` exports are
+/// written too.
 inline void write_bench_report(const std::string& name,
                                obs::Observability& obs) {
   run_calibration_probes(obs);
   obs.profiler().report(obs.metrics());
-  if (obs.trace().dropped() > 0) {
-    obs.metrics()
-        .counter("obs.trace.dropped_events")
-        .inc(static_cast<double>(obs.trace().dropped()));
-    std::cerr << "WARNING: " << name << ": trace ring dropped "
-              << obs.trace().dropped()
-              << " events; oldest events are missing from the export\n";
-  }
   if (obs.spans().dropped() > 0) {
     obs.metrics()
         .counter("obs.spans.dropped")

@@ -155,10 +155,10 @@ bool CoexistenceSimulator::proposed_on_carrier(double start,
   if (!f.has_value()) return false;
   channel_.add(start, tb, f->device + 1, "backscatter", false);
   if (obs_ != nullptr) {
-    obs_->trace().record(start, obs::TraceType::BackscatterWindowOpen,
-                         f->device, 0, tb);
-    obs_->trace().record(start + tb, obs::TraceType::BackscatterWindowClose,
-                         f->device);
+    obs_->spans().instant(obs::SpanKind::BackscatterWindowOpen, start,
+                          f->device, 0, tb);
+    obs_->spans().instant(obs::SpanKind::BackscatterWindowClose, start + tb,
+                          f->device);
   }
   if (tb > carrier_airtime) {
     // Extend the carrier with a dummy tail so the tag finishes its frame.
@@ -166,9 +166,8 @@ bool CoexistenceSimulator::proposed_on_carrier(double start,
     channel_.add(channel_free_at_, extension, 0, "dummy", false);
     if (obs_ != nullptr) {
       obs_->metrics().counter("backscatter.dummy.injections").inc();
-      obs_->trace().record(channel_free_at_,
-                           obs::TraceType::DummyCarrierInjected, f->device, 0,
-                           extension);
+      obs_->spans().instant(obs::SpanKind::DummyCarrierInjected,
+                            channel_free_at_, f->device, 0, extension);
     }
     channel_free_at_ += extension;
     dummy_airtime_ += extension;
@@ -211,12 +210,12 @@ void CoexistenceSimulator::proposed_check_deadlines() {
   channel_.add(now, tb, f->device + 1, "backscatter", false);
   if (obs_ != nullptr) {
     obs_->metrics().counter("backscatter.dummy.injections").inc();
-    obs_->trace().record(now, obs::TraceType::DummyCarrierInjected, f->device,
-                         0, tb);
-    obs_->trace().record(now, obs::TraceType::BackscatterWindowOpen,
-                         f->device, 0, tb);
-    obs_->trace().record(channel_free_at_,
-                         obs::TraceType::BackscatterWindowClose, f->device);
+    obs_->spans().instant(obs::SpanKind::DummyCarrierInjected, now,
+                          f->device, 0, tb);
+    obs_->spans().instant(obs::SpanKind::BackscatterWindowOpen, now,
+                          f->device, 0, tb);
+    obs_->spans().instant(obs::SpanKind::BackscatterWindowClose,
+                          channel_free_at_, f->device);
   }
   const PendingFrame frame = *f;
   sim_.schedule_at(channel_free_at_, [this, frame, tb] {
@@ -261,8 +260,8 @@ void CoexistenceSimulator::naive_on_carrier(double start,
     // Tags cannot hear each other: simultaneous backscatter collides and
     // the in-flight frames must start over.
     if (obs_ != nullptr) {
-      obs_->trace().record(start, obs::TraceType::PacketCollision,
-                           static_cast<std::uint32_t>(riders.size()));
+      obs_->spans().instant(obs::SpanKind::PacketCollision, start,
+                            static_cast<std::uint32_t>(riders.size()));
     }
     for (std::size_t i : riders) {
       DeviceState& d = devices_[i];
@@ -282,10 +281,10 @@ void CoexistenceSimulator::naive_on_carrier(double start,
   }
   channel_.add(start, carrier_airtime, d.id + 1, "backscatter", false);
   if (obs_ != nullptr) {
-    obs_->trace().record(start, obs::TraceType::BackscatterWindowOpen, d.id, 0,
-                         carrier_airtime);
-    obs_->trace().record(start + carrier_airtime,
-                         obs::TraceType::BackscatterWindowClose, d.id);
+    obs_->spans().instant(obs::SpanKind::BackscatterWindowOpen, start, d.id,
+                          0, carrier_airtime);
+    obs_->spans().instant(obs::SpanKind::BackscatterWindowClose,
+                          start + carrier_airtime, d.id);
   }
   d.remaining_airtime_s -= carrier_airtime;
   d.last_carrier_end = start + carrier_airtime;
@@ -317,6 +316,7 @@ CoexistenceMetrics CoexistenceSimulator::run() {
     schedule_device_cycle(i, rng_.uniform(0.0, devices_[i].period_s));
   }
   sim_.run();
+  if (probe_ != nullptr) probe_->flush_steps(cfg_.duration_s);
 
   if (metrics_.frames_delivered > 0) {
     metrics_.mean_latency_s =

@@ -95,8 +95,9 @@ class CoexistenceSimulator {
   explicit CoexistenceSimulator(CoexistenceConfig cfg);
 
   /// Installs an observability context (or clears it with nullptr).  The
-  /// internal event kernel gets a SimulatorProbe, backscatter scheduling
-  /// decisions emit window-open/close and dummy-carrier trace events, and
+  /// internal event kernel gets a SimulatorProbe (whose last SimStep span
+  /// `run()` closes at the scenario horizon), backscatter scheduling
+  /// decisions record window-open/close and dummy-carrier instants, and
   /// `run()` publishes the coexistence counters/gauges labeled with the
   /// MAC mode.  Must be called before `run()`.
   void set_observability(obs::Observability* obs);
@@ -106,7 +107,7 @@ class CoexistenceSimulator {
   /// deliveries can be dropped or corrupted in flight (frames_faulted),
   /// and WLAN packets can be corrupted by infrastructure-side windows.
   /// The injector's plan is armed on the event kernel at `run()` so fault
-  /// transitions appear in the trace at their exact simulation time.
+  /// transitions appear in the record at their exact simulation time.
   /// Must be called before `run()`; the injector must outlive it.
   void set_fault_injector(fault::FaultInjector* fault);
 

@@ -80,13 +80,13 @@ void IntermittentDevice::advance(double t_seconds) {
       ++boots_;
       if (obs_ != nullptr) {
         boots_ctr_->inc();
-        obs_->trace().record(t, obs::TraceType::EnergyBoot, device_id_, 0,
-                             cap_.voltage());
+        obs_->spans().instant(obs::SpanKind::EnergyBoot, t, device_id_, 0,
+                              cap_.voltage());
       }
     } else if (was_on && !switch_.is_on() && obs_ != nullptr) {
       brownouts_ctr_->inc();
-      obs_->trace().record(t, obs::TraceType::EnergyBrownout, device_id_, 0,
-                           cap_.voltage());
+      obs_->spans().instant(obs::SpanKind::EnergyBrownout, t, device_id_, 0,
+                            cap_.voltage());
     }
     t += dt;
   }
@@ -112,8 +112,8 @@ bool IntermittentDevice::try_spend(const std::string& activity,
     // was available) but the device must re-boot before the next one.
     if (obs_ != nullptr) {
       brownouts_ctr_->inc();
-      obs_->trace().record(last_t_, obs::TraceType::EnergyBrownout,
-                           device_id_, 0, cap_.voltage());
+      obs_->spans().instant(obs::SpanKind::EnergyBrownout, last_t_,
+                            device_id_, 0, cap_.voltage());
     }
   }
   ledger_.record(activity, e);

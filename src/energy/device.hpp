@@ -88,13 +88,14 @@ class IntermittentDevice {
                      HysteresisSwitch sw, ActivityCosts costs = {});
 
   /// Installs an observability context (or clears it with nullptr).
-  /// `device_id` labels this device's metrics and trace events so one
+  /// `device_id` labels this device's metrics and instant spans so one
   /// registry can hold a whole fleet.  Emits:
   ///   energy.harvested_j{device=N}            (counter)
   ///   energy.activity_j{device=N,activity=A}  (counters)
   ///   energy.boots{device=N} / energy.brownouts{device=N}
-  /// plus EnergyBoot / EnergyBrownout trace events (a = device id,
-  /// value = capacitor voltage at the transition).
+  /// plus EnergyBoot / EnergyBrownout instant spans (a = device id,
+  /// value = capacitor voltage at the transition) when the context records
+  /// spans.
   void set_observability(obs::Observability* obs, std::uint32_t device_id = 0);
 
   /// Installs (or clears) a fault injector, queried against the device id

@@ -127,8 +127,8 @@ void FaultInjector::note_injection(double t, FaultType type,
     obs_->metrics()
         .counter("fault.injected", {{"type", fault_type_name(type)}})
         .inc();
-    obs_->trace().record(t, obs::TraceType::FaultInjected, target,
-                         static_cast<std::uint32_t>(type), magnitude);
+    obs_->spans().instant(obs::SpanKind::FaultInjected, t, target,
+                          static_cast<std::uint32_t>(type), magnitude);
   }
 }
 
@@ -155,8 +155,8 @@ void FaultDriver::arm() {
         obs->metrics()
             .counter("fault.transitions", {{"type", fault_type_name(e.type)}})
             .inc();
-        obs->trace().record(e.t, obs::TraceType::FaultInjected, e.target,
-                            static_cast<std::uint32_t>(e.type), e.magnitude);
+        obs->spans().instant(obs::SpanKind::FaultInjected, e.t, e.target,
+                             static_cast<std::uint32_t>(e.type), e.magnitude);
       }
     });
   }

@@ -9,8 +9,8 @@
 // injector's own SplitMix-seeded substream in call order; since every
 // zeiot simulation is single-threaded and deterministic, a fixed (plan,
 // seed) pair reproduces the identical fault realization run after run.
-// Every applied fault is counted in the metrics registry and recorded
-// through the TraceRecorder, so a failure is replayable from one seed.
+// Every applied fault is counted in the metrics registry and recorded as a
+// FaultInjected instant span, so a failure is replayable from one seed.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +34,8 @@ class FaultInjector {
 
   /// Installs (or clears) the observability context.  Applied faults emit
   ///   fault.injected{type=...}   (counters)
-  /// plus one FaultInjected trace event (a = target, b = fault type,
-  /// value = magnitude).
+  /// plus one FaultInjected instant span (a = target, b = fault type,
+  /// value = magnitude) when the context records spans.
   void set_observability(obs::Observability* obs);
   obs::Observability* observability() const { return obs_; }
 
@@ -92,10 +92,10 @@ class FaultInjector {
 };
 
 /// Bridges a plan onto a discrete-event simulator: schedules one kernel
-/// event per plan entry inside [0, horizon] so state transitions are traced
-/// at their exact simulation time (and so same-seed runs interleave fault
-/// events identically with protocol events).  The injector must outlive the
-/// simulator run.
+/// event per plan entry inside [0, horizon] so state transitions are
+/// recorded at their exact simulation time (and so same-seed runs
+/// interleave fault events identically with protocol events).  The
+/// injector must outlive the simulator run.
 class FaultDriver {
  public:
   FaultDriver(sim::Simulator& sim, FaultInjector& injector);

@@ -58,20 +58,20 @@ bool InvariantChecker::check_energy_bounds(double t, std::uint32_t device,
   return false;
 }
 
-bool InvariantChecker::check_no_dead_sender(const obs::TraceRecorder& trace,
+bool InvariantChecker::check_no_dead_sender(const obs::SpanRecorder& record,
                                             const FaultInjector& inj) {
   bool ok = true;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const obs::TraceEvent& e = trace.at(i);
-    if (e.type != obs::TraceType::PacketTx &&
-        e.type != obs::TraceType::MicroDeepHop) {
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    const obs::SpanEvent& e = record.at(i);
+    if (e.kind != obs::SpanKind::PacketTx &&
+        e.kind != obs::SpanKind::MicroDeepHop) {
       continue;
     }
-    if (inj.node_dead(e.t, e.a)) {
+    if (inj.node_dead(e.t0, e.a)) {
       std::ostringstream os;
-      os << obs::trace_type_name(e.type) << " from dead node " << e.a << " at t="
-         << e.t;
-      record_violation(e.t, "no_dead_sender", os.str());
+      os << obs::span_kind_name(e.kind) << " from dead node " << e.a
+         << " at t=" << e.t0;
+      record_violation(e.t0, "no_dead_sender", os.str());
       ok = false;
     }
   }
@@ -120,8 +120,8 @@ void InvariantChecker::record_violation(double t, const std::string& invariant,
     obs_->metrics()
         .counter("fault.invariant.violations", {{"invariant", invariant}})
         .inc();
-    obs_->trace().record(t, obs::TraceType::InvariantViolation,
-                         static_cast<std::uint32_t>(violations_.size()));
+    obs_->spans().instant(obs::SpanKind::InvariantViolation, t,
+                          static_cast<std::uint32_t>(violations_.size()));
   }
 }
 

@@ -33,7 +33,7 @@ struct Violation {
 class InvariantChecker {
  public:
   /// Violations emit fault.invariant.violations{invariant=...} counters and
-  /// InvariantViolation trace events when `obs` is non-null.
+  /// InvariantViolation instant spans when `obs` is non-null.
   explicit InvariantChecker(obs::Observability* obs = nullptr);
 
   /// Registers a named predicate run by `run(t)`.  The predicate returns a
@@ -57,9 +57,9 @@ class InvariantChecker {
   bool check_energy_bounds(double t, std::uint32_t device, double stored_j,
                            double voltage_v);
 
-  /// No traffic-sourcing trace event (PacketTx, MicroDeepHop) may have been
-  /// recorded while its source was dead under `inj`'s plan.
-  bool check_no_dead_sender(const obs::TraceRecorder& trace,
+  /// No traffic-sourcing instant (PacketTx, MicroDeepHop) in `record` may
+  /// have been recorded while its source was dead under `inj`'s plan.
+  bool check_no_dead_sender(const obs::SpanRecorder& record,
                             const FaultInjector& inj);
 
   /// Assignment cover under dropout: every unit mapped to exactly one node,

@@ -33,16 +33,15 @@ void seal_digest(DeploymentOutcome& out) {
   f.mix(out.frames_lost);
   f.mix(out.frames_delivered);
   for (const double lat : out.latencies_s) f.mix_bits(lat);
-  f.mix(out.trace_digest);
   f.mix(out.span_digest);
   out.digest = f.value();
 }
 
-void capture_record_digests(const obs::Observability* dep_obs,
-                            DeploymentOutcome& out) {
-  if (dep_obs == nullptr) return;
-  out.trace_digest = dep_obs->trace().digest();
-  if (dep_obs->spans_enabled()) out.span_digest = dep_obs->spans().digest();
+void capture_record_digest(const obs::Observability* dep_obs,
+                           DeploymentOutcome& out) {
+  if (dep_obs != nullptr && dep_obs->spans_enabled()) {
+    out.span_digest = dep_obs->spans().digest();
+  }
 }
 
 }  // namespace
@@ -128,7 +127,7 @@ DeploymentOutcome FleetSimulator::run_inference_cell(
     out.p99_latency_s = pct(out.latencies_s, 0.99);
     out.energy_per_item_j = energy / static_cast<double>(data.size());
   }
-  capture_record_digests(dep_obs, out);
+  capture_record_digest(dep_obs, out);
   seal_digest(out);
   return out;
 }
@@ -164,7 +163,7 @@ DeploymentOutcome FleetSimulator::run_backscatter_cell(
   out.frames_lost = static_cast<std::uint64_t>(m.frames_expired) +
                     m.frames_collided + m.frames_faulted;
   out.frames_delivered = m.frames_delivered;
-  capture_record_digests(dep_obs, out);
+  capture_record_digest(dep_obs, out);
   seal_digest(out);
   return out;
 }
@@ -206,8 +205,7 @@ FleetResult FleetSimulator::run(par::ThreadPool* pool) {
         wave_n,
         [&](std::size_t i) {
           if (cfg_.obs != nullptr) {
-            slots[i] = std::make_unique<obs::Observability>(
-                cfg_.trace_capacity, 0);
+            slots[i] = std::make_unique<obs::Observability>();
             if (cfg_.span_capacity > 0) {
               slots[i]->enable_spans(cfg_.span_capacity);
             }
@@ -217,21 +215,13 @@ FleetResult FleetSimulator::run(par::ThreadPool* pool) {
         },
         pool);
 
-    // Sequential slot-order fold: registries, SoA rows, and the scalar
+    // Sequential slot-order fold: contexts, SoA rows, and the scalar
     // aggregates all see deployments in the same fixed order regardless
     // of the worker count.
     for (std::size_t i = 0; i < wave_n; ++i) {
       const std::size_t g = wave_begin + i;
       DeploymentOutcome& out = outcomes[i];
-      if (cfg_.obs != nullptr && slots[i] != nullptr) {
-        cfg_.obs->metrics().merge(slots[i]->metrics());
-        if (cfg_.merge_records) {
-          cfg_.obs->trace().merge(slots[i]->trace());
-          if (cfg_.obs->spans_enabled() && slots[i]->spans_enabled()) {
-            cfg_.obs->spans().merge(slots[i]->spans());
-          }
-        }
-      }
+      if (slots[i] != nullptr) cfg_.obs->merge_from(*slots[i]);
       res.kind[g] = static_cast<std::uint8_t>(out.kind);
       res.cell_id[g] = out.cell_id;
       res.devices[g] = out.devices;

@@ -12,8 +12,8 @@
 // Conformance properties (pinned by tests/test_fleet.cpp):
 //  (1) a 1-deployment fleet reproduces the standalone executor /
 //      coexistence simulator bit-for-bit;
-//  (2) results and merged metric/trace/span digests are identical at any
-//      worker count and across reruns;
+//  (2) results and merged metric/span digests are identical at any worker
+//      count and across reruns;
 //  (3) a deployment's outcome is independent of fleet size and ordering;
 //  (4) a fault plan injected into one deployment never perturbs neighbors.
 //
@@ -41,19 +41,15 @@ struct FleetConfig {
   std::uint64_t seed = 1;
   std::vector<DeploymentSpec> deployments;
 
-  /// Fleet-level sink for fleet.* metrics and the per-deployment metrics
-  /// registries, merged in slot order (nullable, library convention).
+  /// Fleet-level sink for fleet.* metrics and the per-deployment contexts,
+  /// merged in slot order (nullable, library convention).
   obs::Observability* obs = nullptr;
 
-  /// Per-deployment recorder capacities.  span_capacity 0 keeps span
-  /// recording disabled (the cheap default for large fleets).
-  std::size_t trace_capacity = 512;
+  /// Per-deployment span recorder capacity.  0 (the cheap default for
+  /// large fleets) records nothing; otherwise each deployment records into
+  /// its own recorder, merged into `obs` in slot order when `obs` records
+  /// spans.
   std::size_t span_capacity = 0;
-
-  /// Also merge per-deployment trace rings and span streams into `obs`.
-  /// Off by default: a fleet-level ring holding a blend of thousands of
-  /// deployments is rarely useful, and merging is O(events).
-  bool merge_records = false;
 
   /// Record wall-clock gauges (fleet.wall_s / fleet.devices_per_s).
   /// Wall time is host noise, so the byte-identity tests keep this off.
@@ -78,7 +74,6 @@ struct DeploymentOutcome {
   /// Per-inference latencies in sample order (inference cells only) — the
   /// raw population the fleet-level percentiles are computed from.
   std::vector<double> latencies_s;
-  std::uint64_t trace_digest = 0;
   std::uint64_t span_digest = 0;
   /// FNV-1a over every field above: the deployment's behavioral identity.
   /// Equal digests <=> bitwise-equal outcomes, which is how the

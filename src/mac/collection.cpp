@@ -330,8 +330,8 @@ CollectionFaultReport replay_schedule_with_faults(
           ++rep.recovered;
         }
         if (obs != nullptr) {
-          obs->trace().record(w->start_s, obs::TraceType::PacketTx,
-                              w->device);
+          obs->spans().instant(obs::SpanKind::PacketTx, w->start_s,
+                               w->device);
         }
         break;
       }

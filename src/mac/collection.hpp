@@ -117,7 +117,8 @@ struct CollectionFaultReport {
 ///
 /// When `obs` is non-null, emits mac.collection.delivered / .recovered /
 /// .lost counters, a mac.collection.delivery_ratio gauge, and a PacketTx
-/// trace event per delivered instance (a = device id).
+/// instant span per delivered instance (a = device id) when the context
+/// records spans.
 CollectionFaultReport replay_schedule_with_faults(
     const CollectionSchedule& schedule, fault::FaultInjector& fault,
     obs::Observability* obs = nullptr);

@@ -146,8 +146,8 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
         ++m.successes;
         ++m.per_station_successes[ready.front()];
         if (obs != nullptr) {
-          obs->trace().record(static_cast<double>(slot),
-                              obs::TraceType::PacketTx, sid);
+          obs->spans().instant(obs::SpanKind::PacketTx,
+                               static_cast<double>(slot), sid);
         }
         delay_sum += static_cast<double>(slot - st.enqueued_at);
         st.has_frame = cfg.saturated;
@@ -158,9 +158,9 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
     } else {
       ++m.collisions;
       if (obs != nullptr) {
-        obs->trace().record(static_cast<double>(slot),
-                            obs::TraceType::PacketCollision,
-                            static_cast<std::uint32_t>(ready.size()));
+        obs->spans().instant(obs::SpanKind::PacketCollision,
+                             static_cast<double>(slot),
+                             static_cast<std::uint32_t>(ready.size()));
       }
       for (std::size_t i : ready) {
         Station& st = stations[i];

@@ -58,8 +58,8 @@ struct CsmaMetrics {
 ///   mac.csma.successes / mac.csma.collisions / mac.csma.drops /
 ///   mac.csma.tx_opportunities   (counters)
 ///   mac.csma.throughput / mac.csma.collision_probability  (gauges)
-/// plus PacketTx / PacketCollision trace events (a = winning station or
-/// collider count, value = slot index).
+/// plus PacketTx / PacketCollision instant spans at t = slot index (a =
+/// winning station or collider count) when the context records spans.
 ///
 /// When `fault` is non-null the run consults the injector in the slot-index
 /// time base: stations inside a death..revival span neither generate nor

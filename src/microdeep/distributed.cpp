@@ -91,11 +91,10 @@ ml::TrainHistory MicroDeepModel::train(const ml::Dataset& train,
                                        ml::Optimizer& opt) {
   ml::Trainer trainer(net_, opt, rng_.split(1), cfg_.pool);
   install_grad_hook(trainer);
-  obs::ScopeTimer timer(cfg_.obs != nullptr
-                            ? &cfg_.obs->metrics()
-                                   .summary("microdeep.train.wall_s")
-                                   .mutable_stats()
-                            : nullptr);
+  obs::ProfilerRegistry* const prof =
+      cfg_.obs != nullptr ? &cfg_.obs->profiler() : nullptr;
+  obs::ScopedTimer timer(prof,
+                         prof != nullptr ? prof->region("microdeep.train") : 0);
   const auto hist = trainer.fit(train, val, tcfg);
   if (cfg_.obs != nullptr) {
     cfg_.obs->metrics().gauge("microdeep.train.best_val_accuracy")

@@ -41,7 +41,7 @@ struct MicroDeepConfig {
   std::uint64_t seed = 42;
   /// Optional observability context (null = no metrics/tracing).  Must
   /// outlive the model.  comm_cost() publishes the Fig. 8/10 gauges and
-  /// train() records wall-time summaries into it.
+  /// train() times itself as the "microdeep.train" profiler region.
   obs::Observability* obs = nullptr;
   /// Optional fault injector (null = no faults).  Must outlive the model.
   /// evaluate_under_plan() derives the dead-node set from its plan.

@@ -644,8 +644,8 @@ struct NetworkExecutor::Inference {
     const Message& m = plans[k].messages[mi];
     ++res.messages;
     if (obs != nullptr) {
-      obs->trace().record(sim.now(), obs::TraceType::MicroDeepHop, m.src_node,
-                          m.dst_node, static_cast<double>(m.hops));
+      obs->spans().instant(obs::SpanKind::MicroDeepHop, sim.now(), m.src_node,
+                           m.dst_node, static_cast<double>(m.hops));
     }
     attempt_hop(k, mi, m.src_node, 0, 0);
   }
@@ -700,7 +700,7 @@ struct NetworkExecutor::Inference {
     spend_stored(nxt, now, kCosts.rx_watt * air);
     air_ivals.push_back(Ival{now, now + air});
     if (obs != nullptr) {
-      obs->trace().record(now, obs::TraceType::PacketTx, cur, nxt, air);
+      obs->spans().instant(obs::SpanKind::PacketTx, now, cur, nxt, air);
     }
     if (sp != nullptr) {
       sp->add(attempt == 0 ? obs::SpanKind::HopTx : obs::SpanKind::HopRetryTx,
@@ -810,8 +810,8 @@ struct NetworkExecutor::Inference {
     const LayerPlan& plan = plans[k];
     const Message& m = plan.messages[mi];
     if (obs != nullptr) {
-      obs->trace().record(sim.now(), obs::TraceType::PacketRx, at, m.dst_node,
-                          static_cast<double>(plan.payload_bytes));
+      obs->spans().instant(obs::SpanKind::PacketRx, sim.now(), at, m.dst_node,
+                           static_cast<double>(plan.payload_bytes));
     }
     if (at != m.dst_node) {
       attempt_hop(k, mi, at, hop, 0);  // forward along the shortest path

@@ -45,10 +45,10 @@
 // fault, every layer deadline met) returns the logits of
 // microdeep::unit_walk bit-for-bit, because every node computes its units
 // through the same microdeep/unit_compute kernels in the same canonical
-// order.  Over ChannelConfig::ideal() with zero compute time, the
-// MicroDeepHop trace is also exactly one event per (producer unit,
-// consumer node) pair of the unit graph's cross-node edges, at t = 0 —
-// the message set microdeep::compute_comm_cost counts.
+// order.  Over ChannelConfig::ideal() with zero compute time, run()
+// records exactly one MicroDeepHop instant per (producer unit, consumer
+// node) pair of the unit graph's cross-node edges, at t = 0 — the message
+// set microdeep::compute_comm_cost counts.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +95,10 @@ struct NetExecConfig {
   double layer_deadline_s = 0.25;
   /// Seed of the keyed per-(frame, hop, attempt) loss substreams.
   std::uint64_t seed = 1;
-  /// Null-sink observability (metrics + MicroDeepHop/PacketTx/PacketRx
-  /// traces) following the library convention.
+  /// Null-sink observability following the library convention: metrics,
+  /// plus, when it records spans, each run()'s span tree and its
+  /// MicroDeepHop/PacketTx/PacketRx instants (evaluate() records span
+  /// trees only).
   obs::Observability* obs = nullptr;
   /// Optional fault injector; node death/drop/corrupt/delay are honored at
   /// plan time sim.now() of each run.  Its plan's brownout and drought

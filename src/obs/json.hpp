@@ -1,6 +1,6 @@
 // Minimal streaming JSON writer for observability exports.
 //
-// The library keeps zero third-party dependencies, so metrics/trace
+// The library keeps zero third-party dependencies, so metrics/span
 // serialization uses this small writer: a comma-tracking stack over an
 // std::ostream.  It only *writes* JSON (the repo never parses it); readers
 // are the perf-trajectory tooling and notebooks outside the tree.

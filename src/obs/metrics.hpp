@@ -76,8 +76,6 @@ class Summary {
  public:
   void observe(double x) { stats_.add(x); }
   const RunningStats& stats() const { return stats_; }
-  /// Mutable accessor for feeders like obs::ScopeTimer.
-  RunningStats& mutable_stats() { return stats_; }
 
  private:
   friend class MetricsRegistry;

@@ -1,89 +1,55 @@
-// Observability context: one metrics registry + one trace recorder,
-// threaded through instrumented components as a nullable pointer.
+// Observability context: one metrics registry, one span recorder and one
+// wall-clock profiler, threaded through instrumented components as a
+// nullable pointer.
 //
 // Convention across the library: every instrumented component accepts an
 // `obs::Observability*` (constructor argument, config field, or trailing
-// function parameter) defaulting to nullptr.  A null context disables both
-// metrics and tracing at the cost of one pointer test per emit site — the
+// function parameter) defaulting to nullptr.  A null context disables
+// metrics and recording at the cost of one pointer test per emit site — the
 // "null sink" that keeps unobserved hot paths at seed speed.
 #pragma once
 
-#include <chrono>
-
-#include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace zeiot::obs {
 
 class Observability {
  public:
-  /// Span recording is opt-in (`span_capacity` 0 keeps the span layer a
-  /// null sink); metrics, tracing and the profiler are always live.
-  explicit Observability(std::size_t trace_capacity = 4096,
-                         std::size_t span_capacity = 0)
-      : trace_(trace_capacity), spans_(span_capacity) {}
-
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  TraceRecorder& trace() { return trace_; }
-  const TraceRecorder& trace() const { return trace_; }
   SpanRecorder& spans() { return spans_; }
   const SpanRecorder& spans() const { return spans_; }
   ProfilerRegistry& profiler() { return profiler_; }
   const ProfilerRegistry& profiler() const { return profiler_; }
 
   /// True when span emit sites should record.  The canonical guard is
-  /// `obs != nullptr && obs->spans_enabled()`.
+  /// `obs != nullptr && obs->spans_enabled()`; instant emit sites guard on
+  /// `obs != nullptr` alone, since a disabled recorder ignores them.
   bool spans_enabled() const { return spans_.enabled(); }
 
   /// Replaces the (empty, disabled) span recorder with an enabled one of
-  /// the given capacity.  Call before instrumented code runs.
+  /// the given capacity — the one switch for recording spans and instants.
+  /// Metrics and the profiler are always live.  Call before instrumented
+  /// code runs.
   void enable_spans(std::size_t capacity) { spans_ = SpanRecorder(capacity); }
 
   /// Merges another context into this one: counters add, histograms and
-  /// summaries combine, gauges take `other`'s value, trace events append
-  /// through the ring, and spans append with parent-link remapping (only
-  /// when this context has spans enabled).  Merging per-deployment
-  /// contexts in slot order is the fleet aggregation path — the combined
-  /// record is then bit-identical at any ZEIOT_THREADS.
+  /// summaries combine, gauges take `other`'s value, and spans append with
+  /// parent-link remapping (only when this context has spans enabled).
+  /// Merging per-deployment contexts in slot order is the fleet
+  /// aggregation path — the combined record is then bit-identical at any
+  /// ZEIOT_THREADS.
   void merge_from(const Observability& other) {
     metrics_.merge(other.metrics_);
-    trace_.merge(other.trace_);
-    if (spans_enabled() && other.spans_.size() > 0) spans_.merge(other.spans_);
+    spans_.merge(other.spans_);
   }
 
  private:
   MetricsRegistry metrics_;
-  TraceRecorder trace_;
   SpanRecorder spans_;
   ProfilerRegistry profiler_;
-};
-
-/// RAII wall-clock timer feeding a RunningStats (or nothing when given
-/// nullptr, preserving the null-sink convention).
-class ScopeTimer {
- public:
-  explicit ScopeTimer(RunningStats* into)
-      : into_(into), start_(std::chrono::steady_clock::now()) {}
-  explicit ScopeTimer(Summary& into) : ScopeTimer(&into.mutable_stats()) {}
-  ~ScopeTimer() {
-    if (into_ != nullptr) into_->add(elapsed_s());
-  }
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-
-  double elapsed_s() const {
-    const std::chrono::duration<double> d =
-        std::chrono::steady_clock::now() - start_;
-    return d.count();
-  }
-
- private:
-  RunningStats* into_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace zeiot::obs

@@ -16,7 +16,7 @@
 //  * not thread-safe: instrument caller-thread phases (epochs, evaluate
 //    calls, bench stages), not per-shard worker bodies.  Wall times are
 //    inherently non-deterministic, so profiler output lands in metrics
-//    gauges (`prof.<region>.*`), never in trace/span digests.
+//    gauges (`prof.<region>.*`), never in span digests.
 #pragma once
 
 #include <chrono>

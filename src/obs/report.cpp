@@ -26,7 +26,6 @@ std::string Report::sibling_path(const std::string& suffix) const {
 std::string Report::path() const { return sibling_path(".metrics.json"); }
 
 void Report::write(std::ostream& out, const MetricsRegistry& metrics,
-                   const TraceRecorder* trace,
                    const SpanRecorder* spans) const {
   JsonWriter w(out);
   w.begin_object();
@@ -36,13 +35,6 @@ void Report::write(std::ostream& out, const MetricsRegistry& metrics,
   // The registry writes its own JSON object into the same stream; the
   // writer's comma state is safe because key() already emitted the ':'.
   metrics.write_json(out);
-  if (trace != nullptr) {
-    w.key("trace").begin_object();
-    w.key("recorded").value(trace->recorded());
-    w.key("retained").value(static_cast<std::uint64_t>(trace->size()));
-    w.key("dropped").value(trace->dropped());
-    w.end_object();
-  }
   if (spans != nullptr && spans->enabled()) {
     w.key("spans").begin_object();
     w.key("recorded").value(static_cast<std::uint64_t>(spans->size()));
@@ -69,11 +61,10 @@ std::optional<std::string> Report::write_sibling(
 }
 
 std::optional<std::string> Report::write_file(const MetricsRegistry& metrics,
-                                              const TraceRecorder* trace,
                                               const SpanRecorder* spans)
     const {
   return write_sibling(".metrics.json", [&](std::ostream& out) {
-    write(out, metrics, trace, spans);
+    write(out, metrics, spans);
   });
 }
 

@@ -4,22 +4,22 @@
 // `<bench>.metrics.json` file so the perf trajectory can track the
 // paper-relevant quantities (Fig. 8-style max comm cost, MAC collision
 // rates, energy budgets) across PRs without scraping text.  Schema
-// (`zeiot.obs.v2`; v1 lacked the "spans" block and the
-// obs.trace.dropped_events counter — tools/obs_report.py documents the
-// migration):
+// (`zeiot.obs.v2`; v1 lacked the "spans" block — tools/obs_report.py
+// documents the migration):
 //
 //   {
 //     "schema": "zeiot.obs.v2",
 //     "bench": "<name>",
 //     "metrics": { "counters": {...}, "gauges": {...},
 //                  "histograms": {...}, "summaries": {...} },
-//     "trace": { "recorded": N, "retained": M, "dropped": D },  // if traced
 //     "spans": { "recorded": N, "dropped": D, "roots": R }      // if spanned
 //   }
 //
-// When spans were recorded the report can be accompanied by
-// `<bench>.spans.jsonl` (one span per line) and `<bench>.trace.json`
-// (Chrome trace_event format) via the write_*_file helpers.
+// v2 also allows an optional "trace" block, which this writer never emits:
+// point events are instant spans, counted in the "spans" block.  When spans
+// were recorded the report can be accompanied by `<bench>.spans.jsonl` (one
+// span per line) and `<bench>.trace.json` (Chrome trace_event format) via
+// the write_*_file helpers.
 #pragma once
 
 #include <functional>
@@ -42,18 +42,16 @@ class Report {
 
   /// Serializes the full report document to `out`.
   void write(std::ostream& out, const MetricsRegistry& metrics,
-             const TraceRecorder* trace = nullptr,
              const SpanRecorder* spans = nullptr) const;
 
   /// Writes `path()`; returns the path written, or nullopt (with a note on
   /// stderr) if the file could not be opened.  Benches call this last so a
   /// read-only working directory never fails the run itself.
   std::optional<std::string> write_file(const MetricsRegistry& metrics,
-                                        const TraceRecorder* trace = nullptr,
                                         const SpanRecorder* spans = nullptr)
       const;
   std::optional<std::string> write_file(const Observability& obs) const {
-    return write_file(obs.metrics(), &obs.trace(),
+    return write_file(obs.metrics(),
                       obs.spans().enabled() ? &obs.spans() : nullptr);
   }
 

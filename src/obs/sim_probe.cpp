@@ -12,14 +12,14 @@ SimulatorProbe::SimulatorProbe(Observability& obs)
 
 void SimulatorProbe::on_scheduled(sim::Time t, std::uint64_t id) {
   scheduled_.inc();
-  obs_.trace().record(t, TraceType::EventScheduled,
-                      static_cast<std::uint32_t>(id));
+  obs_.spans().instant(SpanKind::EventScheduled, t,
+                       static_cast<std::uint32_t>(id));
 }
 
 void SimulatorProbe::on_cancelled(sim::Time now, std::uint64_t id) {
   cancelled_.inc();
-  obs_.trace().record(now, TraceType::EventCancelled,
-                      static_cast<std::uint32_t>(id));
+  obs_.spans().instant(SpanKind::EventCancelled, now,
+                       static_cast<std::uint32_t>(id));
 }
 
 void SimulatorProbe::on_executed(sim::Time t, std::uint64_t id,
@@ -27,9 +27,9 @@ void SimulatorProbe::on_executed(sim::Time t, std::uint64_t id,
   executed_.inc();
   queue_depth_.set(static_cast<double>(queue_depth));
   wall_.observe(wall_s);
-  obs_.trace().record(t, TraceType::EventFired,
-                      static_cast<std::uint32_t>(id));
   if (obs_.spans_enabled()) {
+    obs_.spans().instant(SpanKind::EventFired, t,
+                         static_cast<std::uint32_t>(id));
     if (step_open_ && t == step_t_) {
       ++step_events_;
     } else {

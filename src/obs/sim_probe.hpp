@@ -11,14 +11,14 @@
 //       (counters)
 //   sim.queue.depth            (gauge, peak via max_seen)
 //   sim.callback.wall_s        (summary of per-callback host wall time)
-// Emitted trace events: EventScheduled / EventFired / EventCancelled with
-// a = low 32 bits of the event sequence id.  Wall time is deliberately
-// *not* traced so that two same-seed runs produce identical traces.
-//
-// When the Observability context has spans enabled, the probe also emits
-// one SimStep span per distinct virtual timestamp: all events executed at
-// time t collapse into a span [t, t_next) with a = the number of events in
-// the step.  Call flush_steps() after sim.run() to close the final step.
+// When the Observability context has spans enabled, the probe records
+// EventScheduled / EventFired / EventCancelled instant spans with a = low
+// 32 bits of the event sequence id, and one SimStep span per distinct
+// virtual timestamp: all events executed at time t collapse into a span
+// [t, t_next) with a = the number of events in the step.  Wall time is
+// deliberately *not* recorded so that two same-seed runs produce identical
+// records.  The probe's owner calls flush_steps() after sim.run() to close
+// the final step.
 #pragma once
 
 #include "obs/obs.hpp"

@@ -31,6 +31,20 @@ const char* span_kind_name(SpanKind kind) {
     case SpanKind::ServeService: return "serve_service";
     case SpanKind::Checkpoint: return "checkpoint";
     case SpanKind::PhaseCheckpoint: return "phase_checkpoint";
+    case SpanKind::EventScheduled: return "event_scheduled";
+    case SpanKind::EventFired: return "event_fired";
+    case SpanKind::EventCancelled: return "event_cancelled";
+    case SpanKind::PacketTx: return "packet_tx";
+    case SpanKind::PacketRx: return "packet_rx";
+    case SpanKind::PacketCollision: return "packet_collision";
+    case SpanKind::BackscatterWindowOpen: return "backscatter_window_open";
+    case SpanKind::BackscatterWindowClose: return "backscatter_window_close";
+    case SpanKind::DummyCarrierInjected: return "dummy_carrier_injected";
+    case SpanKind::MicroDeepHop: return "microdeep_hop";
+    case SpanKind::EnergyBoot: return "energy_boot";
+    case SpanKind::EnergyBrownout: return "energy_brownout";
+    case SpanKind::FaultInjected: return "fault_injected";
+    case SpanKind::InvariantViolation: return "invariant_violation";
   }
   return "unknown";
 }

@@ -1,9 +1,12 @@
-// Causal span recorder: parent/child spans over *virtual* simulation time.
+// Causal span recorder over *virtual* simulation time: the one event
+// record of the library.
 //
-// Where the TraceRecorder answers "what happened, in order" with flat
-// point events, spans answer "where did this inference spend its time":
-// every span has a duration [t0, t1], a parent span, and a trace id that
-// groups one causal unit of work (one inference, one training run).  The
+// A span answers "where did this inference spend its time": it has a
+// duration [t0, t1], a parent span, and a trace id that groups one causal
+// unit of work (one inference, one training run).  A point event ("what
+// happened, in order": a packet sent, a fault applied, a device browning
+// out) is an *instant* span: t0 == t1, parent 0, trace id 0, recorded with
+// `instant()` under one of the instant kinds listed last in SpanKind.  The
 // design constraints mirror MetricsRegistry:
 //
 //  * deterministic — spans carry only virtual time and seed-derived trace
@@ -13,9 +16,9 @@
 //    remaps span ids by a fixed offset so parent links survive; merging
 //    slot recorders in index order keeps the result thread-count
 //    independent (same pattern as bench::parallel_sweep);
-//  * bounded — a fixed capacity with a dropped-span counter; unlike the
-//    trace ring, a full recorder drops the *newest* spans (dropping old
-//    ones would orphan subtrees), and `dropped()` surfaces the loss;
+//  * bounded — a fixed capacity with a dropped-span counter; a full
+//    recorder drops the *newest* spans (dropping old ones would orphan
+//    subtrees), and `dropped()` surfaces the loss;
 //  * null sink — a recorder constructed with capacity 0 is disabled:
 //    `enabled()` is a single bool test and every emit site guards on it,
 //    so unobserved hot paths stay at seed speed.
@@ -34,7 +37,7 @@
 namespace zeiot::obs {
 
 /// Span vocabulary shared by all instrumented subsystems.  A fixed enum
-/// (rather than free-form strings) keeps spans 40 bytes, digests stable
+/// (rather than free-form strings) keeps spans 56 bytes, digests stable
 /// and export names canonical.
 enum class SpanKind : std::uint8_t {
   // netexec / microdeep inference path.
@@ -71,6 +74,29 @@ enum class SpanKind : std::uint8_t {
   // kind ordinals feed span digests and the golden traces.
   Checkpoint,       // one NVM commit burst on a node (value = joules)
   PhaseCheckpoint,  // attribution-lane child: NVM commit time of the run
+  // Instant kinds, recorded only by instant() (t0 == t1, parent 0, trace
+  // id 0).  `a` and `b` are small identifiers, `value` a payload.
+  // Simulator kernel (a = low 32 bits of the event sequence id).
+  EventScheduled,
+  EventFired,
+  EventCancelled,
+  // MAC / channel.
+  PacketTx,         // a = sender, b = next hop (netexec: value = airtime)
+  PacketRx,         // a = receiving node, b = the frame's destination
+  PacketCollision,  // a = number of colliding senders
+  // Backscatter MAC (a = device).
+  BackscatterWindowOpen,
+  BackscatterWindowClose,
+  DummyCarrierInjected,
+  // MicroDeep (a = source node, b = destination node, value = hops).
+  MicroDeepHop,
+  // Energy (a = device, value = capacitor voltage).
+  EnergyBoot,
+  EnergyBrownout,
+  // Fault injection (a = target, b = fault::FaultType, value = magnitude).
+  FaultInjected,
+  // Invariant checking (a = cumulative violation count).
+  InvariantViolation,
 };
 
 /// Stable lowercase name used in all exports.
@@ -127,12 +153,19 @@ class SpanRecorder {
              std::uint64_t trace_id = 0, std::uint32_t a = 0,
              std::uint32_t b = 0, double value = 0.0);
 
+  /// Records a point event at `t` as an instant span: t0 == t1 == t,
+  /// parent 0, trace id 0.
+  SpanId instant(SpanKind kind, double t, std::uint32_t a = 0,
+                 std::uint32_t b = 0, double value = 0.0) {
+    return add(kind, t, t, 0, 0, a, b, value);
+  }
+
   /// Spans retained (open or closed).
   std::size_t size() const { return spans_.size(); }
   /// Spans refused because the recorder was full (never because it was
   /// disabled — a disabled recorder records nothing and drops nothing).
   std::uint64_t dropped() const { return dropped_; }
-  /// Retained spans whose parent id is 0.
+  /// Retained spans whose parent id is 0 (instants included).
   std::size_t root_count() const;
 
   /// i-th span in record order (0 <= i < size()).
@@ -147,8 +180,8 @@ class SpanRecorder {
   void merge(const SpanRecorder& other);
 
   /// FNV-1a digest over all retained spans (bit-exact field encoding) —
-  /// the determinism handle of the span layer, mirroring
-  /// TraceRecorder::digest().
+  /// the determinism handle of the record: two same-seed runs of a
+  /// deterministic experiment must produce equal digests.
   std::uint64_t digest() const;
 
   /// One JSON object per line:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "backscatter/bmac.hpp"
@@ -170,6 +171,39 @@ TEST(Coexistence, WlanGoodputScalesWithLoad) {
   const auto ml = CoexistenceSimulator(lo).run();
   const auto mh = CoexistenceSimulator(hi).run();
   EXPECT_GT(mh.wlan_goodput_bps, ml.wlan_goodput_bps * 2.0);
+}
+
+TEST(Coexistence, RecordClosesTheLastSimulatorStep) {
+  // Every executed event belongs to exactly one sim_step span, the last
+  // step included: run() closes it at the scenario horizon.
+  auto cfg = base_config(MacMode::Proposed);
+  cfg.duration_s = 5.0;
+  obs::Observability obs;
+  obs.enable_spans(1 << 16);
+  CoexistenceSimulator sim(cfg);
+  sim.set_observability(&obs);
+  (void)sim.run();
+  ASSERT_GT(obs.spans().size(), 0u);
+  ASSERT_EQ(obs.spans().dropped(), 0u);
+
+  double step_events = 0.0;
+  const obs::SpanEvent* last_step = nullptr;
+  const obs::SpanEvent* last_fired = nullptr;
+  for (std::size_t i = 0; i < obs.spans().size(); ++i) {
+    const obs::SpanEvent& s = obs.spans().at(i);
+    if (s.kind == obs::SpanKind::SimStep) {
+      step_events += s.a;
+      last_step = &s;
+    } else if (s.kind == obs::SpanKind::EventFired) {
+      last_fired = &s;
+    }
+  }
+  ASSERT_NE(last_step, nullptr);
+  ASSERT_NE(last_fired, nullptr);
+  EXPECT_EQ(step_events,
+            obs.metrics().counter_value("sim.events.executed"));
+  EXPECT_EQ(last_step->t0, last_fired->t0);
+  EXPECT_EQ(last_step->t1, std::max(cfg.duration_s, last_step->t0));
 }
 
 // Property sweep: delivery ratio stays within [0,1] and counters stay

@@ -186,6 +186,7 @@ TEST(FaultInjector, BrownoutAndDroughtWindows) {
 
 TEST(FaultInjector, RecordsInjectionsIntoObservability) {
   obs::Observability obs;
+  obs.enable_spans(16);
   FaultInjector inj(
       FaultPlan({{0.0, FaultType::MessageDrop, 1, 10.0, 1.0}}));
   inj.set_observability(&obs);
@@ -194,9 +195,9 @@ TEST(FaultInjector, RecordsInjectionsIntoObservability) {
                 .counter("fault.injected", {{"type", "message_drop"}})
                 .value(),
             1.0);
-  ASSERT_EQ(obs.trace().size(), 1u);
-  EXPECT_EQ(obs.trace().at(0).type, obs::TraceType::FaultInjected);
-  EXPECT_EQ(obs.trace().at(0).a, 1u);
+  ASSERT_EQ(obs.spans().size(), 1u);
+  EXPECT_EQ(obs.spans().at(0).kind, obs::SpanKind::FaultInjected);
+  EXPECT_EQ(obs.spans().at(0).a, 1u);
 }
 
 TEST(FaultDriver, ArmsPlanTransitionsOnTheKernel) {
@@ -234,11 +235,12 @@ TEST(InvariantChecker, EnergyBoundsAndRequireClean) {
 
 TEST(InvariantChecker, NoDeadSenderScansTrace) {
   obs::Observability obs;
-  obs.trace().record(1.0, obs::TraceType::PacketTx, /*a=*/3);
-  obs.trace().record(6.0, obs::TraceType::PacketTx, /*a=*/3);
+  obs.enable_spans(16);
+  obs.spans().instant(obs::SpanKind::PacketTx, 1.0, /*a=*/3);
+  obs.spans().instant(obs::SpanKind::PacketTx, 6.0, /*a=*/3);
   FaultInjector inj(FaultPlan({{5.0, FaultType::NodeDeath, 3}}));
   InvariantChecker chk;
-  EXPECT_FALSE(chk.check_no_dead_sender(obs.trace(), inj))
+  EXPECT_FALSE(chk.check_no_dead_sender(obs.spans(), inj))
       << "the t=6 transmission comes from a node dead since t=5";
   ASSERT_EQ(chk.violations().size(), 1u);
   EXPECT_DOUBLE_EQ(chk.violations().front().t, 6.0);
@@ -366,6 +368,9 @@ TEST(FaultWiring, CollectionReplayRecoversAndLoses) {
   EXPECT_EQ(d.delivered_first_try, 1u) << "device 1 is unaffected";
 }
 
+// Room for a whole 15-20 s chaos run of coexistence: no record dropped.
+constexpr std::size_t kChaosRecordCapacity = 1 << 16;
+
 TEST(FaultWiring, CoexistenceChaosIsSeedReproducible) {
   const FaultPlan plan = generate_plan([] {
     FaultSpec s;
@@ -391,12 +396,18 @@ TEST(FaultWiring, CoexistenceChaosIsSeedReproducible) {
     return sim.run();
   };
   obs::Observability oa, ob;
+  oa.enable_spans(kChaosRecordCapacity);
+  ob.enable_spans(kChaosRecordCapacity);
   const auto ma = run_once(oa);
   const auto mb = run_once(ob);
   EXPECT_EQ(ma.frames_delivered, mb.frames_delivered);
   EXPECT_EQ(ma.frames_suppressed, mb.frames_suppressed);
   EXPECT_EQ(ma.frames_faulted, mb.frames_faulted);
-  EXPECT_EQ(oa.trace().digest(), ob.trace().digest())
+  for (const obs::Observability* o : {&oa, &ob}) {
+    ASSERT_GT(o->spans().size(), 0u);
+    ASSERT_EQ(o->spans().dropped(), 0u) << "the record must hold the run";
+  }
+  EXPECT_EQ(oa.spans().digest(), ob.spans().digest())
       << "protocol + fault interleaving must be bit-identical";
   EXPECT_GT(ma.frames_suppressed + ma.frames_faulted, 0u)
       << "the plan should actually bite at this intensity";
@@ -544,6 +555,7 @@ TEST(FaultWiring, InvariantCheckerHoldsUnderChaosRun) {
   // End-to-end: drive coexistence under a fault plan with the checker
   // attached at step boundaries; nothing physically impossible may happen.
   obs::Observability obs;
+  obs.enable_spans(kChaosRecordCapacity);
   FaultInjector inj(generate_plan([] {
     FaultSpec s;
     s.horizon_s = 15.0;
@@ -562,8 +574,10 @@ TEST(FaultWiring, InvariantCheckerHoldsUnderChaosRun) {
   sim.set_observability(&obs);
   sim.set_fault_injector(&inj);
   (void)sim.run();
+  ASSERT_GT(obs.spans().size(), 0u);
+  ASSERT_EQ(obs.spans().dropped(), 0u) << "the scan must see the whole run";
   InvariantChecker chk(&obs);
-  EXPECT_TRUE(chk.check_no_dead_sender(obs.trace(), inj))
+  EXPECT_TRUE(chk.check_no_dead_sender(obs.spans(), inj))
       << "no delivered backscatter frame may originate from a dead tag";
   chk.require_clean();
 }

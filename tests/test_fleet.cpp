@@ -4,9 +4,9 @@
 //  (1) Standalone identity — a 1-deployment fleet reproduces the
 //      standalone NetworkExecutor / CoexistenceSimulator run bit-for-bit,
 //      reconstructed here through the same pure template helpers.
-//  (2) Schedule independence — fleet results and the merged
-//      metric/trace/span records are identical at 1 vs 4 worker threads
-//      and across double runs.
+//  (2) Schedule independence — fleet results and the merged metric and
+//      span records are identical at 1 vs 4 worker threads and across
+//      double runs.
 //  (3) Fleet-size independence — a deployment's outcome digest depends
 //      only on (fleet_seed, kind, cell_id, parameters): the same cell
 //      alone, inside a 1000-cell fleet, or in a reversed ordering yields
@@ -85,29 +85,38 @@ std::vector<DeploymentSpec> mixed_specs() {
   return specs;
 }
 
+// Room for the whole record: a faulted lounge cell replays its samples
+// through run(), about 10k spans and instants per inference.
+constexpr std::size_t kSlotRecordCapacity = 1 << 16;
+constexpr std::size_t kFleetRecordCapacity = 1 << 20;
+
+/// Asserts a record that a test compares or scans holds the whole run.
+void expect_whole_record(const obs::Observability& o) {
+  EXPECT_GT(o.spans().size(), 0u);
+  EXPECT_EQ(o.spans().dropped(), 0u) << "record truncated; raise capacity";
+}
+
 struct FleetRun {
   FleetResult result;
   std::string metrics_json;
-  std::uint64_t trace_digest = 0;
   std::uint64_t span_digest = 0;
 };
 
 FleetRun run_fleet(std::vector<DeploymentSpec> specs, std::size_t threads,
-                   std::uint64_t seed = 11, bool merge_records = true) {
-  obs::Observability obs(1 << 14);
-  obs.enable_spans(1 << 15);
+                   std::uint64_t seed = 11) {
+  obs::Observability obs;
+  obs.enable_spans(kFleetRecordCapacity);
   FleetConfig cfg;
   cfg.seed = seed;
   cfg.deployments = std::move(specs);
   cfg.obs = &obs;
-  cfg.span_capacity = 1 << 12;
-  cfg.merge_records = merge_records;
+  cfg.span_capacity = kSlotRecordCapacity;
   FleetSimulator fleet(std::move(cfg));
   par::ThreadPool pool(threads);
   FleetRun run;
   run.result = fleet.run(&pool);
+  expect_whole_record(obs);
   run.metrics_json = obs.metrics().to_json();
-  run.trace_digest = obs.trace().digest();
   run.span_digest = obs.spans().digest();
   return run;
 }
@@ -151,7 +160,7 @@ TEST(FleetConformance, SingleLoungeDeploymentMatchesStandaloneExecutor) {
   const auto tmpl = make_lounge_template();
   const std::uint64_t dep_seed = deployment_seed(fleet_seed, spec);
   const ml::Dataset data = deployment_dataset(*tmpl, spec, dep_seed);
-  obs::Observability ref_obs(512);
+  obs::Observability ref_obs;
   netexec::NetworkExecutor exec(
       tmpl->net, tmpl->graph, tmpl->assignment, tmpl->wsn,
       deployment_netexec_config(dep_seed, &ref_obs));
@@ -160,7 +169,7 @@ TEST(FleetConformance, SingleLoungeDeploymentMatchesStandaloneExecutor) {
   FleetConfig cfg;
   cfg.seed = fleet_seed;
   cfg.deployments = {spec};
-  obs::Observability fleet_obs(1 << 14);
+  obs::Observability fleet_obs;
   cfg.obs = &fleet_obs;
   FleetSimulator fleet(std::move(cfg));
   const FleetResult res = fleet.run();
@@ -184,7 +193,8 @@ TEST(FleetConformance, SingleBackscatterCellMatchesStandaloneSimulator) {
   const std::uint64_t fleet_seed = 9;
 
   const std::uint64_t dep_seed = deployment_seed(fleet_seed, spec);
-  obs::Observability ref_obs(512);
+  obs::Observability ref_obs;
+  ref_obs.enable_spans(kSlotRecordCapacity);
   backscatter::CoexistenceSimulator sim(
       deployment_coexistence_config(spec, dep_seed));
   sim.set_observability(&ref_obs);
@@ -193,10 +203,10 @@ TEST(FleetConformance, SingleBackscatterCellMatchesStandaloneSimulator) {
   FleetConfig cfg;
   cfg.seed = fleet_seed;
   cfg.deployments = {spec};
-  obs::Observability fleet_obs(1 << 14);
+  obs::Observability fleet_obs;
+  fleet_obs.enable_spans(kFleetRecordCapacity);
   cfg.obs = &fleet_obs;
-  cfg.trace_capacity = 512;  // per-slot ring matches ref_obs
-  cfg.merge_records = true;
+  cfg.span_capacity = kSlotRecordCapacity;
   FleetSimulator fleet(std::move(cfg));
   const FleetResult res = fleet.run();
 
@@ -205,9 +215,11 @@ TEST(FleetConformance, SingleBackscatterCellMatchesStandaloneSimulator) {
   EXPECT_EQ(res.e6_frames_delivered, ref.frames_delivered);
   expect_bits_equal(res.accuracy[0], ref.delivery_ratio(), "delivery ratio");
   expect_bits_equal(res.p50_latency_s[0], ref.mean_latency_s, "mean latency");
-  // The merged fleet trace ring is exactly the standalone ring: one
-  // deployment, slot-order merge, same capacity.
-  EXPECT_EQ(fleet_obs.trace().digest(), ref_obs.trace().digest());
+  // The merged fleet record is exactly the standalone record: one
+  // deployment, slot-order merge.
+  expect_whole_record(ref_obs);
+  expect_whole_record(fleet_obs);
+  EXPECT_EQ(fleet_obs.spans().digest(), ref_obs.spans().digest());
 }
 
 // ---------------------------------------------------------------------------
@@ -220,11 +232,9 @@ TEST(FleetConformance, MixedFleetIdenticalAcrossThreadCountsAndReruns) {
 
   expect_results_bitwise_equal(one.result, four.result);
   expect_results_bitwise_equal(four.result, again.result);
-  // Merged trace and span streams are byte-identical too (slot-order
-  // merge; recorded events carry virtual time only).
-  EXPECT_EQ(one.trace_digest, four.trace_digest);
+  // The merged records are byte-identical too (slot-order merge; spans
+  // and instants carry virtual time only).
   EXPECT_EQ(one.span_digest, four.span_digest);
-  EXPECT_EQ(four.trace_digest, again.trace_digest);
   EXPECT_EQ(four.span_digest, again.span_digest);
 }
 
@@ -252,14 +262,19 @@ TEST(FleetConformance, DeploymentDigestIndependentOfFleetSizeAndOrder) {
   }
   const std::uint64_t fleet_seed = 5;
 
+  // Every deployment records, so each row's digest covers its record.
   auto run_with = [&](std::vector<DeploymentSpec> specs) {
-    obs::Observability obs(1 << 12);
+    obs::Observability obs;
+    obs.enable_spans(kFleetRecordCapacity);
     FleetConfig cfg;
     cfg.seed = fleet_seed;
     cfg.deployments = std::move(specs);
     cfg.obs = &obs;
+    cfg.span_capacity = kSlotRecordCapacity;
     FleetSimulator fleet(std::move(cfg));
-    return fleet.run();
+    FleetResult res = fleet.run();
+    expect_whole_record(obs);
+    return res;
   };
 
   const FleetResult full = run_with(big);
@@ -348,7 +363,6 @@ TEST(FleetConformance, CheckpointedBrownoutWavesIdenticalAcrossThreadCounts) {
   const FleetRun four = run_fleet(specs, 4);
   expect_results_bitwise_equal(one.result, four.result);
   EXPECT_EQ(one.metrics_json, four.metrics_json);
-  EXPECT_EQ(one.trace_digest, four.trace_digest);
   EXPECT_EQ(one.span_digest, four.span_digest);
 
   std::vector<DeploymentSpec> volatile_specs = specs;
@@ -371,18 +385,19 @@ TEST(FleetConformance, RunDeploymentMatchesFleetRow) {
   FleetConfig cfg;
   cfg.seed = 11;
   cfg.deployments = specs;
-  obs::Observability obs(1 << 14);
-  obs.enable_spans(1 << 15);
+  obs::Observability obs;
+  obs.enable_spans(kFleetRecordCapacity);
   cfg.obs = &obs;
-  cfg.span_capacity = 1 << 12;
-  cfg.merge_records = true;
+  cfg.span_capacity = kSlotRecordCapacity;
   FleetSimulator fleet(std::move(cfg));
   const FleetResult res = fleet.run();
+  expect_whole_record(obs);
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    obs::Observability dep_obs(fleet.config().trace_capacity);
+    obs::Observability dep_obs;
     dep_obs.enable_spans(fleet.config().span_capacity);
     const DeploymentOutcome out = fleet.run_deployment(specs[i], &dep_obs);
+    expect_whole_record(dep_obs);
     EXPECT_EQ(out.digest, res.digest[i]) << "row " << i;
   }
 }

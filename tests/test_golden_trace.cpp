@@ -1,10 +1,12 @@
 // Golden-trace regression: two fixed-seed scenarios export their records
 // as JSONL and must match the checked-in snapshots byte for byte — the
-// flat event trace of backscatter coexistence under fault injection
-// (e2e_trace.jsonl), and the span tree of two lossy network-in-the-loop
-// MicroDeep inferences (e2e_spans.jsonl).  Any behavioral drift — event
-// reordering, RNG stream changes, altered fault schedules — shows up as a
-// first-divergence diff.
+// instant spans (point events) of backscatter coexistence under fault
+// injection (e2e_trace.jsonl), and the span tree of two lossy
+// network-in-the-loop MicroDeep inferences (e2e_spans.jsonl).  Both files
+// predate instant spans, so each is compared with the matching stream of
+// tests/legacy_record.hpp.  Any behavioral drift — event reordering, RNG
+// stream changes, altered fault schedules — shows up as a first-divergence
+// diff.
 //
 // To regenerate after an *intentional* behavior change:
 //   ZEIOT_UPDATE_GOLDEN=1 ./build/tests/test_golden_trace
@@ -19,6 +21,7 @@
 
 #include "backscatter/coexistence.hpp"
 #include "fault/injector.hpp"
+#include "legacy_record.hpp"
 #include "netexec/netexec.hpp"
 
 namespace zeiot {
@@ -101,22 +104,30 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
+// Room for the whole coexistence scenario: no record may be dropped.
+constexpr std::size_t kScenarioCapacity = 1u << 16;
+
 std::string render_scenario_jsonl() {
-  obs::Observability obs(1u << 16);  // headroom: the trace must not wrap
+  obs::Observability obs;
+  obs.enable_spans(kScenarioCapacity);
   run_scenario(obs);
-  EXPECT_EQ(obs.trace().dropped(), 0u)
-      << "golden scenario overflowed the trace buffer; raise capacity";
-  std::ostringstream out;
-  obs.trace().export_jsonl(out);
-  return out.str();
+  EXPECT_GT(obs.spans().size(), 0u);
+  EXPECT_EQ(obs.spans().dropped(), 0u)
+      << "golden scenario overflowed the recorder; raise capacity";
+  return legacy::trace_jsonl(obs.spans());
 }
 
 TEST(GoldenTrace, ScenarioIsDeterministicInProcess) {
-  obs::Observability a(1u << 16), b(1u << 16);
+  obs::Observability a, b;
+  a.enable_spans(kScenarioCapacity);
+  b.enable_spans(kScenarioCapacity);
   run_scenario(a);
   run_scenario(b);
-  ASSERT_EQ(a.trace().size(), b.trace().size());
-  EXPECT_EQ(a.trace().digest(), b.trace().digest());
+  ASSERT_GT(a.spans().size(), 0u);
+  ASSERT_EQ(a.spans().dropped(), 0u);
+  ASSERT_EQ(b.spans().dropped(), 0u);
+  ASSERT_EQ(a.spans().size(), b.spans().size());
+  EXPECT_EQ(a.spans().digest(), b.spans().digest());
 }
 
 /// Byte-level line diff against a checked-in snapshot, with
@@ -163,17 +174,25 @@ TEST(GoldenTrace, SpanTreeMatchesCheckedInSnapshot) {
   run_span_scenario(obs);
   ASSERT_EQ(obs.spans().dropped(), 0u)
       << "golden span scenario overflowed the recorder; raise capacity";
-  ASSERT_EQ(obs.spans().root_count(), 2u);  // one root per inference
+  std::size_t inference_roots = 0;
+  for (std::size_t i = 0; i < obs.spans().size(); ++i) {
+    const obs::SpanEvent& s = obs.spans().at(i);
+    if (s.parent == 0 && s.kind == obs::SpanKind::Inference) {
+      ++inference_roots;
+    }
+  }
+  ASSERT_EQ(inference_roots, 2u);  // one root per inference
 
   // In-process double run first: the snapshot only pins what is already
   // deterministic.
   obs::Observability again;
   again.enable_spans(1u << 14);
   run_span_scenario(again);
+  ASSERT_EQ(again.spans().dropped(), 0u);
   ASSERT_EQ(obs.spans().digest(), again.spans().digest());
 
   std::ostringstream out;
-  obs.spans().export_jsonl(out);
+  legacy::span_stream(obs.spans()).export_jsonl(out);
   expect_matches_golden(kGoldenSpansPath, out.str());
 }
 

@@ -3,7 +3,7 @@
 //
 // The load-bearing contract: over a zero-loss/zero-latency channel the
 // event-driven execution must reproduce microdeep::unit_walk's logits
-// bit-for-bit, and its MicroDeepHop trace must be exactly one event per
+// bit-for-bit, and its MicroDeepHop instants must be exactly one per
 // (producer unit, consumer node) pair of the unit graph's cross-node
 // edges — the messages compute_comm_cost counts — on randomized
 // topologies and assignments.  Lossy channels must be deterministic per
@@ -63,58 +63,65 @@ NetExecConfig ideal_config() {
   return cfg;
 }
 
-/// Sorts events into canonical order, so two event lists compare as
-/// multisets.
-std::vector<obs::TraceEvent> canonical(std::vector<obs::TraceEvent> evs) {
-  std::sort(evs.begin(), evs.end(),
-            [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-              return std::tie(a.t, a.a, a.b, a.value) <
-                     std::tie(b.t, b.a, b.b, b.value);
-            });
+/// One MicroDeepHop instant: (t, source node, destination node, hops).
+struct Hop {
+  double t = 0.0;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  double hops = 0.0;
+
+  bool operator==(const Hop&) const = default;
+  bool operator<(const Hop& o) const {
+    return std::tie(t, src, dst, hops) < std::tie(o.t, o.src, o.dst, o.hops);
+  }
+};
+
+/// MicroDeepHop instants only (netexec additionally records per-hop
+/// PacketTx/PacketRx instants and the span tree), sorted so two hop lists
+/// compare as multisets.
+std::vector<Hop> hop_events(const obs::Observability& o) {
+  std::vector<Hop> evs;
+  for (std::size_t i = 0; i < o.spans().size(); ++i) {
+    const obs::SpanEvent& e = o.spans().at(i);
+    if (e.kind == obs::SpanKind::MicroDeepHop) {
+      evs.push_back({e.t0, e.a, e.b, e.value});
+    }
+  }
+  std::sort(evs.begin(), evs.end());
   return evs;
 }
 
-/// MicroDeepHop events only (netexec additionally traces per-hop
-/// PacketTx/PacketRx), in canonical order.
-std::vector<obs::TraceEvent> hop_events(const obs::Observability& o) {
-  std::vector<obs::TraceEvent> evs;
-  for (const obs::TraceEvent& e : o.trace().snapshot()) {
-    if (e.type == obs::TraceType::MicroDeepHop) evs.push_back(e);
-  }
-  return canonical(std::move(evs));
-}
-
-/// The hop events an ideal-channel inference must trace, derived from the
-/// unit graph alone: one per (producer unit, consumer node) pair over the
-/// cross-node dependency edges, at t = 0, from the producer's node to the
-/// consumer's with the route's hop count as value, in canonical order.
-std::vector<obs::TraceEvent> reference_hops(const UnitGraph& graph,
-                                            const Assignment& assignment,
-                                            const WsnTopology& wsn) {
+/// The hop instants an ideal-channel inference must record, derived from
+/// the unit graph alone: one per (producer unit, consumer node) pair over
+/// the cross-node dependency edges, at t = 0, from the producer's node to
+/// the consumer's with the route's hop count as value, sorted.
+std::vector<Hop> reference_hops(const UnitGraph& graph,
+                                const Assignment& assignment,
+                                const WsnTopology& wsn) {
   std::set<std::pair<microdeep::UnitId, microdeep::NodeId>> messages;
   for (const microdeep::UnitEdge& e : graph.edges()) {
     const microdeep::NodeId dst = assignment.node_of(e.dst);
     if (assignment.node_of(e.src) != dst) messages.insert({e.src, dst});
   }
-  std::vector<obs::TraceEvent> evs;
+  std::vector<Hop> evs;
   for (const auto& [src, dst] : messages) {
     const microdeep::NodeId sn = assignment.node_of(src);
-    evs.push_back({0.0, obs::TraceType::MicroDeepHop, sn, dst,
+    evs.push_back({0.0, static_cast<std::uint32_t>(sn),
+                   static_cast<std::uint32_t>(dst),
                    static_cast<double>(wsn.hops(sn, dst))});
   }
-  return canonical(std::move(evs));
+  std::sort(evs.begin(), evs.end());
+  return evs;
 }
 
-/// FNV-1a over the canonical event list (bit-exact field encoding, the
-/// TraceRecorder::digest convention applied to the sorted view).
-std::uint64_t canonical_digest(const std::vector<obs::TraceEvent>& evs) {
+/// FNV-1a over the sorted hop list (bit-exact field encoding).
+std::uint64_t canonical_digest(const std::vector<Hop>& evs) {
   Fnv1a h;
-  for (const obs::TraceEvent& e : evs) {
+  for (const Hop& e : evs) {
     h.mix_bits(e.t);
-    h.mix(static_cast<std::uint64_t>(e.type));
-    h.mix(e.a);
-    h.mix(e.b);
-    h.mix_bits(e.value);
+    h.mix(e.src);
+    h.mix(e.dst);
+    h.mix_bits(e.hops);
   }
   return h.value();
 }
@@ -193,7 +200,8 @@ TEST(NetexecConformance, IdealChannelBitMatchesExecutorRandomized) {
     Scenario s = make_scenario(seed);
     const ml::Tensor sample = random_sample(s.shape, 100 + seed);
 
-    obs::Observability net_obs(1 << 16);
+    obs::Observability net_obs;
+    net_obs.enable_spans(1 << 16);
     NetExecConfig cfg = ideal_config();
     cfg.obs = &net_obs;
     NetworkExecutor exec(s.net, s.graph, s.assignment, s.wsn, cfg);
@@ -213,6 +221,8 @@ TEST(NetexecConformance, IdealChannelBitMatchesExecutorRandomized) {
     EXPECT_EQ(got.frames_lost, 0u);
     EXPECT_EQ(got.retransmissions, 0u);
 
+    ASSERT_GT(net_obs.spans().size(), 0u) << "seed " << seed;
+    ASSERT_EQ(net_obs.spans().dropped(), 0u) << "seed " << seed;
     const auto got_hops = hop_events(net_obs);
     ASSERT_EQ(ref_hops.size(), got_hops.size()) << "seed " << seed;
     EXPECT_EQ(ref_hops, got_hops) << "seed " << seed;
@@ -417,18 +427,21 @@ TEST(NetexecConformance, LossyRunsAreSeedDeterministic) {
   cfg.seed = 99;
 
   auto once = [&]() {
-    obs::Observability o(1 << 16);
+    obs::Observability o;
+    o.enable_spans(1 << 16);
     NetExecConfig c = cfg;
     c.obs = &o;
     NetworkExecutor exec(s.net, s.graph, s.assignment, s.wsn, c);
     auto r = exec.run(sample);
-    return std::make_tuple(std::move(r), o.trace().digest());
+    EXPECT_GT(o.spans().size(), 0u);
+    EXPECT_EQ(o.spans().dropped(), 0u);
+    return std::make_tuple(std::move(r), o.spans().digest());
   };
   auto [r1, d1] = once();
   auto [r2, d2] = once();
 
   expect_bitwise_equal(r1.output, r2.output);
-  EXPECT_EQ(d1, d2) << "same-seed lossy runs must produce identical traces";
+  EXPECT_EQ(d1, d2) << "same-seed lossy runs must produce identical records";
   EXPECT_EQ(r1.transmissions, r2.transmissions);
   EXPECT_EQ(r1.retransmissions, r2.retransmissions);
   EXPECT_EQ(r1.frames_lost, r2.frames_lost);

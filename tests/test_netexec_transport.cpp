@@ -3,12 +3,14 @@
 // A node's radio sends one frame at a time; frames that find it busy wait
 // in the node's radio queue and leave in the order their re-polls would
 // have fired.  These tests pin that behaviour on a scenario small enough
-// to predict frame by frame, and bound the simulator events the queue
-// spends per transmission on the E1 template.
+// to predict frame by frame, pin the ARQ backoff schedule of a single
+// frame, and bound the simulator events the queue spends per transmission
+// on the E1 template.
 #include "netexec/netexec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <utility>
 #include <vector>
@@ -102,32 +104,49 @@ NetExecConfig lossless(obs::Observability* o) {
   return cfg;
 }
 
-/// PacketTx events sent by `node`, in trace order.
-std::vector<obs::TraceEvent> sent_by(const obs::Observability& o,
-                                     NodeId node) {
-  std::vector<obs::TraceEvent> tx;
-  for (const obs::TraceEvent& e : o.trace().snapshot()) {
-    if (e.type == obs::TraceType::PacketTx && e.a == node) tx.push_back(e);
+/// Room for every record of one inference in these small scenarios.
+constexpr std::size_t kRecordCapacity = 1 << 12;
+
+/// Spans of `kind` in record order, from a record that must hold the whole
+/// run.
+std::vector<obs::SpanEvent> of_kind(const obs::Observability& o,
+                                    obs::SpanKind kind) {
+  EXPECT_GT(o.spans().size(), 0u);
+  EXPECT_EQ(o.spans().dropped(), 0u);
+  std::vector<obs::SpanEvent> out;
+  for (std::size_t i = 0; i < o.spans().size(); ++i) {
+    if (o.spans().at(i).kind == kind) out.push_back(o.spans().at(i));
+  }
+  return out;
+}
+
+/// PacketTx instants sent by `node`, in record order.
+std::vector<obs::SpanEvent> sent_by(const obs::Observability& o,
+                                    NodeId node) {
+  std::vector<obs::SpanEvent> tx;
+  for (const obs::SpanEvent& e : of_kind(o, obs::SpanKind::PacketTx)) {
+    if (e.a == node) tx.push_back(e);
   }
   return tx;
 }
 
 TEST(NetexecTransport, OneNodesFramesLeaveBackToBackInMessageOrder) {
   Clique c;
-  obs::Observability o(1 << 12);
+  obs::Observability o;
+  o.enable_spans(kRecordCapacity);
   NetworkExecutor exec(c.net, c.graph, c.assignment, c.wsn, lossless(&o));
   const NetInferenceResult r = exec.run(sample());
   EXPECT_FALSE(r.degraded);
 
   const std::vector<NodeId> want = c.plan0_destinations();
-  const std::vector<obs::TraceEvent> tx = sent_by(o, 0);
+  const std::vector<obs::SpanEvent> tx = sent_by(o, 0);
   ASSERT_GT(want.size(), 4u);
   ASSERT_EQ(tx.size(), want.size());
   // Each frame starts the instant the previous one's airtime ends:
   // t0 = 0, then t0 + air, t0 + 2 air, ... summed as the radio sums them.
   double t = 0.0;
   for (std::size_t i = 0; i < tx.size(); ++i) {
-    EXPECT_EQ(tx[i].t, t) << "frame " << i;
+    EXPECT_EQ(tx[i].t0, t) << "frame " << i;
     EXPECT_EQ(tx[i].b, want[i]) << "frame " << i;
     t += kAir;
   }
@@ -150,24 +169,84 @@ TEST(NetexecTransport, FramesWaitingAtADeadNodeAreLostWhenItsRadioFrees) {
     fault::FaultInjector inj{fault::FaultPlan(
         {FaultEvent{k.death_t, FaultType::NodeDeath, 0, 0.0, 1.0},
          FaultEvent{k.revival_t, FaultType::NodeRevival, 0, 0.0, 1.0}})};
-    obs::Observability o(1 << 12);
+    obs::Observability o;
+    o.enable_spans(kRecordCapacity);
     NetExecConfig cfg = lossless(&o);
     cfg.fault = &inj;
     NetworkExecutor exec(c.net, c.graph, c.assignment, c.wsn, cfg);
     const NetInferenceResult r = exec.run(sample());
 
     const std::size_t frames = c.plan0_destinations().size();
-    const std::vector<obs::TraceEvent> tx = sent_by(o, 0);
+    const std::vector<obs::SpanEvent> tx = sent_by(o, 0);
     if (k.covers_radio_free) {
       EXPECT_EQ(r.frames_lost, frames - 1);
       ASSERT_EQ(tx.size(), 1u);
-      EXPECT_EQ(tx[0].t, 0.0);
+      EXPECT_EQ(tx[0].t0, 0.0);
       EXPECT_TRUE(r.degraded);
     } else {
       EXPECT_EQ(r.frames_lost, 0u);
       EXPECT_EQ(tx.size(), frames);
       EXPECT_FALSE(r.degraded);
     }
+  }
+}
+
+TEST(NetexecTransport, ArqRetriesBackOffExponentiallyThenAbandon) {
+  // Two nodes in range; node 0 senses the single input, node 1 hosts both
+  // logits, so the inference ships exactly one frame over one hop.  Every
+  // attempt is dropped, so the frame walks the whole ARQ schedule: retry
+  // k + 1 leaves the ack timeout 4 ms * 2^k after attempt k's airtime
+  // ends, and after attempt max_retries the frame is abandoned.
+  Rng rng(5);
+  ml::Network net;
+  net.emplace<ml::Flatten>();
+  net.emplace<ml::Dense>(1, 2, rng);
+  const UnitGraph graph = UnitGraph::build(net, {1, 1, 1});
+  const WsnTopology wsn({{5, 5}, {4, 5}}, Rect{0, 0, 10, 10}, 3.0);
+  std::vector<NodeId> map(graph.num_units(), 1);
+  map[graph.layers()[0].first_unit] = 0;
+  const Assignment assignment(&graph, map);
+
+  fault::FaultInjector inj{fault::FaultPlan({fault::FaultEvent{
+      0.0, fault::FaultType::MessageDrop, fault::kAllTargets, 1.0, 1.0}})};
+  obs::Observability o;
+  o.enable_spans(kRecordCapacity);
+  NetExecConfig cfg = lossless(&o);
+  cfg.max_retries = 3;
+  cfg.fault = &inj;
+  NetworkExecutor exec(net, graph, assignment, wsn, cfg);
+  ml::Tensor x({1, 1, 1});
+  x[0] = 0.5f;
+  const NetInferenceResult r = exec.run(x);
+
+  EXPECT_EQ(r.messages, 1u);
+  EXPECT_EQ(r.transmissions, 4u);
+  EXPECT_EQ(r.retransmissions, 3u);
+  EXPECT_EQ(r.frames_lost, 1u);
+  EXPECT_TRUE(r.degraded);
+
+  // Attempts 0..3 and nothing after: the abandoned frame is never sent
+  // again, and it never arrives.
+  const std::vector<obs::SpanEvent> tx = of_kind(o, obs::SpanKind::PacketTx);
+  ASSERT_EQ(tx.size(), 4u);
+  for (const obs::SpanEvent& e : tx) {
+    EXPECT_EQ(e.a, 0u);
+    EXPECT_EQ(e.b, 1u);
+  }
+  EXPECT_TRUE(of_kind(o, obs::SpanKind::PacketRx).empty());
+
+  const std::vector<obs::SpanEvent> backoff =
+      of_kind(o, obs::SpanKind::Backoff);
+  ASSERT_EQ(backoff.size(), 3u);
+  for (std::size_t k = 0; k < backoff.size(); ++k) {
+    const double wait = 4e-3 * std::pow(2.0, static_cast<double>(k));
+    EXPECT_EQ(tx[k + 1].t0, tx[k].t0 + kAir + wait) << "retry " << k + 1;
+    // The backoff span covers exactly the wait between the two attempts.
+    EXPECT_EQ(backoff[k].t0, tx[k].t0 + kAir) << "backoff " << k;
+    EXPECT_EQ(backoff[k].t1, tx[k + 1].t0) << "backoff " << k;
+    EXPECT_DOUBLE_EQ(backoff[k].duration(), wait) << "backoff " << k;
+    EXPECT_EQ(backoff[k].a, 0u);
+    EXPECT_EQ(backoff[k].b, k + 1);
   }
 }
 

@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/sim_probe.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace zeiot::obs {
@@ -104,41 +103,11 @@ TEST(JsonWriter, EscapesAndNonFinite) {
   EXPECT_EQ(out.str(), "{\"s\":\"a\\\"b\\n\",\"inf\":null}");
 }
 
-TEST(TraceRecorder, RingWraparound) {
-  TraceRecorder rec(8);
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    rec.record(static_cast<double>(i), TraceType::EventFired, i);
-  }
-  EXPECT_EQ(rec.capacity(), 8u);
-  EXPECT_EQ(rec.size(), 8u);
-  EXPECT_EQ(rec.recorded(), 20u);
-  EXPECT_EQ(rec.dropped(), 12u);
-  // Oldest retained event is #12, newest #19.
-  EXPECT_EQ(rec.at(0).a, 12u);
-  EXPECT_EQ(rec.at(7).a, 19u);
-  const auto snap = rec.snapshot();
-  ASSERT_EQ(snap.size(), 8u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].a, 12u + i);
-  }
-}
-
-TEST(TraceRecorder, ExportJsonlOneLinePerEvent) {
-  TraceRecorder rec(4);
-  rec.record(0.5, TraceType::PacketTx, 1, 2, 3.0);
-  rec.record(1.0, TraceType::EnergyBoot, 7);
-  std::ostringstream out;
-  rec.export_jsonl(out);
-  const std::string s = out.str();
-  EXPECT_NE(s.find("\"type\":\"packet_tx\""), std::string::npos);
-  EXPECT_NE(s.find("\"type\":\"energy_boot\""), std::string::npos);
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);
-}
-
 // Runs a randomized simulator workload (schedules, cancels, nested
-// schedules) with a probe attached and returns the trace.
-std::vector<TraceEvent> traced_run(std::uint64_t seed) {
-  Observability obs(1 << 12);
+// schedules) with a probe attached and returns the whole record.
+std::vector<SpanEvent> traced_run(std::uint64_t seed) {
+  Observability obs;
+  obs.enable_spans(1 << 12);
   SimulatorProbe probe(obs);
   sim::Simulator sim;
   sim.set_observer(&probe);
@@ -154,7 +123,12 @@ std::vector<TraceEvent> traced_run(std::uint64_t seed) {
   }
   for (std::size_t i = 0; i < ids.size(); i += 7) sim.cancel(ids[i]);
   sim.run();
-  return obs.trace().snapshot();
+  EXPECT_EQ(obs.spans().dropped(), 0u);
+  std::vector<SpanEvent> record;
+  for (std::size_t i = 0; i < obs.spans().size(); ++i) {
+    record.push_back(obs.spans().at(i));
+  }
+  return record;
 }
 
 TEST(TraceDeterminism, SameSeedSameTrace) {
@@ -168,44 +142,36 @@ TEST(TraceDeterminism, SameSeedSameTrace) {
 }
 
 TEST(Report, WritesSchemaDocument) {
-  Observability obs(4);
+  Observability obs;
   obs.metrics().counter("sim.events.executed").inc(12.0);
-  obs.trace().record(1.0, TraceType::EventFired);
+  obs.spans().instant(SpanKind::EventFired, 1.0);  // disabled: ignored
   std::ostringstream out;
   Report report("bench_x");
-  report.write(out, obs.metrics(), &obs.trace());
+  report.write(out, obs.metrics());
   const std::string s = out.str();
   EXPECT_NE(s.find("\"schema\":\"zeiot.obs.v2\""), std::string::npos);
   EXPECT_NE(s.find("\"bench\":\"bench_x\""), std::string::npos);
   EXPECT_NE(s.find("\"sim.events.executed\":12"), std::string::npos);
-  EXPECT_NE(s.find("\"recorded\":1"), std::string::npos);
   // Spans were never enabled: the v2 spans block must be absent (v1
-  // consumers reading v2 reports only gain keys when spans are on).
+  // consumers reading v2 reports only gain keys when spans are on), and
+  // the optional v2 trace block is never written.
   EXPECT_EQ(s.find("\"spans\""), std::string::npos);
+  EXPECT_EQ(s.find("\"trace\""), std::string::npos);
 }
 
 TEST(Report, SpansBlockWhenEnabled) {
-  Observability obs(4);
+  Observability obs;
   obs.enable_spans(16);
   const SpanId root = obs.spans().open(SpanKind::Inference, 0.0);
   obs.spans().add(SpanKind::HopTx, 0.0, 1.0, root);
   obs.spans().close(root, 2.0);
   std::ostringstream out;
   Report report("bench_x");
-  report.write(out, obs.metrics(), &obs.trace(), &obs.spans());
+  report.write(out, obs.metrics(), &obs.spans());
   const std::string s = out.str();
   EXPECT_NE(s.find("\"spans\":{\"recorded\":2,\"dropped\":0,\"roots\":1}"),
             std::string::npos)
       << s;
-}
-
-TEST(ScopeTimer, NullSinkIsNoop) {
-  // Must not crash and must not record anything.
-  { ScopeTimer t(static_cast<RunningStats*>(nullptr)); }
-  RunningStats s;
-  { ScopeTimer t(&s); }
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_GE(s.min(), 0.0);
 }
 
 // ---- SpanRecorder --------------------------------------------------------
@@ -217,9 +183,12 @@ TEST(SpanRecorder, OpenCloseAndAdd) {
   ASSERT_NE(root, 0u);
   const SpanId child = rec.add(SpanKind::HopTx, 0.5, 1.5, root, 77, 3, 9, 2e-6);
   ASSERT_NE(child, 0u);
+  // A point event: a zero-length root without a trace id, numbered in
+  // record order like any span.
+  EXPECT_EQ(rec.instant(SpanKind::FaultInjected, 0.25, 7, 2, 0.5), 3u);
   rec.close(root, 2.0, 1.25);
-  ASSERT_EQ(rec.size(), 2u);
-  EXPECT_EQ(rec.root_count(), 1u);
+  ASSERT_EQ(rec.size(), 3u);
+  EXPECT_EQ(rec.root_count(), 2u);
   const SpanEvent& r = rec.at(0);
   EXPECT_EQ(r.kind, SpanKind::Inference);
   EXPECT_EQ(r.trace_id, 77u);
@@ -232,6 +201,16 @@ TEST(SpanRecorder, OpenCloseAndAdd) {
   const SpanEvent& c = rec.at(1);
   EXPECT_EQ(c.parent, root);
   EXPECT_DOUBLE_EQ(c.duration(), 1.0);
+  const SpanEvent& i = rec.at(2);
+  EXPECT_EQ(i.kind, SpanKind::FaultInjected);
+  EXPECT_STREQ(span_kind_name(i.kind), "fault_injected");
+  EXPECT_EQ(i.t0, 0.25);
+  EXPECT_EQ(i.t1, 0.25);
+  EXPECT_EQ(i.parent, 0u);
+  EXPECT_EQ(i.trace_id, 0u);
+  EXPECT_EQ(i.a, 7u);
+  EXPECT_EQ(i.b, 2u);
+  EXPECT_EQ(i.value, 0.5);
 }
 
 TEST(SpanRecorder, DisabledRecorderIsNullSink) {
@@ -239,6 +218,7 @@ TEST(SpanRecorder, DisabledRecorderIsNullSink) {
   EXPECT_FALSE(rec.enabled());
   EXPECT_EQ(rec.open(SpanKind::Inference, 0.0), 0u);
   EXPECT_EQ(rec.add(SpanKind::HopTx, 0.0, 1.0), 0u);
+  EXPECT_EQ(rec.instant(SpanKind::PacketTx, 0.5, 3), 0u);
   rec.close(0, 1.0);  // close of the null id must be a no-op
   EXPECT_EQ(rec.size(), 0u);
   // A disabled recorder records nothing and *drops* nothing — it is off,
@@ -368,6 +348,8 @@ TEST(SpanRecorder, RenderTreeIndentsChildren) {
 TEST(Observability, EnableSpansOptIn) {
   Observability obs;
   EXPECT_FALSE(obs.spans_enabled());
+  obs.spans().instant(SpanKind::PacketTx, 1.0, 3);  // a default context
+  EXPECT_EQ(obs.spans().size(), 0u);                // records nothing
   obs.enable_spans(32);
   EXPECT_TRUE(obs.spans_enabled());
   EXPECT_EQ(obs.spans().capacity(), 32u);
@@ -480,85 +462,32 @@ TEST(MetricsRegistry, MergeIsSlotOrderIndependentForFleetShapes) {
   }
 }
 
-TEST(TraceRecorder, MergeAppendsThroughRingAndFoldsDrops) {
-  // Merge == replaying other's retained events in order; other's events
-  // already lost to wraparound stay lost but remain counted.
-  TraceRecorder a(8);
-  TraceRecorder b(4);
-  for (int i = 0; i < 3; ++i) {
-    a.record(static_cast<double>(i), TraceType::EventFired,
-             static_cast<std::uint32_t>(i));
-  }
-  for (int i = 0; i < 6; ++i) {  // wraps: retains 4, drops 2
-    b.record(10.0 + i, TraceType::PacketTx, static_cast<std::uint32_t>(i));
-  }
-  ASSERT_EQ(b.size(), 4u);
-  ASSERT_EQ(b.dropped(), 2u);
-
-  TraceRecorder manual(8);
-  for (int i = 0; i < 3; ++i) {
-    manual.record(static_cast<double>(i), TraceType::EventFired,
-                  static_cast<std::uint32_t>(i));
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    const TraceEvent& e = b.at(i);
-    manual.record(e.t, e.type, e.a, e.b, e.value);
-  }
-
-  a.merge(b);
-  EXPECT_EQ(a.size(), 7u);
-  EXPECT_EQ(a.digest(), manual.digest());
-  // recorded() folds b's drop count so merged dropped() stays truthful.
-  EXPECT_EQ(a.recorded(), 3u + 4u + 2u);
-  EXPECT_EQ(a.dropped(), 0u + 2u);
-}
-
-TEST(TraceRecorder, MergeOfDisjointSlotsIsOrderSensitiveButDeterministic) {
-  // The fleet contract is slot-ORDER merge, not order independence: trace
-  // rings are sequences.  Double-merging in the same order must be
-  // byte-identical; a different order legitimately yields another digest.
-  const auto build = [](std::uint64_t seed) {
-    TraceRecorder r(16);
-    Rng rng(seed);
-    for (int i = 0; i < 5; ++i) {
-      r.record(rng.uniform(0.0, 1.0), TraceType::EventFired,
-               static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
-    }
-    return r;
-  };
-  const TraceRecorder x = build(1), y = build(2);
-  TraceRecorder ab(64), ab2(64), ba(64);
-  ab.merge(x);
-  ab.merge(y);
-  ab2.merge(x);
-  ab2.merge(y);
-  ba.merge(y);
-  ba.merge(x);
-  EXPECT_EQ(ab.digest(), ab2.digest());
-  EXPECT_NE(ab.digest(), ba.digest());
-}
-
 TEST(Observability, MergeFromCombinesMetricsTracesAndSpans) {
-  Observability dst(64);
+  Observability dst;
   dst.enable_spans(32);
-  Observability src(64);
+  Observability src;
   src.enable_spans(32);
 
   dst.metrics().counter("m.count").inc(2.0);
   src.metrics().counter("m.count").inc(3.0);
-  dst.trace().record(0.5, TraceType::EventFired, 1);
-  src.trace().record(0.75, TraceType::PacketRx, 2);
+  dst.spans().instant(SpanKind::EventFired, 0.5, 1);
+  src.spans().instant(SpanKind::PacketRx, 0.75, 2);
   const SpanId root = src.spans().open(SpanKind::Inference, 0.0, 0, 42);
+  src.spans().add(SpanKind::HopTx, 0.0, 0.5, root, 42);
   src.spans().close(root, 1.0, 7.0);
 
   dst.merge_from(src);
   EXPECT_DOUBLE_EQ(dst.metrics().counter_value("m.count"), 5.0);
-  EXPECT_EQ(dst.trace().size(), 2u);
-  ASSERT_EQ(dst.spans().size(), 1u);
-  EXPECT_EQ(dst.spans().at(0).trace_id, 42u);
-  // Span ids were remapped past dst's existing size (none here), parent
-  // links intact: the merged root is still a root.
-  EXPECT_EQ(dst.spans().root_count(), 1u);
+  ASSERT_EQ(dst.spans().size(), 4u);
+  EXPECT_EQ(dst.spans().at(0).kind, SpanKind::EventFired);
+  EXPECT_EQ(dst.spans().at(1).kind, SpanKind::PacketRx);
+  EXPECT_EQ(dst.spans().at(2).trace_id, 42u);
+  // Span ids were remapped past dst's existing size, parent links intact:
+  // the merged root is still a root and its child points at it.
+  EXPECT_EQ(dst.spans().at(2).id, 3u);
+  EXPECT_EQ(dst.spans().at(2).parent, 0u);
+  EXPECT_EQ(dst.spans().at(3).parent, 3u);
+  EXPECT_EQ(dst.spans().root_count(), 3u);  // two instants and the root
 }
 
 TEST(Profiler, ResetKeepsInternedIds) {

@@ -344,8 +344,8 @@ TEST(Determinism, AssignmentSearchPicksSameWinnerAcrossPoolSizes) {
 
 TEST(Determinism, ExecutorTraceDigestMatchesAcrossPoolSizes) {
   // End-to-end probe: train with a pool of 1 vs 4, then run one netexec
-  // inference over the resulting weights with tracing on.  Identical weights
-  // and assignment must give identical traces (bit-exact digest).
+  // inference over the resulting weights with recording on.  Identical
+  // weights and assignment must give identical records (bit-exact digest).
   auto digest_with = [&](std::size_t threads) {
     ThreadPool pool(threads);
     ml::Network net = make_test_net(7);
@@ -365,11 +365,14 @@ TEST(Determinism, ExecutorTraceDigestMatchesAcrossPoolSizes) {
       sample[i] = static_cast<float>(srng.uniform(-1.0, 1.0));
     }
     obs::Observability obs;
+    obs.enable_spans(1 << 16);
     netexec::NetExecConfig ncfg;
     ncfg.obs = &obs;
     netexec::NetworkExecutor exec(net, graph, assignment, wsn, ncfg);
     (void)exec.run(sample);
-    return obs.trace().digest();
+    EXPECT_GT(obs.spans().size(), 0u);
+    EXPECT_EQ(obs.spans().dropped(), 0u);
+    return obs.spans().digest();
   };
   EXPECT_EQ(digest_with(1), digest_with(4));
 }
@@ -433,15 +436,23 @@ std::vector<zeiot::fleet::DeploymentSpec> random_fleet(Rng& rng,
   return specs;
 }
 
+/// Runs the fleet with every deployment recording into its own span
+/// recorder, so each row's digest covers the deployment's whole record.
 zeiot::fleet::FleetResult run_fleet_cfg(
     std::vector<zeiot::fleet::DeploymentSpec> specs, std::uint64_t seed) {
-  zeiot::obs::Observability obs(1 << 12);
+  zeiot::obs::Observability obs;
+  obs.enable_spans(1 << 20);
   zeiot::fleet::FleetConfig cfg;
   cfg.seed = seed;
   cfg.deployments = std::move(specs);
   cfg.obs = &obs;
+  cfg.span_capacity = 1 << 16;
   zeiot::fleet::FleetSimulator fleet(std::move(cfg));
-  return fleet.run();
+  zeiot::fleet::FleetResult res = fleet.run();
+  // The fleet record folds every slot's drops: none may be truncated.
+  EXPECT_GT(obs.spans().size(), 0u);
+  EXPECT_EQ(obs.spans().dropped(), 0u);
+  return res;
 }
 
 }  // namespace

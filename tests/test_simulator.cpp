@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/sim_probe.hpp"
@@ -233,11 +234,12 @@ TEST(SimulatorPosition, RejectsPositionsItCannotHonour) {
 TEST(SimulatorPosition, ReservationConsumesExactlyOneId) {
   // A worker finds a resource busy at t = 1 and waits for t = 2, either as
   // a re-poll event scheduled at once or as a reserved position scheduled
-  // later.  The probe traces every fired event's id, and the two traces
-  // match: the reservation took the re-poll's id and no other.
-  std::vector<std::vector<obs::TraceEvent>> fired;
+  // later.  The probe records every fired event's time and id, and the two
+  // records match: the reservation took the re-poll's id and no other.
+  std::vector<std::vector<std::pair<double, std::uint32_t>>> fired;
   for (const bool reserved : {false, true}) {
     obs::Observability o;
+    o.enable_spans(64);
     obs::SimulatorProbe probe(o);
     Simulator sim;
     sim.set_observer(&probe);
@@ -253,9 +255,11 @@ TEST(SimulatorPosition, ReservationConsumesExactlyOneId) {
       if (reserved) sim.schedule_at(2.0, pos, work);
     });
     sim.run();
-    std::vector<obs::TraceEvent> evs;
-    for (const obs::TraceEvent& e : o.trace().snapshot()) {
-      if (e.type == obs::TraceType::EventFired) evs.push_back(e);
+    ASSERT_EQ(o.spans().dropped(), 0u);
+    std::vector<std::pair<double, std::uint32_t>> evs;
+    for (std::size_t i = 0; i < o.spans().size(); ++i) {
+      const obs::SpanEvent& e = o.spans().at(i);
+      if (e.kind == obs::SpanKind::EventFired) evs.emplace_back(e.t0, e.a);
     }
     fired.push_back(evs);
   }

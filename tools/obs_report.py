@@ -3,16 +3,21 @@
 
 Reads a `<bench>.metrics.json` report plus the sibling `<bench>.spans.jsonl`
 span export (when the bench recorded spans) and prints a per-bench
-latency / energy breakdown table built from the causal span trees.  At the
-same time it enforces the observability contract, exiting 1 on any
-violation so CI can gate on it:
+latency / energy breakdown table built from the causal span trees.  The
+export may interleave instant spans with the trees: point events (packet
+sent, fault applied, brown-out, ...) recorded with t0 == t1, parent 0 and
+one of the INSTANT_KINDS.  An instant is a record, not a unit of work, so
+the summary counts instants apart from roots.  At the same time the tool
+enforces the observability contract, exiting 1 on any violation so CI can
+gate on it:
 
   * the report must declare schema zeiot.obs.v2 and be well-formed;
   * the span recorder must not have dropped spans (a truncated causal
     record is worse than none — raise the enable_spans capacity instead),
     and the `obs.spans.dropped` counter must agree;
   * the spans block must match the JSONL export (recorded count, root
-    count), and every JSONL parent id must resolve to an earlier span;
+    count, instants included in both), and every JSONL parent id must
+    resolve to an earlier span;
   * for a netexec bench, the root-span count must equal the number of
     inferences executed (the netexec.eval.samples counter);
   * every root with a phase lane must carry exactly one
@@ -44,6 +49,22 @@ ALL_PHASE_KINDS = PHASE_KINDS + (PHASE_CHECKPOINT,)
 
 # Span kinds whose `v` payload is an energy-ledger delta in joules.
 ENERGY_KINDS = ("sense", "node_compute", "hop_tx", "hop_retry_tx")
+
+# Point-event kinds, recorded only as instant spans (obs::SpanKind's last
+# fourteen values).
+INSTANT_KINDS = (
+    "event_scheduled", "event_fired", "event_cancelled",
+    "packet_tx", "packet_rx", "packet_collision",
+    "backscatter_window_open", "backscatter_window_close",
+    "dummy_carrier_injected", "microdeep_hop",
+    "energy_boot", "energy_brownout", "fault_injected", "invariant_violation",
+)
+
+
+def is_instant(span):
+    """True for an instant span: a point event, not a unit of work."""
+    return (span["kind"] in INSTANT_KINDS and span["t0"] == span["t1"]
+            and span["parent"] == 0)
 
 
 def fail(msg):
@@ -173,9 +194,11 @@ def render_table(rows, header):
 
 def summarize(doc, spans, roots, phase_checked):
     bench = doc["bench"]
-    inference_roots = [r for r in roots if r["kind"] == "inference"]
-    print(f"{bench}: {len(spans)} spans, {len(roots)} roots "
-          f"({len(inference_roots)} inferences), "
+    instants = sum(1 for s in spans if is_instant(s))
+    tree_roots = [r for r in roots if not is_instant(r)]
+    inference_roots = [r for r in tree_roots if r["kind"] == "inference"]
+    print(f"{bench}: {len(spans)} spans ({instants} instants), "
+          f"{len(tree_roots)} roots ({len(inference_roots)} inferences), "
           f"{phase_checked} phase-tiled")
     if not inference_roots:
         return

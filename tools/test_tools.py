@@ -6,7 +6,8 @@ the tool contracts end to end:
 
   * obs_report's percentile() uses the C++ half-up llround convention, not
     Python's banker's rounding;
-  * a well-formed zeiot.obs.v2 report + spans JSONL validates (exit 0);
+  * a well-formed zeiot.obs.v2 report + spans JSONL validates (exit 0),
+    also when instant spans interleave with the inference trees;
   * dropped spans, root-count mismatches, and phase-tiling violations each
     fail with exit 1;
   * bench_compare accepts a zeiot.obs.v1 baseline against a v2 current,
@@ -138,6 +139,38 @@ class TestObsReportValidation(ReportFixtureMixin, unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("obs_report: OK", out)
         self.assertIn("2 phase-tiled", out)
+
+    def test_instants_interleaved_with_trees_validate(self):
+        # Point events recorded as instant spans sit between and inside the
+        # time range of the two inference trees; they are records, not
+        # roots of work, and carry no phase lane to tile.
+        def instant(span_id, kind, t, a=0, b=0, v=0.0):
+            return {"trace": 0, "id": span_id, "parent": 0, "kind": kind,
+                    "t0": t, "t1": t, "a": a, "b": b, "v": v}
+
+        spans = [instant(1, "event_scheduled", 0.0, a=1)]
+        tree = golden_spans()
+        for s in tree:  # shift the golden ids past the first instant
+            s["id"] += 1
+            if s["parent"] != 0:
+                s["parent"] += 1
+        spans += tree[:5]
+        spans += [instant(7, "packet_tx", 0.05, a=3, b=4, v=1e-3),
+                  instant(8, "packet_rx", 0.051, a=4, b=4, v=32.0)]
+        for s in tree[5:]:
+            s["id"] += 2
+            if s["parent"] != 0:
+                s["parent"] += 2
+        spans += tree[5:]
+        spans.append(instant(14, "fault_injected", 0.15, a=2, b=1, v=0.5))
+        doc = golden_v2_report(spans)
+        doc["metrics"]["counters"]["netexec.eval.samples"]["value"] = 2
+        metrics = self.write_report(doc, spans)
+        code, out = self.run_main(obs_report, [metrics])
+        self.assertEqual(code, 0, out)
+        self.assertIn("obs_report: OK", out)
+        self.assertIn("14 spans (4 instants), 2 roots (2 inferences), "
+                      "2 phase-tiled", out)
 
     def test_report_without_spans_block_validates_metrics_only(self):
         doc = golden_v2_report(golden_spans())
