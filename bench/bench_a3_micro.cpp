@@ -1,6 +1,7 @@
 // A3 — Microbenchmarks of the hot substrate paths (google-benchmark):
 // CNN layer forward/backward (GEMM and retained naive reference), the raw
-// GEMM/im2col kernels, the event-queue kernel, RNG, the 802.11ac
+// GEMM/im2col kernels, the event-queue kernel (schedule-then-run and the
+// steady-state hold model, with and without cancellation), RNG, the 802.11ac
 // compressed-feedback pipeline, and the comm-cost computation.  After the
 // timed runs, main() re-measures the same workloads with a coarse
 // wall-clock and publishes them as perf.* gauges in the metrics JSON —
@@ -146,6 +147,54 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
+
+// The hold model of event-queue benchmarks: `pending` events in flight,
+// each of which schedules one successor when it runs, at now plus a seeded
+// delay in 1/64 s steps so equal times (FIFO ties) are common.  With
+// `decoy`, each event also schedules a second event and cancels it.
+class EventHold {
+ public:
+  EventHold(std::size_t pending, bool decoy) : decoy_(decoy) {
+    for (std::size_t i = 0; i < pending; ++i) arm();
+  }
+  EventHold(const EventHold&) = delete;
+  EventHold& operator=(const EventHold&) = delete;
+
+  /// Runs `events` events; returns the number run.
+  std::size_t run(std::size_t events) { return sim_.run(events); }
+
+ private:
+  double delay() {
+    return static_cast<double>(rng_.uniform_int(0, 63)) / 64.0;
+  }
+  void arm() { sim_.schedule(delay(), [this] { fire(); }); }
+  void fire() {
+    arm();
+    if (decoy_) sim_.cancel(sim_.schedule(delay(), [this] { fire(); }));
+  }
+
+  sim::Simulator sim_;
+  Rng rng_{5};
+  bool decoy_;
+};
+
+constexpr std::size_t kHoldBatch = 4096;
+
+void BM_EventQueueHold(benchmark::State& state) {
+  EventHold hold(static_cast<std::size_t>(state.range(0)), false);
+  for (auto _ : state) benchmark::DoNotOptimize(hold.run(kHoldBatch));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(kHoldBatch));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(1024);
+
+void BM_EventQueueHoldCancel(benchmark::State& state) {
+  EventHold hold(static_cast<std::size_t>(state.range(0)), true);
+  for (auto _ : state) benchmark::DoNotOptimize(hold.run(kHoldBatch));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(kHoldBatch));
+}
+BENCHMARK(BM_EventQueueHoldCancel)->Arg(64)->Arg(1024);
 
 void BM_RngNormal(benchmark::State& state) {
   Rng rng(7);
@@ -408,6 +457,13 @@ int main(int argc, char** argv) {
                              },
                              50),
                          1.0);
+
+      EventHold hold(1024, false);
+      constexpr std::size_t kHoldEvents = 1 << 18;
+      bench::record_perf(
+          obs, "sim_hold",
+          bench::time_workload([&] { (void)hold.run(kHoldEvents); }),
+          static_cast<double>(kHoldEvents));
     }
 
     // Tracing-overhead check: the same short netexec replay timed three

@@ -38,8 +38,12 @@ void CoexistenceSimulator::set_fault_injector(fault::FaultInjector* fault) {
 
 bool CoexistenceSimulator::frame_faulted(double t, DeviceId dev) {
   if (fault_ == nullptr) return false;
+  // A tag that died after registering its frame cannot backscatter it, but
+  // the AP, which cannot know, still granted the window.  The death check
+  // comes last and draws nothing, so the injector's draws are as before.
   if (fault_->should_drop(t, dev, fault::kInfrastructure) ||
-      fault_->should_corrupt(t, dev, fault::kInfrastructure)) {
+      fault_->should_corrupt(t, dev, fault::kInfrastructure) ||
+      fault_->node_dead(t, dev)) {
     ++metrics_.frames_faulted;
     return true;
   }

@@ -64,7 +64,9 @@ struct CoexistenceMetrics {
   std::size_t frames_collided = 0;
   // Injected-fault outcomes (zero without an injector).
   std::size_t frames_suppressed = 0;  // cycles skipped: device was dead
-  std::size_t frames_faulted = 0;     // clean deliveries lost to drop/corrupt
+  std::size_t frames_faulted = 0;     // clean deliveries lost to drop,
+                                      // corrupt, or a tag dead at the
+                                      // window's close
   double mean_latency_s = 0.0;  // ready -> delivered, delivered frames only
   // WLAN side.
   std::size_t wlan_offered = 0;    // packet arrivals
@@ -104,7 +106,8 @@ class CoexistenceSimulator {
 
   /// Installs (or clears) a fault injector.  Dead devices skip their
   /// acquisition cycles (frames_suppressed), successful backscatter
-  /// deliveries can be dropped or corrupted in flight (frames_faulted),
+  /// deliveries can be dropped or corrupted in flight, or lost because
+  /// their tag died before its window closed (frames_faulted),
   /// and WLAN packets can be corrupted by infrastructure-side windows.
   /// The injector's plan is armed on the event kernel at `run()` so fault
   /// transitions appear in the record at their exact simulation time.

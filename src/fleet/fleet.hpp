@@ -17,11 +17,11 @@
 //  (3) a deployment's outcome is independent of fleet size and ordering;
 //  (4) a fault plan injected into one deployment never perturbs neighbors.
 //
-// Memory is bounded two ways for million-device runs: deployments are
-// processed in fixed "waves" (only kFleetWaveSize per-slot contexts live
-// at once — the wave layout is a pure function of the deployment count,
-// so it cannot leak into results), and the per-deployment event queues
-// recycle their events through sim::Simulator's freelist arena.
+// Memory is bounded for million-device runs: deployments are processed in
+// fixed "waves" (only kFleetWaveSize per-slot contexts live at once — the
+// wave layout is a pure function of the deployment count, so it cannot
+// leak into results), and each deployment's event queue holds no more
+// callback slots than its peak number of pending events.
 #pragma once
 
 #include <cstdint>

@@ -1,50 +1,48 @@
 #include "sim/simulator.hpp"
 
 #include <chrono>
+#include <utility>
 
 namespace zeiot::sim {
 
-Simulator::~Simulator() {
-  while (!heap_.empty()) {
-    delete heap_.top();
-    heap_.pop();
-  }
-  for (Event* ev : free_) delete ev;
-}
-
-EventHandle Simulator::push(Time t, std::uint64_t seq, Callback cb) {
-  ZEIOT_CHECK_MSG(live_ids_.insert(seq).second,
-                  "position " << seq << " already holds a pending event");
-  Event* ev;
-  if (free_.empty()) {
-    ev = new Event{t, seq, std::move(cb), false};
+EventHandle Simulator::push(Time t, std::uint64_t seq, Callback cb,
+                            bool positioned) {
+  std::uint32_t i;
+  if (free_slots_.empty()) {
+    i = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   } else {
-    ev = free_.back();
-    free_.pop_back();
-    ev->time = t;
-    ev->seq = seq;
-    ev->cb = std::move(cb);
-    ev->cancelled = false;
+    i = free_slots_.back();
+    free_slots_.pop_back();
   }
-  heap_.push(ev);
+  Slot& s = slots_[i];
+  s.cb = std::move(cb);
+  s.seq = seq;
+  s.positioned = positioned;
+  const std::uint32_t gen = s.gen;
+  heap_.push(Entry{t, seq, i, gen});
+  ++pending_;
   if (observer_ != nullptr) observer_->on_scheduled(t, seq);
-  return EventHandle(seq);
+  return EventHandle(i, gen);
 }
 
-void Simulator::recycle(Event* ev) {
-  ev->cb = nullptr;  // release captured state now, not at reuse time
-  free_.push_back(ev);
+void Simulator::retire(std::uint32_t i) {
+  Slot& s = slots_[i];
+  if (s.positioned) held_positions_.erase(s.seq);
+  if (++s.gen == 0) s.gen = 1;
+  free_slots_.push_back(i);
+  --pending_;
 }
 
 EventHandle Simulator::schedule(Time delay, Callback cb) {
   ZEIOT_CHECK_MSG(delay >= 0.0, "schedule() requires delay >= 0, got " << delay);
-  return push(now_ + delay, next_seq_++, std::move(cb));
+  return push(now_ + delay, next_seq_++, std::move(cb), false);
 }
 
 EventHandle Simulator::schedule_at(Time t, Callback cb) {
   ZEIOT_CHECK_MSG(t >= now_, "schedule_at() in the past: t=" << t
                                                              << " now=" << now_);
-  return push(t, next_seq_++, std::move(cb));
+  return push(t, next_seq_++, std::move(cb), false);
 }
 
 EventHandle Simulator::schedule_at(Time t, Position pos, Callback cb) {
@@ -53,50 +51,53 @@ EventHandle Simulator::schedule_at(Time t, Position pos, Callback cb) {
   ZEIOT_CHECK_MSG(t > now_ || (t == now_ && pos.seq_ > now_seq_),
                   "schedule_at() at a position before the running event: t="
                       << t << " now=" << now_);
-  return push(t, pos.seq_, std::move(cb));
+  // An ordinary schedule never takes a reserved position, so only events
+  // scheduled here can already hold one.
+  ZEIOT_CHECK_MSG(held_positions_.insert(pos.seq_).second,
+                  "position " << pos.seq_ << " already holds a pending event");
+  return push(t, pos.seq_, std::move(cb), true);
 }
 
 bool Simulator::has_pending_before(Time t, Position pos) {
   while (!heap_.empty()) {
-    Event* top = heap_.top();
-    if (top->time > t || (top->time == t && top->seq >= pos.seq_)) {
+    const Entry& top = heap_.top();
+    if (top.time > t || (top.time == t && top.seq >= pos.seq_)) {
       return false;  // the earliest event orders after, so all do
     }
-    if (live_ids_.count(top->seq) != 0) return true;
+    if (slots_[top.slot].gen == top.gen) return true;
     // Cancelled: discard it now, as pop_and_run would when it surfaced.
     heap_.pop();
-    recycle(top);
   }
   return false;
 }
 
 bool Simulator::cancel(EventHandle h) {
-  if (h.id_ == 0) return false;
-  // Cancellation is lazy: the event cannot be removed from the middle of the
-  // heap, so drop it from the live set and skip it when it surfaces.
-  const bool cancelled = live_ids_.erase(h.id_) > 0;
-  if (cancelled && observer_ != nullptr) observer_->on_cancelled(now_, h.id_);
-  return cancelled;
+  if (h.gen_ == 0 || h.slot_ >= slots_.size()) return false;
+  Slot& s = slots_[h.slot_];
+  if (s.gen != h.gen_) return false;  // already ran or was cancelled
+  // Cancellation is lazy: the heap entry stays until it surfaces, and the
+  // generation bump in retire() marks it dead.  The callback goes now, so
+  // its captured state does not outlive the event.
+  const std::uint64_t seq = s.seq;
+  const Callback dead = std::exchange(s.cb, nullptr);
+  retire(h.slot_);
+  if (observer_ != nullptr) observer_->on_cancelled(now_, seq);
+  return true;
 }
 
 bool Simulator::pop_and_run() {
-  Event* ev = heap_.top();
+  const Entry ev = heap_.top();
   heap_.pop();
-  if (live_ids_.erase(ev->seq) == 0) {  // was cancelled
-    recycle(ev);
-    return false;
-  }
-  now_ = ev->time;
-  now_seq_ = ev->seq;
-  const Time t = ev->time;
-  const std::uint64_t seq = ev->seq;
-  // The event goes back to free_ before its callback runs, so a callback
-  // that throws cannot leak it.
-  Callback cb = std::move(ev->cb);
-  recycle(ev);
+  if (slots_[ev.slot].gen != ev.gen) return false;  // was cancelled
+  now_ = ev.time;
+  now_seq_ = ev.seq;
+  // The slot is retired before the callback runs, so a callback that
+  // throws cannot leak it, and one that schedules may reuse it.
+  Callback cb = std::exchange(slots_[ev.slot].cb, nullptr);
+  retire(ev.slot);
   if (observer_ == nullptr) {
     cb();
-    if (post_step_hook_) post_step_hook_(t);
+    if (post_step_hook_) post_step_hook_(ev.time);
     return true;
   }
   // Wall-clock timing of the callback only happens when observed, so the
@@ -105,8 +106,8 @@ bool Simulator::pop_and_run() {
   cb();
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
-  observer_->on_executed(t, seq, live_ids_.size(), wall.count());
-  if (post_step_hook_) post_step_hook_(t);
+  observer_->on_executed(ev.time, ev.seq, pending_, wall.count());
+  if (post_step_hook_) post_step_hook_(ev.time);
   return true;
 }
 
@@ -123,7 +124,7 @@ std::size_t Simulator::run(std::size_t limit) {
 std::size_t Simulator::run_until(Time t) {
   ZEIOT_CHECK_MSG(t >= now_, "run_until() in the past");
   std::size_t executed = 0;
-  while (!heap_.empty() && heap_.top()->time <= t) {
+  while (!heap_.empty() && heap_.top().time <= t) {
     if (pop_and_run()) ++executed;
   }
   if (t > now_) {
@@ -131,35 +132,6 @@ std::size_t Simulator::run_until(Time t) {
     now_seq_ = 0;  // nothing has run at t yet
   }
   return executed;
-}
-
-PeriodicTimer::PeriodicTimer(Simulator& sim, Time period,
-                             Simulator::Callback cb)
-    : sim_(sim), period_(period), cb_(std::move(cb)) {
-  ZEIOT_CHECK_MSG(period > 0.0, "PeriodicTimer requires period > 0");
-}
-
-PeriodicTimer::~PeriodicTimer() { stop(); }
-
-void PeriodicTimer::start() {
-  if (running_) return;
-  running_ = true;
-  arm();
-}
-
-void PeriodicTimer::stop() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel(pending_);
-  pending_ = EventHandle{};
-}
-
-void PeriodicTimer::arm() {
-  pending_ = sim_.schedule(period_, [this] {
-    if (!running_) return;
-    cb_();
-    if (running_) arm();
-  });
 }
 
 }  // namespace zeiot::sim

@@ -19,15 +19,21 @@ namespace zeiot::sim {
 /// Simulation time in seconds.
 using Time = double;
 
-/// Opaque handle for cancelling a scheduled event.
+/// Opaque handle for cancelling a scheduled event: the event's slot in the
+/// simulator and that slot's generation when the event was scheduled.  A
+/// slot's generation changes whenever its event runs or is cancelled, so a
+/// handle to an event that is gone is stale and cancels nothing, even once
+/// the slot holds a newer event.  Generations are 32-bit and skip 0, so a
+/// stale handle could match again only after 2^32 - 1 reuses of one slot.
 class EventHandle {
  public:
   EventHandle() = default;
 
  private:
   friend class Simulator;
-  explicit EventHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;  // 0 = null handle
+  EventHandle(std::uint32_t slot, std::uint32_t gen) : slot_(slot), gen_(gen) {}
+  std::uint32_t slot_ = 0;
+  std::uint32_t gen_ = 0;  // 0 = null handle
 };
 
 /// A tie-break position among events at equal times, reserved by
@@ -74,7 +80,6 @@ class Simulator {
   using Callback = std::function<void()>;
 
   Simulator() = default;
-  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -109,8 +114,8 @@ class Simulator {
   /// run before an event at (t, pos).  Cancelled events do not count.
   bool has_pending_before(Time t, Position pos);
 
-  /// Cancels a previously scheduled event.  Returns false if the event
-  /// already ran, was already cancelled, or the handle is null.
+  /// Cancels a previously scheduled event in O(1).  Returns false if the
+  /// event already ran, was already cancelled, or the handle is null.
   bool cancel(EventHandle h);
 
   /// Runs events until the queue is empty or `limit` events have fired.
@@ -121,7 +126,7 @@ class Simulator {
   std::size_t run_until(Time t);
 
   /// Number of events currently pending (scheduled, not yet run/cancelled).
-  std::size_t pending() const { return live_ids_.size(); }
+  std::size_t pending() const { return pending_; }
 
   /// Installs (or clears, with nullptr) the observer.  The observer must
   /// outlive the simulator or be cleared first; it is notified of every
@@ -141,66 +146,54 @@ class Simulator {
   }
 
  private:
-  struct Event {
+  // An event is a 24-byte heap entry, ordered on (time, seq), that names
+  // the slot holding its callback.  A slot is retired, its generation
+  // bumped and its index put back on free_slots_, when its event runs or
+  // is cancelled.  Cancellation is lazy: the entry stays in the heap and
+  // is dropped when it surfaces, because its generation no longer matches
+  // its slot's.  Slots are reused, so a simulator allocates callback
+  // storage only up to its peak number of pending events.  Never hold a
+  // Slot& across a push: slots_ may reallocate.
+  struct Entry {
     Time time;
-    std::uint64_t seq;  // FIFO tie-break and cancellation id
-    Callback cb;
-    bool cancelled = false;
+    std::uint64_t seq;  // FIFO tie-break; the observer's event id
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
-  struct Order {
-    bool operator()(const Event* a, const Event* b) const {
-      if (a->time != b->time) return a->time > b->time;
-      return a->seq > b->seq;
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
     }
   };
+  struct Slot {
+    Callback cb;
+    std::uint64_t seq = 0;
+    std::uint32_t gen = 1;     // never 0, the null handle's generation
+    bool positioned = false;   // scheduled at a reserved Position
+  };
 
-  EventHandle push(Time t, std::uint64_t seq, Callback cb);
+  EventHandle push(Time t, std::uint64_t seq, Callback cb, bool positioned);
+  /// Frees slot i for reuse and makes its handles stale.  Its callback must
+  /// already be moved out.
+  void retire(std::uint32_t i);
   /// Pops the earliest event; returns true if its callback ran (false for
   /// lazily-cancelled events surfacing from the heap).
   bool pop_and_run();
-  /// Returns a popped event's slot to free_ for reuse (its callback is
-  /// released first so captured state never outlives the event).
-  void recycle(Event* ev);
 
   Time now_ = 0.0;
   std::uint64_t now_seq_ = 0;  // position of the running (or last run) event
   std::uint64_t next_seq_ = 1;
-  // Events are heap-allocated so the priority queue can hold stable
-  // pointers, but popped events are recycled through free_ instead of
-  // deleted: a steady-state simulation performs no per-event allocation
-  // beyond what the callbacks themselves capture.  This is the arena that
-  // keeps fleet-scale runs (millions of events across thousands of
-  // deployments) off the allocator.  live_ids_ tracks events that are
-  // scheduled and not cancelled.
-  std::priority_queue<Event*, std::vector<Event*>, Order> heap_;
-  std::vector<Event*> free_;
-  std::unordered_set<std::uint64_t> live_ids_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t pending_ = 0;
+  // Reserved positions that hold a pending event: only schedule_at(t,
+  // Position, cb) checks and fills it, and only retiring a positioned
+  // event empties it.
+  std::unordered_set<std::uint64_t> held_positions_;
   SimObserver* observer_ = nullptr;
   std::function<void(Time)> post_step_hook_;
-};
-
-/// Repeating timer helper: reschedules itself every `period` until stopped.
-class PeriodicTimer {
- public:
-  PeriodicTimer(Simulator& sim, Time period, Simulator::Callback cb);
-  ~PeriodicTimer();
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  /// Starts firing `period` from now.  No-op if already running.
-  void start();
-  /// Stops future firings.
-  void stop();
-  bool running() const { return running_; }
-
- private:
-  void arm();
-
-  Simulator& sim_;
-  Time period_;
-  Simulator::Callback cb_;
-  EventHandle pending_{};
-  bool running_ = false;
 };
 
 }  // namespace zeiot::sim

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include "backscatter/coexistence.hpp"
 #include "common/error.hpp"
@@ -413,6 +416,57 @@ TEST(FaultWiring, CoexistenceChaosIsSeedReproducible) {
       << "the plan should actually bite at this intensity";
 }
 
+TEST(FaultWiring, CoexistenceFrameOfATagDeadAtItsWindowIsFaulted) {
+  // One tag and no WLAN, so each frame rides a dummy carrier granted just
+  // before its deadline.  A fault-free run's record gives the first
+  // window, the event that registered its frame (the last one before the
+  // window opens) and the next event after it closes.  The tag then dies
+  // between registration and window and revives before that next event:
+  // the AP still grants the window, but the frame is lost, not delivered.
+  backscatter::CoexistenceConfig cfg;
+  cfg.duration_s = 5.0;
+  cfg.num_devices = 1;
+  cfg.wlan_rate_hz = 0.0;
+  cfg.backscatter_noise_per = 0.0;  // every granted frame would arrive
+  const auto run_once = [&](obs::Observability* o, FaultInjector* inj) {
+    backscatter::CoexistenceSimulator sim(cfg);
+    sim.set_observability(o);
+    sim.set_fault_injector(inj);
+    return sim.run();
+  };
+  obs::Observability clean;
+  clean.enable_spans(kChaosRecordCapacity);
+  const auto base = run_once(&clean, nullptr);
+  ASSERT_EQ(clean.spans().dropped(), 0u);
+  double open = -1.0, close = -1.0;
+  for (std::size_t i = 0; i < clean.spans().size() && close < 0.0; ++i) {
+    const obs::SpanEvent& e = clean.spans().at(i);
+    if (e.kind == obs::SpanKind::BackscatterWindowOpen) open = e.t0;
+    if (e.kind == obs::SpanKind::BackscatterWindowClose) close = e.t0;
+  }
+  ASSERT_GT(open, 0.0);
+  ASSERT_GT(close, open);
+  double registered = -1.0, next = -1.0;
+  for (std::size_t i = 0; i < clean.spans().size(); ++i) {
+    const obs::SpanEvent& e = clean.spans().at(i);
+    if (e.kind != obs::SpanKind::EventFired) continue;
+    if (e.t0 < open) registered = std::max(registered, e.t0);
+    if (e.t0 > close && (next < 0.0 || e.t0 < next)) next = e.t0;
+  }
+  ASSERT_GE(registered, 0.0);
+  ASSERT_GT(next, close);
+
+  FaultInjector inj(FaultPlan(
+      {{0.5 * (registered + open), FaultType::NodeDeath, 0},
+       {0.5 * (close + next), FaultType::NodeRevival, 0}}));
+  const auto hit = run_once(nullptr, &inj);
+  EXPECT_EQ(base.frames_faulted, 0u);
+  EXPECT_EQ(hit.frames_generated, base.frames_generated);
+  EXPECT_EQ(hit.frames_suppressed, 0u) << "the tag is alive at each cycle";
+  EXPECT_EQ(hit.frames_faulted, 1u);
+  EXPECT_EQ(hit.frames_delivered + 1, base.frames_delivered);
+}
+
 /// One netexec inference of `sample` under `fault` (nullable).
 netexec::NetInferenceResult run_netexec(
     ml::Network& net, const microdeep::UnitGraph& graph,
@@ -552,33 +606,73 @@ TEST(FaultWiring, DeviceDroughtStopsChargingAndBrownoutDeniesWork) {
 }
 
 TEST(FaultWiring, InvariantCheckerHoldsUnderChaosRun) {
-  // End-to-end: drive coexistence under a fault plan with the checker
-  // attached at step boundaries; nothing physically impossible may happen.
+  // End-to-end: a recorded netexec inference in which the node that
+  // transmits most in a fault-free run dies while frames wait for its
+  // radio.  The record must hold that node's frames from before its death,
+  // so the scan has something to check, and none from after.
+  Rng rng(44);
+  ml::Network net;
+  net.emplace<ml::Conv2D>(1, 3, 3, 1, rng);
+  net.emplace<ml::ReLU>();
+  net.emplace<ml::MaxPool2D>(2);
+  net.emplace<ml::Flatten>();
+  net.emplace<ml::Dense>(3 * 3 * 3, 6, rng);
+  net.emplace<ml::ReLU>();
+  net.emplace<ml::Dense>(6, 2, rng);
+  const auto graph = microdeep::UnitGraph::build(net, {1, 6, 6});
+  const auto wsn = microdeep::WsnTopology::grid({0.0, 0.0, 10.0, 10.0}, 4, 4);
+  const auto assignment = microdeep::assign_nearest(graph, wsn);
+  ml::Tensor sample({1, 6, 6});
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    sample[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  const auto run_once = [&](obs::Observability& o, FaultInjector* inj) {
+    netexec::NetExecConfig cfg;
+    cfg.fault = inj;
+    cfg.obs = &o;
+    netexec::NetworkExecutor exec(net, graph, assignment, wsn, cfg);
+    (void)exec.run(sample);
+    ASSERT_EQ(o.spans().dropped(), 0u) << "the scan must see the whole run";
+  };
+  const auto tx_times = [](const obs::Observability& o) {
+    std::map<std::uint32_t, std::vector<double>> by_node;
+    for (std::size_t i = 0; i < o.spans().size(); ++i) {
+      const obs::SpanEvent& e = o.spans().at(i);
+      if (e.kind == obs::SpanKind::PacketTx) by_node[e.a].push_back(e.t0);
+    }
+    return by_node;
+  };
+
+  obs::Observability clean;
+  clean.enable_spans(kChaosRecordCapacity);
+  run_once(clean, nullptr);
+  std::uint32_t victim = 0;
+  std::vector<double> victim_tx;
+  for (const auto& [node, times] : tx_times(clean)) {
+    if (times.size() > victim_tx.size()) {
+      victim = node;
+      victim_tx = times;
+    }
+  }
+  ASSERT_GE(victim_tx.size(), 2u);
+  std::sort(victim_tx.begin(), victim_tx.end());
+  // Between its first two transmissions: every node sends its sensed
+  // inputs at once, so the rest of that burst still waits for its radio.
+  const double death = 0.5 * (victim_tx[0] + victim_tx[1]);
+
   obs::Observability obs;
   obs.enable_spans(kChaosRecordCapacity);
-  FaultInjector inj(generate_plan([] {
-    FaultSpec s;
-    s.horizon_s = 15.0;
-    s.num_targets = 4;
-    s.node_death_rate = 2.0;
-    s.drop_rate = 2.0;
-    s.seed = 33;
-    return s;
-  }()));
+  FaultInjector inj(FaultPlan({{death, FaultType::NodeDeath, victim}}));
   inj.set_observability(&obs);
-  backscatter::CoexistenceConfig cfg;
-  cfg.duration_s = 15.0;
-  cfg.num_devices = 4;
-  cfg.wlan_rate_hz = 30.0;
-  backscatter::CoexistenceSimulator sim(cfg);
-  sim.set_observability(&obs);
-  sim.set_fault_injector(&inj);
-  (void)sim.run();
-  ASSERT_GT(obs.spans().size(), 0u);
-  ASSERT_EQ(obs.spans().dropped(), 0u) << "the scan must see the whole run";
+  run_once(obs, &inj);
+  const std::vector<double> sent = tx_times(obs)[victim];
+  EXPECT_GT(std::count_if(sent.begin(), sent.end(),
+                          [&](double t) { return t < death; }),
+            0)
+      << "the victim transmits before it dies";
   InvariantChecker chk(&obs);
   EXPECT_TRUE(chk.check_no_dead_sender(obs.spans(), inj))
-      << "no delivered backscatter frame may originate from a dead tag";
+      << "no frame may leave a node after its death";
   chk.require_clean();
 }
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/sim_probe.hpp"
 
 namespace zeiot::sim {
@@ -155,6 +159,205 @@ TEST(Simulator, ThrowingCallbackPropagatesAndLeavesTheRestRunnable) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(Simulator, StaleHandleCannotCancelTheSlotsNextEvent) {
+  // A's slot is free once A has run, so B takes it; A's handle names the
+  // slot at A's generation and must not reach B.
+  Simulator sim;
+  const EventHandle a = sim.schedule(1.0, [] {});
+  EXPECT_EQ(sim.run(), 1u);
+  bool b_ran = false;
+  const EventHandle b = sim.schedule(1.0, [&] { b_ran = true; });
+  EXPECT_FALSE(sim.cancel(a));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(b_ran);
+  EXPECT_FALSE(sim.cancel(b));
+}
+
+// A plain model of the kernel's contract: events in a vector sorted on
+// (t, seq), a cancelled one marked dead where it lies, and the same
+// sequence-id bookkeeping as the kernel.
+struct RefEvent {
+  double t;
+  std::uint64_t seq;
+  int label;
+  bool live;
+};
+
+struct RefKernel {
+  double now = 0.0;
+  std::uint64_t now_seq = 0;
+  std::uint64_t next_seq = 1;
+  std::vector<RefEvent> events;
+
+  static bool before(const RefEvent& a, const RefEvent& b) {
+    return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+  }
+  void add(double t, std::uint64_t seq, int label) {
+    const RefEvent e{t, seq, label, true};
+    events.insert(std::upper_bound(events.begin(), events.end(), e, before),
+                  e);
+  }
+  bool cancel(int label) {
+    for (RefEvent& e : events) {
+      if (e.label == label && e.live) {
+        e.live = false;
+        return true;
+      }
+    }
+    return false;
+  }
+  bool held(std::uint64_t seq) const {
+    return std::any_of(events.begin(), events.end(), [&](const RefEvent& e) {
+      return e.live && e.seq == seq;
+    });
+  }
+  std::size_t pending() const {
+    return static_cast<std::size_t>(
+        std::count_if(events.begin(), events.end(),
+                      [](const RefEvent& e) { return e.live; }));
+  }
+  bool has_pending_before(double t, std::uint64_t seq) const {
+    const RefEvent probe{t, seq, 0, true};
+    return std::any_of(events.begin(), events.end(), [&](const RefEvent& e) {
+      return e.live && before(e, probe);
+    });
+  }
+  /// Removes the earliest live event at or before `until` into `out`, as
+  /// the kernel runs it; false when there is none.
+  bool pop(double until, RefEvent& out) {
+    while (!events.empty() && events.front().t <= until) {
+      const RefEvent e = events.front();
+      events.erase(events.begin());
+      if (!e.live) continue;
+      now = e.t;
+      now_seq = e.seq;
+      out = e;
+      return true;
+    }
+    return false;
+  }
+};
+
+TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
+  // Random mixes of every kernel operation, on times quantised to 0.25 s
+  // so ties are common.  Some events schedule a child when they run, which
+  // reuses slots freed in the same run.  Each answer, the execution order
+  // and pending() must equal the reference's.
+  constexpr int kChild = 1000000;  // a child's label: its parent's + this
+  constexpr double kForever = std::numeric_limits<double>::infinity();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Simulator sim;
+    RefKernel ref;
+    std::vector<int> ran;                // labels as the kernel runs them
+    std::vector<int> want;               // labels as the reference runs them
+    std::vector<EventHandle> handles;    // every handle the kernel issued
+    std::vector<int> handle_labels;      // the event each handle names
+    std::vector<double> child_delay;     // by label; < 0: no child
+    std::vector<std::pair<Position, std::uint64_t>> reserved;
+    const auto tick = [&](int max_q) {
+      return 0.25 * static_cast<double>(rng.uniform_int(0, max_q));
+    };
+    // A uniform index into [lo, n).
+    const auto pick = [&](std::size_t lo, std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(lo), static_cast<std::int64_t>(n) - 1));
+    };
+    const auto make_cb = [&](int label) -> Simulator::Callback {
+      return [&, label] {
+        ran.push_back(label);
+        if (child_delay[static_cast<std::size_t>(label)] < 0.0) return;
+        const int child = label + kChild;
+        handles.push_back(
+            sim.schedule(child_delay[static_cast<std::size_t>(label)],
+                         [&ran, child] { ran.push_back(child); }));
+      };
+    };
+    const auto new_label = [&] {
+      child_delay.push_back(rng.bernoulli(0.2) ? tick(4) : -1.0);
+      return static_cast<int>(child_delay.size() - 1);
+    };
+    // Runs the reference as far as the kernel's run(limit)/run_until(until).
+    const auto ref_run = [&](std::size_t limit, double until) {
+      std::size_t n = 0;
+      RefEvent e{};
+      while (n < limit && ref.pop(until, e)) {
+        ++n;
+        want.push_back(e.label);
+        if (e.label >= kChild) continue;
+        const double d = child_delay[static_cast<std::size_t>(e.label)];
+        if (d < 0.0) continue;
+        ref.add(ref.now + d, ref.next_seq++, e.label + kChild);
+        handle_labels.push_back(e.label + kChild);
+      }
+      return n;
+    };
+    for (int op = 0; op < 10000; ++op) {
+      const int kind = static_cast<int>(rng.uniform_int(0, 99));
+      if (kind < 30) {
+        const int label = new_label();
+        const double d = tick(8);
+        handles.push_back(kind < 15
+                              ? sim.schedule(d, make_cb(label))
+                              : sim.schedule_at(sim.now() + d, make_cb(label)));
+        handle_labels.push_back(label);
+        ref.add(ref.now + d, ref.next_seq++, label);
+      } else if (kind < 38) {
+        reserved.emplace_back(sim.reserve(), ref.next_seq++);
+      } else if (kind < 48) {
+        if (reserved.empty()) continue;
+        const auto& [pos, seq] = reserved[pick(0, reserved.size())];
+        const double t = sim.now() + tick(8);
+        const int label = new_label();
+        const bool honoured =
+            !(t == ref.now && seq <= ref.now_seq) && !ref.held(seq);
+        if (honoured) {
+          handles.push_back(sim.schedule_at(t, pos, make_cb(label)));
+          handle_labels.push_back(label);
+          ref.add(t, seq, label);
+        } else {
+          EXPECT_THROW(sim.schedule_at(t, pos, make_cb(label)), Error);
+        }
+      } else if (kind < 63) {
+        if (handles.empty()) {
+          EXPECT_FALSE(sim.cancel(EventHandle{}));
+          continue;
+        }
+        // Half the picks among the latest handles, which are mostly live.
+        const std::size_t n = handles.size();
+        const std::size_t i =
+            rng.bernoulli(0.5) ? pick(n > 8 ? n - 8 : 0, n) : pick(0, n);
+        ASSERT_EQ(sim.cancel(handles[i]), ref.cancel(handle_labels[i]));
+      } else if (kind < 73) {
+        if (reserved.empty()) continue;
+        const auto& [pos, seq] = reserved[pick(0, reserved.size())];
+        const double t = sim.now() + tick(2);
+        ASSERT_EQ(sim.has_pending_before(t, pos),
+                  ref.has_pending_before(t, seq));
+      } else if (kind < 93) {
+        const auto limit = static_cast<std::size_t>(rng.uniform_int(1, 3));
+        ASSERT_EQ(sim.run(limit), ref_run(limit, kForever));
+      } else {
+        const double until = sim.now() + tick(1);
+        ASSERT_EQ(sim.run_until(until), ref_run(SIZE_MAX, until));
+        if (until > ref.now) {
+          ref.now = until;
+          ref.now_seq = 0;
+        }
+      }
+      ASSERT_EQ(sim.pending(), ref.pending());
+      ASSERT_EQ(sim.now(), ref.now);
+      ASSERT_EQ(ran.size(), want.size());
+      ASSERT_EQ(handles.size(), handle_labels.size());
+    }
+    ASSERT_EQ(sim.run(), ref_run(SIZE_MAX, kForever));
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(ran, want);
+  }
+}
+
 TEST(SimulatorPosition, ReservedEventRunsWhereItWasReserved) {
   // The same script twice: once scheduling "r" when its position is taken,
   // once reserving the position then and scheduling "r" at it later, from
@@ -267,42 +470,6 @@ TEST(SimulatorPosition, ReservationConsumesExactlyOneId) {
   EXPECT_EQ(fired[0], fired[1]);
 }
 
-TEST(PeriodicTimer, FiresRepeatedly) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] { ++count; });
-  timer.start();
-  sim.run_until(5.5);
-  EXPECT_EQ(count, 5);
-}
-
-TEST(PeriodicTimer, StopHalts) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] { ++count; });
-  timer.start();
-  sim.schedule(3.5, [&] { timer.stop(); });
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 3);
-  EXPECT_FALSE(timer.running());
-}
-
-TEST(PeriodicTimer, RestartWorks) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] { ++count; });
-  timer.start();
-  sim.schedule(2.5, [&] { timer.stop(); });
-  sim.schedule(5.0, [&] { timer.start(); });
-  sim.run_until(7.5);
-  EXPECT_EQ(count, 4);  // fires at 1, 2, 6, 7
-}
-
-TEST(PeriodicTimer, RejectsNonPositivePeriod) {
-  Simulator sim;
-  EXPECT_THROW(PeriodicTimer(sim, 0.0, [] {}), Error);
-}
-
 TEST(SimObserver, ExecutedCounterMatchesRunReturn) {
   // The observer's events_executed counter and run()'s return value are
   // two independent tallies of the same thing; they must agree even when
@@ -333,17 +500,6 @@ TEST(SimObserver, RunWithLimitMatchesObserver) {
   const std::size_t executed = sim.run(4);
   EXPECT_EQ(executed, 4u);
   EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.executed"), 4.0);
-}
-
-TEST(PeriodicTimer, CanStopInsideCallback) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] {
-    if (++count == 3) timer.stop();
-  });
-  timer.start();
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 3);
 }
 
 }  // namespace
