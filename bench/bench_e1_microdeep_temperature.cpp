@@ -79,7 +79,9 @@ RunResult run(ml::Network net, const WsnTopology& wsn,
   tcfg.batch_size = 32;
   tcfg.patience = 5;
   const auto hist = model.train(train, test, tcfg, opt);
-  RunResult res{hist.best_val_accuracy, model.comm_cost(), {}};
+  RunResult res;
+  res.accuracy = hist.best_val_accuracy;
+  res.cost = model.comm_cost();
   if (netexec_obs != nullptr) {
     netexec::NetExecConfig ncfg;
     ncfg.channel.loss_per_hop = 0.01;  // realistic but benign indoor link

@@ -7,13 +7,13 @@
 // a comparable core series regardless of which subsystems the bench itself
 // exercises:
 //
-//   sim.events.scheduled / executed      (event-queue kernel throughput)
-//   sim.callback.wall_s                  (host-speed baseline for perf diffs)
+//   sim.events.scheduled / executed      (event-queue kernel counts)
 //   mac.csma.*{stations=3}               (one MAC counter set)
 //
 // Benches that drive the simulator or MAC for real contribute additional
-// (differently labeled) series on top.  The calibration uses fixed seeds so
-// two runs of the same binary differ only in wall-time summaries.
+// (differently labeled) series on top.  The calibration uses fixed seeds and
+// reads no clock, so it adds nothing that differs between two runs of the
+// same binary.
 #pragma once
 
 #include <chrono>

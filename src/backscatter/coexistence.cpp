@@ -117,7 +117,7 @@ void CoexistenceSimulator::try_start_wlan() {
   ++metrics_.wlan_attempts;
   const double airtime = wlan_phy_.exchange_airtime_s(bytes);
   channel_free_at_ = now + airtime;
-  channel_.add(now, airtime, 0, "wlan", false);
+  channel_.add(now, airtime, 0, mac::Medium::Wlan);
 
   bool corrupted;
   if (cfg_.mode == MacMode::Proposed) {
@@ -157,7 +157,7 @@ bool CoexistenceSimulator::proposed_on_carrier(double start,
   auto f = scheduler_.pop_earliest_deadline(start, tb, expired);
   metrics_.frames_expired += expired;
   if (!f.has_value()) return false;
-  channel_.add(start, tb, f->device + 1, "backscatter", false);
+  channel_.add(start, tb, f->device + 1, mac::Medium::Backscatter);
   if (obs_ != nullptr) {
     obs_->spans().instant(obs::SpanKind::BackscatterWindowOpen, start,
                           f->device, 0, tb);
@@ -167,7 +167,7 @@ bool CoexistenceSimulator::proposed_on_carrier(double start,
   if (tb > carrier_airtime) {
     // Extend the carrier with a dummy tail so the tag finishes its frame.
     const double extension = tb - carrier_airtime;
-    channel_.add(channel_free_at_, extension, 0, "dummy", false);
+    channel_.add(channel_free_at_, extension, 0, mac::Medium::Dummy);
     if (obs_ != nullptr) {
       obs_->metrics().counter("backscatter.dummy.injections").inc();
       obs_->spans().instant(obs::SpanKind::DummyCarrierInjected,
@@ -209,9 +209,9 @@ void CoexistenceSimulator::proposed_check_deadlines() {
   if (!f.has_value()) return;
   // Dedicated dummy carrier for this frame.
   channel_free_at_ = now + tb;
-  channel_.add(now, tb, 0, "dummy", false);
+  channel_.add(now, tb, 0, mac::Medium::Dummy);
   dummy_airtime_ += tb;
-  channel_.add(now, tb, f->device + 1, "backscatter", false);
+  channel_.add(now, tb, f->device + 1, mac::Medium::Backscatter);
   if (obs_ != nullptr) {
     obs_->metrics().counter("backscatter.dummy.injections").inc();
     obs_->spans().instant(obs::SpanKind::DummyCarrierInjected, now,
@@ -283,7 +283,7 @@ void CoexistenceSimulator::naive_on_carrier(double start,
       d.remaining_airtime_s < backscatter_airtime(d.frame_bytes)) {
     d.remaining_airtime_s = backscatter_airtime(d.frame_bytes);
   }
-  channel_.add(start, carrier_airtime, d.id + 1, "backscatter", false);
+  channel_.add(start, carrier_airtime, d.id + 1, mac::Medium::Backscatter);
   if (obs_ != nullptr) {
     obs_->spans().instant(obs::SpanKind::BackscatterWindowOpen, start, d.id,
                           0, carrier_airtime);

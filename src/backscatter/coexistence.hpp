@@ -22,7 +22,6 @@
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "mac/channel.hpp"
-#include "mac/traffic.hpp"
 #include "obs/sim_probe.hpp"
 #include "phy/airtime.hpp"
 #include "sim/simulator.hpp"

@@ -113,23 +113,6 @@ void Histogram::merge(const Histogram& other) {
   total_ += other.total_;
 }
 
-double exact_quantile(std::vector<double> samples, double q) {
-  ZEIOT_CHECK_MSG(!samples.empty(), "exact_quantile of empty sample set");
-  ZEIOT_CHECK_MSG(q >= 0.0 && q <= 1.0, "exact_quantile q must be in [0,1]");
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-double exact_percentile(std::vector<double> samples, double p) {
-  ZEIOT_CHECK_MSG(p >= 0.0 && p <= 100.0,
-                  "exact_percentile p must be in [0,100]");
-  return exact_quantile(std::move(samples), p / 100.0);
-}
-
 double nearest_rank_quantile(std::vector<double> samples, double q) {
   ZEIOT_CHECK_MSG(q >= 0.0 && q <= 1.0,
                   "nearest_rank_quantile q must be in [0,1]");
@@ -139,13 +122,6 @@ double nearest_rank_quantile(std::vector<double> samples, double q) {
   const auto idx =
       static_cast<std::size_t>(std::llround(q * static_cast<double>(n - 1)));
   return samples[std::min(idx, n - 1)];
-}
-
-double mean_of(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
 }
 
 }  // namespace zeiot

@@ -71,30 +71,11 @@ class Histogram {
   std::size_t total_ = 0;
 };
 
-/// Exact quantile of a sample vector (copies and sorts; for bench output,
-/// not hot paths).  q in [0,1]; linear interpolation between order stats.
-/// Throws on an empty sample set — callers aggregating populations that can
-/// legitimately be empty (everything shed / terminated) should use
-/// nearest_rank_quantile instead.
-///
-/// Formerly named `percentile`, which silently clashed with
-/// Histogram::percentile's p-in-[0,100] contract; the quantile/percentile
-/// split below makes the argument range part of the name.
-double exact_quantile(std::vector<double> samples, double q);
-
-/// Percentile flavor of exact_quantile, p in [0,100]:
-/// exact_percentile(v, 95) == exact_quantile(v, 0.95) — the same contract
-/// split as Histogram::quantile / Histogram::percentile.
-double exact_percentile(std::vector<double> samples, double p);
-
 /// Nearest-rank quantile on the llround(q*(n-1)) convention shared by
 /// netexec::NetworkExecutor::evaluate, the fleet aggregator and
 /// tools/obs_report.py (half-up, no interpolation).  q in [0,1].  Returns
 /// 0.0 for an empty sample set — the defined-zero contract for populations
 /// where every member was shed or terminated.
 double nearest_rank_quantile(std::vector<double> samples, double q);
-
-/// Mean of a vector (0 if empty).
-double mean_of(const std::vector<double>& v);
 
 }  // namespace zeiot

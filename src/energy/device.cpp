@@ -130,9 +130,6 @@ bool IntermittentDevice::try_spend(const std::string& activity,
 bool IntermittentDevice::try_sense(double duration_s) {
   return try_spend("sense", costs_.sense_watt, duration_s);
 }
-bool IntermittentDevice::try_compute(double duration_s) {
-  return try_spend("compute", costs_.compute_watt, duration_s);
-}
 bool IntermittentDevice::try_backscatter(double duration_s) {
   return try_spend("backscatter_tx", costs_.backscatter_tx_watt, duration_s);
 }

@@ -116,7 +116,6 @@ class IntermittentDevice {
 
   /// Convenience wrappers using the cost table.
   bool try_sense(double duration_s);
-  bool try_compute(double duration_s);
   bool try_backscatter(double duration_s);
   bool try_active_tx(double duration_s);
 

@@ -1,15 +1,10 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "obs/json.hpp"
 
 namespace zeiot::fault {
 
@@ -24,17 +19,6 @@ const char* fault_type_name(FaultType type) {
     case FaultType::HarvestDrought: return "harvest_drought";
   }
   return "unknown";
-}
-
-bool fault_type_from_name(const std::string& name, FaultType& out) {
-  for (std::size_t i = 0; i < kNumFaultTypes; ++i) {
-    const auto t = static_cast<FaultType>(i);
-    if (name == fault_type_name(t)) {
-      out = t;
-      return true;
-    }
-  }
-  return false;
 }
 
 FaultPlan::FaultPlan(std::vector<FaultEvent> events)
@@ -71,225 +55,6 @@ std::uint64_t FaultPlan::digest() const {
     h.mix_bits(e.magnitude);
   }
   return h.value();
-}
-
-void FaultPlan::write_json(std::ostream& out) const {
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("schema").value("zeiot.fault.v1");
-  w.key("events").begin_array();
-  for (const FaultEvent& e : events_) {
-    w.begin_object();
-    w.key("t").value(e.t);
-    w.key("type").value(fault_type_name(e.type));
-    w.key("target").value(static_cast<std::uint64_t>(e.target));
-    w.key("duration").value(e.duration_s);
-    w.key("magnitude").value(e.magnitude);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-std::string FaultPlan::to_json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
-}
-
-namespace {
-
-/// Recursive-descent parser for exactly the zeiot.fault.v1 schema: an
-/// object of strings/numbers/arrays-of-flat-objects.  Small on purpose —
-/// this is the only JSON the library ever reads.
-class PlanParser {
- public:
-  explicit PlanParser(const std::string& text) : s_(text) {}
-
-  FaultPlan parse() {
-    skip_ws();
-    expect('{');
-    bool saw_schema = false;
-    std::vector<FaultEvent> events;
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') {
-        get();
-        break;
-      }
-      if (!first) {
-        expect(',');
-        skip_ws();
-      }
-      first = false;
-      const std::string k = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (k == "schema") {
-        const std::string schema = parse_string();
-        ZEIOT_CHECK_MSG(schema == "zeiot.fault.v1",
-                        "unsupported fault plan schema '" << schema << "'");
-        saw_schema = true;
-      } else if (k == "events") {
-        events = parse_events();
-      } else {
-        fail("unknown top-level key '" + k + "'");
-      }
-    }
-    skip_ws();
-    ZEIOT_CHECK_MSG(pos_ == s_.size(),
-                    "trailing bytes after fault plan JSON");
-    ZEIOT_CHECK_MSG(saw_schema, "fault plan JSON missing \"schema\"");
-    return FaultPlan(std::move(events));
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw Error("fault plan JSON: " + why + " at byte " +
-                std::to_string(pos_));
-  }
-  char peek() const {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-  char get() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (get() != c) fail(std::string("expected '") + c + "'");
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      const char c = get();
-      if (c == '"') return out;
-      if (c == '\\') {
-        const char e = get();
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: fail("unsupported string escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  double parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a number");
-    const std::string tok = s_.substr(start, pos_ - start);
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(tok, &used);
-    } catch (const std::exception&) {
-      fail("malformed number '" + tok + "'");
-    }
-    if (used != tok.size()) fail("malformed number '" + tok + "'");
-    return v;
-  }
-
-  std::vector<FaultEvent> parse_events() {
-    expect('[');
-    std::vector<FaultEvent> events;
-    skip_ws();
-    if (peek() == ']') {
-      get();
-      return events;
-    }
-    while (true) {
-      skip_ws();
-      events.push_back(parse_event());
-      skip_ws();
-      const char c = get();
-      if (c == ']') return events;
-      if (c != ',') fail("expected ',' or ']' in events array");
-    }
-  }
-
-  FaultEvent parse_event() {
-    expect('{');
-    FaultEvent e;
-    bool saw_t = false, saw_type = false;
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') {
-        get();
-        break;
-      }
-      if (!first) {
-        expect(',');
-        skip_ws();
-      }
-      first = false;
-      const std::string k = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (k == "t") {
-        e.t = parse_number();
-        saw_t = true;
-      } else if (k == "type") {
-        const std::string name = parse_string();
-        ZEIOT_CHECK_MSG(fault_type_from_name(name, e.type),
-                        "unknown fault type '" << name << "'");
-        saw_type = true;
-      } else if (k == "target") {
-        const double v = parse_number();
-        ZEIOT_CHECK_MSG(v >= 0.0 && v <= 4294967295.0,
-                        "fault target out of range");
-        e.target = static_cast<std::uint32_t>(v);
-      } else if (k == "duration") {
-        e.duration_s = parse_number();
-      } else if (k == "magnitude") {
-        e.magnitude = parse_number();
-      } else {
-        fail("unknown event key '" + k + "'");
-      }
-    }
-    ZEIOT_CHECK_MSG(saw_t && saw_type,
-                    "fault event requires at least \"t\" and \"type\"");
-    return e;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-FaultPlan FaultPlan::from_json_text(const std::string& text) {
-  return PlanParser(text).parse();
-}
-
-FaultPlan FaultPlan::from_json(std::istream& in) {
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  ZEIOT_CHECK_MSG(!in.bad(), "fault plan stream read failed");
-  return from_json_text(buf.str());
 }
 
 namespace {

@@ -5,15 +5,12 @@
 // and revive, backscatter frames are lost under WLAN contention, devices
 // brown out mid-task, harvest sources dry up.  This module makes those
 // failure schedules first-class: a `FaultPlan` is an explicit, sorted list
-// of typed events, either generated from a SplitMix-seeded `FaultSpec` or
-// loaded from JSON, so that a single seed reproduces the exact same fault
-// trajectory run after run (and any run can be replayed from its exported
-// plan).
+// of typed events, generated from a SplitMix-seeded `FaultSpec` or built
+// event by event, so that a single seed reproduces the exact same fault
+// trajectory run after run; the plan's digest is the replay handle.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -42,10 +39,8 @@ enum class FaultType : std::uint8_t {
 
 inline constexpr std::size_t kNumFaultTypes = 7;
 
-/// Stable lowercase name used in JSON plans and trace/metric labels.
+/// Stable lowercase name used in metric labels.
 const char* fault_type_name(FaultType type);
-/// Inverse of fault_type_name; returns false for unknown names.
-bool fault_type_from_name(const std::string& name, FaultType& out);
 
 /// Wildcard target: the fault applies to every node/device/station.
 inline constexpr std::uint32_t kAllTargets = 0xffffffffu;
@@ -122,15 +117,6 @@ class FaultPlan {
   /// same digest injected into the same seeded experiment reproduce the
   /// same trajectory — the reproducibility handle the chaos benches assert.
   std::uint64_t digest() const;
-
-  /// Serializes as {"schema":"zeiot.fault.v1","events":[...]}.
-  void write_json(std::ostream& out) const;
-  std::string to_json() const;
-
-  /// Parses a plan previously written by write_json (or hand-authored to
-  /// the same schema).  Throws zeiot::Error on malformed input.
-  static FaultPlan from_json(std::istream& in);
-  static FaultPlan from_json_text(const std::string& text);
 
  private:
   std::vector<FaultEvent> events_;

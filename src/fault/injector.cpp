@@ -136,12 +136,6 @@ std::uint64_t FaultInjector::injected(FaultType type) const {
   return injected_[static_cast<std::size_t>(type)];
 }
 
-std::uint64_t FaultInjector::total_injected() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t n : injected_) total += n;
-  return total;
-}
-
 FaultDriver::FaultDriver(sim::Simulator& sim, FaultInjector& injector)
     : sim_(sim), injector_(injector) {}
 

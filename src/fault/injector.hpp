@@ -74,7 +74,6 @@ class FaultInjector {
   /// Number of faults of `type` actually applied (dropped messages, delayed
   /// messages...; state queries such as node_dead do not count).
   std::uint64_t injected(FaultType type) const;
-  std::uint64_t total_injected() const;
 
  private:
   /// Largest magnitude among active windows of `type` matching the target

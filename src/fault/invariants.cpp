@@ -1,7 +1,6 @@
 #include "fault/invariants.hpp"
 
 #include <cmath>
-#include <memory>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -9,41 +8,6 @@
 namespace zeiot::fault {
 
 InvariantChecker::InvariantChecker(obs::Observability* obs) : obs_(obs) {}
-
-void InvariantChecker::add_check(
-    std::string name, std::function<std::optional<std::string>(double)> check) {
-  ZEIOT_CHECK_MSG(check != nullptr, "invariant check must be callable");
-  checks_.push_back({std::move(name), std::move(check)});
-}
-
-std::size_t InvariantChecker::run(double t) {
-  std::size_t found = 0;
-  for (const Named& c : checks_) {
-    ++checks_run_;
-    if (auto detail = c.fn(t)) {
-      record_violation(t, c.name, *detail);
-      ++found;
-    }
-  }
-  if (obs_ != nullptr) {
-    obs_->metrics().counter("fault.invariant.checks")
-        .inc(static_cast<double>(checks_.size()));
-  }
-  return found;
-}
-
-void InvariantChecker::attach_to_simulator(sim::Simulator& sim,
-                                           std::size_t stride) {
-  ZEIOT_CHECK_MSG(stride >= 1, "invariant stride must be >= 1");
-  auto previous = sim.post_step_hook();
-  auto counter = std::make_shared<std::size_t>(0);
-  InvariantChecker* self = this;
-  sim.set_post_step_hook([self, stride, counter,
-                          previous = std::move(previous)](sim::Time t) {
-    if (previous) previous(t);
-    if (++*counter % stride == 0) self->run(t);
-  });
-}
 
 bool InvariantChecker::check_energy_bounds(double t, std::uint32_t device,
                                            double stored_j, double voltage_v) {

@@ -5,58 +5,12 @@
 namespace zeiot::mac {
 
 void Channel::add(double start, double duration, std::uint32_t source,
-                  std::string kind, bool interferes_with_overlaps) {
+                  Medium kind) {
   ZEIOT_CHECK_MSG(duration > 0.0, "transmission duration must be > 0");
   ZEIOT_CHECK_MSG(start >= last_start_,
                   "transmissions must be added in start order");
   last_start_ = start;
-  Transmission tx{start, start + duration, source, false, std::move(kind)};
-  if (interferes_with_overlaps) {
-    // Walk back over potentially overlapping entries (log is start-ordered).
-    for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
-      if (it->end <= start) {
-        // Earlier entries can still overlap if long; keep scanning until
-        // starts are clearly before any possible overlap window.  Since
-        // durations are bounded in practice, scan a fixed window.
-        continue;
-      }
-      if (it->start < tx.end && tx.start < it->end) {
-        it->collided = true;
-        tx.collided = true;
-      }
-    }
-  }
-  log_.push_back(std::move(tx));
-}
-
-bool Channel::busy_during(double start, double end) const {
-  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
-    if (it->start < end && start < it->end) return true;
-    if (it->end <= start && it->start + 1.0 < start) break;  // far past
-  }
-  return false;
-}
-
-double Channel::busy_until(double t) const {
-  double latest = 0.0;
-  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
-    if (it->start <= t) {
-      latest = std::max(latest, it->end);
-      if (it->end <= t && it->start + 1.0 < t) break;
-    }
-  }
-  return latest;
-}
-
-double Channel::busy_time(const std::string& kind, double horizon) const {
-  double total = 0.0;
-  for (const auto& tx : log_) {
-    if (tx.kind != kind) continue;
-    const double s = std::min(tx.start, horizon);
-    const double e = std::min(tx.end, horizon);
-    if (e > s) total += e - s;
-  }
-  return total;
+  log_.push_back({start, start + duration, source, kind});
 }
 
 double Channel::utilization(double horizon) const {

@@ -1,45 +1,35 @@
-// Shared-medium occupancy tracker for the coexistence simulator: records
-// transmissions as [start, end) intervals, detects overlaps (collisions),
-// and accumulates busy-time statistics for band-utilisation reporting.
+// Shared-medium occupancy log for the coexistence simulator: records each
+// transmission as a [start, end) interval tagged with its medium, and
+// reports band utilisation.  The MAC property tests audit grant
+// exclusivity, carrier coverage and dummy/WLAN separation from the log.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace zeiot::mac {
 
+/// What occupied the channel.
+enum class Medium : std::uint8_t { Wlan, Dummy, Backscatter };
+
 /// One completed transmission on the medium.
 struct Transmission {
   double start = 0.0;
   double end = 0.0;
-  std::uint32_t source = 0;   // caller-defined id
-  bool collided = false;
-  std::string kind;           // e.g. "wlan", "dummy", "backscatter"
+  std::uint32_t source = 0;  // caller-defined id
+  Medium kind = Medium::Wlan;
 };
 
 class Channel {
  public:
   /// Registers a transmission.  Transmissions must be registered in
-  /// non-decreasing start order.  Overlapping transmissions of kinds listed
-  /// as mutually interfering are marked collided (both directions).
-  /// Backscatter-on-carrier is additive, not a collision, so interference
-  /// is decided by the caller through `interferes`.
-  void add(double start, double duration, std::uint32_t source,
-           std::string kind, bool interferes_with_overlaps);
+  /// non-decreasing start order.  Overlaps are logged as they are:
+  /// backscatter rides a carrier, so overlap is not a collision here.
+  void add(double start, double duration, std::uint32_t source, Medium kind);
 
   const std::vector<Transmission>& log() const { return log_; }
-
-  /// True if any registered transmission overlaps [start, end).
-  bool busy_during(double start, double end) const;
-
-  /// End time of the last transmission overlapping or before `t` (0 if none).
-  double busy_until(double t) const;
-
-  /// Total busy time of transmissions of `kind` within [0, horizon].
-  double busy_time(const std::string& kind, double horizon) const;
 
   /// Fraction of [0, horizon] with at least one active transmission.
   double utilization(double horizon) const;

@@ -28,15 +28,7 @@ NodeId pick_next_hop(const WsnTopology& wsn, NodeId cur, NodeId dst,
 /// Charges one message from `src` to `dst` along a load-aware route,
 /// tracking the running per-node maximum for early exit.
 void charge_route(const WsnTopology& wsn, NodeId src, NodeId dst,
-                  CommCostReport& r, bool multihop, double& running_max) {
-  if (src == dst) return;
-  if (!multihop) {
-    const double a = r.per_node[src] += 1.0;  // tx
-    const double b = r.per_node[dst] += 1.0;  // rx
-    r.total_hop_transmissions += 1.0;
-    running_max = std::max(running_max, std::max(a, b));
-    return;
-  }
+                  CommCostReport& r, double& running_max) {
   NodeId cur = src;
   while (cur != dst) {
     const NodeId nxt = pick_next_hop(wsn, cur, dst, r.per_node);
@@ -70,7 +62,7 @@ std::uint32_t next_epoch(std::vector<std::uint32_t>& stamps,
 /// (child, parent) edge was already charged.
 void charge_aggregation_tree(const WsnTopology& wsn, NodeId root,
                              const std::vector<NodeId>& sources,
-                             bool include_backward, bool multihop,
+                             bool include_backward,
                              CommCostScratch& scratch, CommCostReport& r,
                              double& running_max) {
   const std::uint32_t epoch = next_epoch(scratch.tree_stamp, scratch.tree_epoch);
@@ -86,11 +78,6 @@ void charge_aggregation_tree(const WsnTopology& wsn, NodeId root,
     edges += 1.0;
   };
   for (NodeId src : sources) {
-    if (src == root) continue;
-    if (!multihop) {
-      if (scratch.tree_stamp[src] != epoch) charge_edge(src, root);
-      continue;
-    }
     NodeId cur = src;
     while (cur != root) {
       if (scratch.tree_stamp[cur] == epoch) {
@@ -174,13 +161,13 @@ std::optional<CommCostReport> compute_comm_cost_bounded(
     if (stamp == epoch) continue;
     stamp = epoch;
     r.total_messages += 1.0;
-    charge_route(wsn, src_node, dst_node, r, opts.multihop, running_max);
+    charge_route(wsn, src_node, dst_node, r, running_max);
     // The error signal retraces the route in reverse — but only producers
     // that themselves have trainable inputs need it: sensing (input-layer)
     // units receive no backpropagated error.
     if (opts.include_backward && e.src >= input_end) {
       r.total_messages += 1.0;
-      charge_route(wsn, dst_node, src_node, r, opts.multihop, running_max);
+      charge_route(wsn, dst_node, src_node, r, running_max);
     }
     if (running_max > abort_above) return std::nullopt;
   }
@@ -199,8 +186,8 @@ std::optional<CommCostReport> compute_comm_cost_bounded(
                     sources.end());
       const UnitId unit = layers[li].first_unit + static_cast<UnitId>(u);
       charge_aggregation_tree(wsn, assignment.node_of(unit), sources,
-                              opts.include_backward, opts.multihop, scratch,
-                              r, running_max);
+                              opts.include_backward, scratch, r,
+                              running_max);
       if (running_max > abort_above) return std::nullopt;
     }
   }

@@ -2,11 +2,12 @@
 // paper: "communication costs of the sensor nodes").
 //
 // One forward pass sends, for every (producer unit -> consumer node) pair
-// with distinct endpoints, one message routed along the WSN shortest path;
+// with distinct endpoints, one message routed along a WSN shortest path;
 // every hop charges one transmission to the hop source and one reception to
-// the hop destination.  Messages to the same destination node are
-// deduplicated per producer unit (an activation is broadcast once per
-// destination, however many consumer units live there).  The backward pass
+// the hop destination, so relays pay for the traffic they forward.
+// Messages to the same destination node are deduplicated per producer unit
+// (an activation is broadcast once per destination, however many consumer
+// units live there).  The backward pass
 // retraces the same routes in reverse; weight updates are node-local and
 // free, matching the paper's design.
 //
@@ -33,9 +34,6 @@ namespace zeiot::microdeep {
 struct CommCostOptions {
   /// Include the backward pass (training); inference-only when false.
   bool include_backward = true;
-  /// Route over WSN shortest paths, charging relays.  When false, only the
-  /// two endpoints are charged (single-hop abstraction).
-  bool multihop = true;
   /// In-network aggregation for fully-connected layers: a dense unit's
   /// weighted sum is accumulated as partial sums along the routing tree
   /// toward its node (and the error broadcast back down the same tree),

@@ -11,11 +11,6 @@ Sgd::Sgd(double lr, double momentum, double weight_decay)
   ZEIOT_CHECK_MSG(weight_decay >= 0.0, "weight decay must be >= 0");
 }
 
-void Sgd::set_lr(double lr) {
-  ZEIOT_CHECK_MSG(lr > 0.0, "learning rate must be > 0");
-  lr_ = lr;
-}
-
 void Sgd::step(const std::vector<Param*>& params) {
   if (velocity_.size() != params.size()) {
     velocity_.clear();
@@ -41,11 +36,6 @@ Adam::Adam(double lr, double beta1, double beta2, double eps)
   ZEIOT_CHECK_MSG(beta1 >= 0.0 && beta1 < 1.0, "beta1 in [0,1)");
   ZEIOT_CHECK_MSG(beta2 >= 0.0 && beta2 < 1.0, "beta2 in [0,1)");
   ZEIOT_CHECK_MSG(eps > 0.0, "eps must be > 0");
-}
-
-void Adam::set_lr(double lr) {
-  ZEIOT_CHECK_MSG(lr > 0.0, "learning rate must be > 0");
-  lr_ = lr;
 }
 
 void Adam::step(const std::vector<Param*>& params) {

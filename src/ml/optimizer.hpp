@@ -23,7 +23,6 @@ class Sgd final : public Optimizer {
   void step(const std::vector<Param*>& params) override;
 
   double lr() const { return lr_; }
-  void set_lr(double lr);
 
  private:
   double lr_;
@@ -40,7 +39,6 @@ class Adam final : public Optimizer {
   void step(const std::vector<Param*>& params) override;
 
   double lr() const { return lr_; }
-  void set_lr(double lr);
 
  private:
   double lr_;

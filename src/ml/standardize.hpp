@@ -18,7 +18,6 @@ class Standardizer {
   FeatureMatrix transform(const FeatureMatrix& x) const;
 
   bool fitted() const { return !mean_.empty(); }
-  std::size_t num_features() const { return mean_.size(); }
 
  private:
   std::vector<double> mean_;

@@ -49,7 +49,9 @@ std::size_t checkpoint_image_bytes(const NodeCheckpointState& state) {
 std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpointState& state) {
   std::vector<std::uint8_t> out;
   out.reserve(checkpoint_image_bytes(state));
-  out.insert(out.end(), kMagic, kMagic + 4);
+  // Byte by byte: GCC 12 misreads a range insert into the reserved buffer
+  // as an overflow (-Wstringop-overflow, -Warray-bounds).
+  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
   put<std::uint16_t>(out, kVersion);
   put<std::uint16_t>(out, 0);  // flags, reserved
   put<std::uint32_t>(out, state.node);

@@ -71,7 +71,7 @@ class HistogramMetric {
 };
 
 /// Streaming mean/min/max/stddev without binning (for quantities whose
-/// range is unknown up front, e.g. callback wall times).
+/// range is unknown up front, e.g. CSMA access delays or serve batch sizes).
 class Summary {
  public:
   void observe(double x) { stats_.add(x); }

@@ -7,8 +7,7 @@ SimulatorProbe::SimulatorProbe(Observability& obs)
       scheduled_(obs.metrics().counter("sim.events.scheduled")),
       executed_(obs.metrics().counter("sim.events.executed")),
       cancelled_(obs.metrics().counter("sim.events.cancelled")),
-      queue_depth_(obs.metrics().gauge("sim.queue.depth")),
-      wall_(obs.metrics().summary("sim.callback.wall_s")) {}
+      queue_depth_(obs.metrics().gauge("sim.queue.depth")) {}
 
 void SimulatorProbe::on_scheduled(sim::Time t, std::uint64_t id) {
   scheduled_.inc();
@@ -23,10 +22,9 @@ void SimulatorProbe::on_cancelled(sim::Time now, std::uint64_t id) {
 }
 
 void SimulatorProbe::on_executed(sim::Time t, std::uint64_t id,
-                                 std::size_t queue_depth, double wall_s) {
+                                 std::size_t queue_depth) {
   executed_.inc();
   queue_depth_.set(static_cast<double>(queue_depth));
-  wall_.observe(wall_s);
   if (obs_.spans_enabled()) {
     obs_.spans().instant(SpanKind::EventFired, t,
                          static_cast<std::uint32_t>(id));

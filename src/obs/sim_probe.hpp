@@ -10,15 +10,14 @@
 //   sim.events.scheduled / sim.events.executed / sim.events.cancelled
 //       (counters)
 //   sim.queue.depth            (gauge, peak via max_seen)
-//   sim.callback.wall_s        (summary of per-callback host wall time)
 // When the Observability context has spans enabled, the probe records
 // EventScheduled / EventFired / EventCancelled instant spans with a = low
 // 32 bits of the event sequence id, and one SimStep span per distinct
 // virtual timestamp: all events executed at time t collapse into a span
-// [t, t_next) with a = the number of events in the step.  Wall time is
-// deliberately *not* recorded so that two same-seed runs produce identical
-// records.  The probe's owner calls flush_steps() after sim.run() to close
-// the final step.
+// [t, t_next) with a = the number of events in the step.  The probe reads
+// no clock, so two same-seed runs produce identical metrics and records.
+// The probe's owner calls flush_steps() after sim.run() to close the final
+// step.
 #pragma once
 
 #include "obs/obs.hpp"
@@ -32,8 +31,8 @@ class SimulatorProbe final : public sim::SimObserver {
 
   void on_scheduled(sim::Time t, std::uint64_t id) override;
   void on_cancelled(sim::Time now, std::uint64_t id) override;
-  void on_executed(sim::Time t, std::uint64_t id, std::size_t queue_depth,
-                   double wall_s) override;
+  void on_executed(sim::Time t, std::uint64_t id,
+                   std::size_t queue_depth) override;
 
   /// Closes the trailing SimStep span at `t_end` (>= the last executed
   /// timestamp).  No-op when spans are disabled or nothing executed.
@@ -46,7 +45,6 @@ class SimulatorProbe final : public sim::SimObserver {
   Counter& executed_;
   Counter& cancelled_;
   Gauge& queue_depth_;
-  Summary& wall_;
   // SimStep batching state (only advanced when spans are enabled).
   double step_t_ = 0.0;
   std::uint32_t step_events_ = 0;

@@ -8,15 +8,6 @@
 
 namespace zeiot::serve {
 
-const char* outcome_name(Outcome o) {
-  switch (o) {
-    case Outcome::Served: return "served";
-    case Outcome::Shed: return "shed";
-    case Outcome::Rejected: return "rejected";
-  }
-  return "unknown";
-}
-
 std::uint64_t ServeReport::digest() const {
   Fnv1a h;
   for (const Response& r : responses) {

@@ -60,8 +60,6 @@ enum class Outcome : std::uint8_t {
   Rejected = 2,  // queue at capacity at arrival (backpressure)
 };
 
-const char* outcome_name(Outcome o);
-
 struct Response {
   std::uint64_t id = 0;
   Route route = Route::E4RoomCount;

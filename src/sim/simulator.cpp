@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <chrono>
 #include <utility>
 
 namespace zeiot::sim {
@@ -95,19 +94,8 @@ bool Simulator::pop_and_run() {
   // throws cannot leak it, and one that schedules may reuse it.
   Callback cb = std::exchange(slots_[ev.slot].cb, nullptr);
   retire(ev.slot);
-  if (observer_ == nullptr) {
-    cb();
-    if (post_step_hook_) post_step_hook_(ev.time);
-    return true;
-  }
-  // Wall-clock timing of the callback only happens when observed, so the
-  // unobserved hot path stays a single pointer test.
-  const auto start = std::chrono::steady_clock::now();
   cb();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  observer_->on_executed(ev.time, ev.seq, pending_, wall.count());
-  if (post_step_hook_) post_step_hook_(ev.time);
+  if (observer_ != nullptr) observer_->on_executed(ev.time, ev.seq, pending_);
   return true;
 }
 

@@ -51,11 +51,12 @@ class Position {
 };
 
 /// Optional observer of simulator internals (scheduling, execution,
-/// cancellation, queue depth, per-callback wall time).  The default
-/// implementations are no-ops, so observers override only what they need.
-/// `zeiot::obs::SimulatorProbe` adapts this interface onto the metrics /
-/// tracing layer; with no observer installed the kernel pays only a null
-/// pointer test per event.
+/// cancellation, queue depth): the kernel's one observation seam.  The
+/// default implementations are no-ops, so observers override only what
+/// they need.  `zeiot::obs::SimulatorProbe` adapts this interface onto the
+/// metrics / tracing layer; with no observer installed the kernel pays only
+/// a null pointer test per event.  The kernel reads no clock: callbacks
+/// are not timed.
 class SimObserver {
  public:
   virtual ~SimObserver() = default;
@@ -66,11 +67,9 @@ class SimObserver {
     (void)now; (void)id;
   }
   /// An event's callback ran at simulation time `t`.  `queue_depth` is the
-  /// number of events still pending after this one; `wall_s` is the host
-  /// wall-clock duration of the callback.
-  virtual void on_executed(Time t, std::uint64_t id, std::size_t queue_depth,
-                           double wall_s) {
-    (void)t; (void)id; (void)queue_depth; (void)wall_s;
+  /// number of events still pending after this one.
+  virtual void on_executed(Time t, std::uint64_t id, std::size_t queue_depth) {
+    (void)t; (void)id; (void)queue_depth;
   }
 };
 
@@ -134,17 +133,6 @@ class Simulator {
   void set_observer(SimObserver* observer) { observer_ = observer; }
   SimObserver* observer() const { return observer_; }
 
-  /// Installs (or clears, with {}) a hook run after each executed event's
-  /// callback, at the event's timestamp.  This is the step-boundary seam
-  /// the fault layer's InvariantChecker attaches to; install a wrapper that
-  /// calls the previous hook to chain.  Null hook costs one test per event.
-  void set_post_step_hook(std::function<void(Time)> hook) {
-    post_step_hook_ = std::move(hook);
-  }
-  const std::function<void(Time)>& post_step_hook() const {
-    return post_step_hook_;
-  }
-
  private:
   // An event is a 24-byte heap entry, ordered on (time, seq), that names
   // the slot holding its callback.  A slot is retired, its generation
@@ -193,7 +181,6 @@ class Simulator {
   // event empties it.
   std::unordered_set<std::uint64_t> held_positions_;
   SimObserver* observer_ = nullptr;
-  std::function<void(Time)> post_step_hook_;
 };
 
 }  // namespace zeiot::sim

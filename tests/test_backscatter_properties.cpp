@@ -97,7 +97,7 @@ TEST(CoexistenceProps, UtilizationGrowsWithEverything) {
 // ---- MAC-scheduling properties audited from the channel occupancy log ----
 
 std::vector<mac::Transmission> entries_of_kind(const mac::Channel& ch,
-                                               const std::string& kind) {
+                                               mac::Medium kind) {
   std::vector<mac::Transmission> out;
   for (const mac::Transmission& t : ch.log()) {
     if (t.kind == kind) out.push_back(t);
@@ -116,7 +116,8 @@ TEST(CoexistenceProps, ProposedGrantsAreMutuallyExclusiveWindows) {
   for (double rate : {2.0, 50.0, 400.0}) {
     CoexistenceSimulator sim(cfg_for(rate, 10, 0.5, MacMode::Proposed));
     sim.run();
-    const auto grants = entries_of_kind(sim.channel(), "backscatter");
+    const auto grants =
+        entries_of_kind(sim.channel(), mac::Medium::Backscatter);
     ASSERT_FALSE(grants.empty()) << "rate " << rate;
     for (std::size_t i = 1; i < grants.size(); ++i) {
       EXPECT_GE(grants[i].start, grants[i - 1].end - 1e-12)
@@ -135,7 +136,9 @@ TEST(CoexistenceProps, EveryGrantIsCoveredByCarrierAirtime) {
   const auto& log = sim.channel().log();
   std::vector<mac::Transmission> carriers;
   for (const auto& t : log) {
-    if (t.kind == "wlan" || t.kind == "dummy") carriers.push_back(t);
+    if (t.kind == mac::Medium::Wlan || t.kind == mac::Medium::Dummy) {
+      carriers.push_back(t);
+    }
   }
   // Merge carrier intervals (log is start-ordered).
   std::vector<std::pair<double, double>> merged;
@@ -146,7 +149,8 @@ TEST(CoexistenceProps, EveryGrantIsCoveredByCarrierAirtime) {
       merged.emplace_back(c.start, c.end);
     }
   }
-  const auto grants = entries_of_kind(sim.channel(), "backscatter");
+  const auto grants =
+      entries_of_kind(sim.channel(), mac::Medium::Backscatter);
   ASSERT_FALSE(grants.empty());
   for (const auto& g : grants) {
     const bool covered =
@@ -168,7 +172,8 @@ TEST(CoexistenceProps, EveryDeviceMeetsItsAcquisitionCycle) {
   CoexistenceSimulator sim(cfg);
   const auto m = sim.run();
   EXPECT_EQ(m.frames_expired, 0u);
-  const auto grants = entries_of_kind(sim.channel(), "backscatter");
+  const auto grants =
+      entries_of_kind(sim.channel(), mac::Medium::Backscatter);
   std::vector<std::size_t> per_device(cfg.num_devices, 0);
   for (const auto& g : grants) {
     ASSERT_GE(g.source, 1u);  // backscatter sources are device id + 1
@@ -190,8 +195,8 @@ TEST(CoexistenceProps, DummyCarriersNeverOverlapWlanPackets) {
   for (double rate : {2.0, 50.0, 300.0}) {
     CoexistenceSimulator sim(cfg_for(rate, 8, 0.5, MacMode::Proposed));
     sim.run();
-    const auto wlan = entries_of_kind(sim.channel(), "wlan");
-    const auto dummy = entries_of_kind(sim.channel(), "dummy");
+    const auto wlan = entries_of_kind(sim.channel(), mac::Medium::Wlan);
+    const auto dummy = entries_of_kind(sim.channel(), mac::Medium::Dummy);
     for (const auto& d : dummy) {
       for (const auto& w : wlan) {
         EXPECT_FALSE(overlaps(d, w))

@@ -82,29 +82,6 @@ TEST(FaultPlan, FaultClassesUseIndependentSubstreams) {
       << "zeroing one class's rate must not shift another class's schedule";
 }
 
-TEST(FaultPlan, JsonRoundTripIsExact) {
-  const FaultPlan plan = generate_plan(busy_spec());
-  const FaultPlan back = FaultPlan::from_json_text(plan.to_json());
-  EXPECT_EQ(plan.events(), back.events());
-  EXPECT_EQ(plan.digest(), back.digest());
-}
-
-TEST(FaultPlan, RejectsMalformedJson) {
-  const std::string good = generate_plan(busy_spec()).to_json();
-  EXPECT_THROW((void)FaultPlan::from_json_text(""), Error);
-  EXPECT_THROW(
-      (void)FaultPlan::from_json_text(good.substr(0, good.size() / 2)),
-      Error);
-  EXPECT_THROW((void)FaultPlan::from_json_text(good + "x"), Error)
-      << "trailing bytes must be rejected";
-  EXPECT_THROW((void)FaultPlan::from_json_text(
-                   R"({"schema":"other.v1","events":[]})"),
-               Error);
-  EXPECT_THROW((void)FaultPlan::from_json_text(
-                   R"({"schema":"zeiot.fault.v1","events":[{"type":"bogus","t":1}]})"),
-               Error);
-}
-
 // -- Injector state queries ------------------------------------------------
 
 TEST(FaultInjector, DeathRevivalSpans) {
@@ -268,24 +245,6 @@ TEST(InvariantChecker, ForwardConservationTolerance) {
   EXPECT_FALSE(chk.check_forward_conservation(1.0, 1.1, 1.0, 1e-6));
   EXPECT_FALSE(chk.check_forward_conservation(2.0, std::nan(""), 1.0, 1e-6));
   EXPECT_EQ(chk.violations().size(), 2u);
-}
-
-TEST(InvariantChecker, AttachedChecksRunAtStepBoundaries) {
-  sim::Simulator sim;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule(static_cast<double>(i + 1), [] {});
-  }
-  InvariantChecker chk;
-  std::size_t calls = 0;
-  chk.add_check("count", [&](double) {
-    ++calls;
-    return std::nullopt;
-  });
-  chk.attach_to_simulator(sim, /*stride=*/2);
-  sim.run();
-  EXPECT_EQ(calls, 5u) << "stride 2 over 10 events";
-  EXPECT_EQ(chk.checks_run(), 5u);
-  EXPECT_TRUE(chk.clean());
 }
 
 // -- Wired subsystems ------------------------------------------------------

@@ -232,17 +232,18 @@ TEST(FleetConformance, MixedFleetIdenticalAcrossThreadCountsAndReruns) {
 
   expect_results_bitwise_equal(one.result, four.result);
   expect_results_bitwise_equal(four.result, again.result);
-  // The merged records are byte-identical too (slot-order merge; spans
-  // and instants carry virtual time only).
+  // The merged records and metrics are byte-identical too (slot-order
+  // merge; spans, instants and every metric a cell emits carry virtual
+  // time or counts only).
   EXPECT_EQ(one.span_digest, four.span_digest);
   EXPECT_EQ(four.span_digest, again.span_digest);
+  EXPECT_EQ(one.metrics_json, four.metrics_json);
+  EXPECT_EQ(four.metrics_json, again.metrics_json);
 }
 
 TEST(FleetConformance, InferenceFleetMetricsJsonByteIdentical) {
   // Inference-only fleet: every metric netexec emits derives from virtual
-  // time, so even the merged registry JSON is byte-identical.  (E6 cells
-  // are excluded: their SimulatorProbe records host wall-clock summaries,
-  // which are deterministic in *structure* but not in value.)
+  // time, so even the merged registry JSON is byte-identical.
   const std::vector<DeploymentSpec> specs = {lounge_spec(0), lounge_spec(1),
                                              ir_spec(0)};
   const FleetRun one = run_fleet(specs, 1);
@@ -352,8 +353,7 @@ TEST(FleetConformance, CheckpointedBrownoutWavesIdenticalAcrossThreadCounts) {
   ASSERT_GT(fault::generate_plan(f).count(fault::FaultType::Brownout), 0u)
       << "seed 91 must draw at least one brownout window";
 
-  // Inference-only fleet so even the merged metrics JSON is byte-identical
-  // (E6 cells record host wall-clock summaries; see the JSON test above).
+  // The merged metrics JSON is byte-identical across worker counts too.
   std::vector<DeploymentSpec> specs = {lounge_spec(0), lounge_spec(1),
                                        ir_spec(0)};
   specs[1].fault = f;

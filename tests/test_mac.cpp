@@ -1,102 +1,29 @@
 #include <gtest/gtest.h>
 
 #include "mac/channel.hpp"
-#include "mac/traffic.hpp"
 
 namespace zeiot::mac {
 namespace {
 
-TEST(PoissonSource, MeanInterarrival) {
-  PoissonSource src(100.0, 1000, Rng(1));
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += src.next_interarrival();
-  EXPECT_NEAR(sum / n, 0.01, 0.0005);
-  EXPECT_EQ(src.payload_bytes(), 1000u);
-}
-
-TEST(PoissonSource, RejectsBadParams) {
-  EXPECT_THROW(PoissonSource(0.0, 100, Rng(1)), Error);
-  EXPECT_THROW(PoissonSource(1.0, 0, Rng(1)), Error);
-}
-
-TEST(PeriodicSource, ExactWithoutJitter) {
-  PeriodicSource src(0.5, 64, Rng(2));
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(src.next_interarrival(), 0.5);
-}
-
-TEST(PeriodicSource, JitterBounded) {
-  PeriodicSource src(1.0, 64, Rng(3), 0.1);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = src.next_interarrival();
-    EXPECT_GE(d, 0.9);
-    EXPECT_LE(d, 1.1);
-  }
-}
-
 TEST(Channel, LogsTransmissions) {
   Channel ch;
-  ch.add(0.0, 1.0, 1, "wlan", false);
-  ch.add(2.0, 0.5, 2, "dummy", false);
+  ch.add(0.0, 1.0, 1, Medium::Wlan);
+  ch.add(2.0, 0.5, 2, Medium::Dummy);
   ASSERT_EQ(ch.log().size(), 2u);
-  EXPECT_EQ(ch.log()[0].kind, "wlan");
+  EXPECT_EQ(ch.log()[0].kind, Medium::Wlan);
   EXPECT_DOUBLE_EQ(ch.log()[1].end, 2.5);
 }
 
 TEST(Channel, RejectsOutOfOrder) {
   Channel ch;
-  ch.add(5.0, 1.0, 1, "wlan", false);
-  EXPECT_THROW(ch.add(4.0, 1.0, 2, "wlan", false), Error);
-}
-
-TEST(Channel, DetectsCollisions) {
-  Channel ch;
-  ch.add(0.0, 1.0, 1, "wlan", true);
-  ch.add(0.5, 1.0, 2, "wlan", true);
-  EXPECT_TRUE(ch.log()[0].collided);
-  EXPECT_TRUE(ch.log()[1].collided);
-}
-
-TEST(Channel, NonInterferingOverlapDoesNotCollide) {
-  Channel ch;
-  ch.add(0.0, 1.0, 1, "wlan", false);
-  ch.add(0.5, 1.0, 2, "backscatter", false);
-  EXPECT_FALSE(ch.log()[0].collided);
-  EXPECT_FALSE(ch.log()[1].collided);
-}
-
-TEST(Channel, DisjointNoCollision) {
-  Channel ch;
-  ch.add(0.0, 1.0, 1, "wlan", true);
-  ch.add(1.0, 1.0, 2, "wlan", true);  // back-to-back: no overlap
-  EXPECT_FALSE(ch.log()[0].collided);
-  EXPECT_FALSE(ch.log()[1].collided);
-}
-
-TEST(Channel, BusyDuring) {
-  Channel ch;
-  ch.add(1.0, 1.0, 1, "wlan", false);
-  EXPECT_TRUE(ch.busy_during(1.5, 1.6));
-  EXPECT_TRUE(ch.busy_during(0.5, 1.1));
-  EXPECT_FALSE(ch.busy_during(2.0, 3.0));
-  EXPECT_FALSE(ch.busy_during(0.0, 1.0));
-}
-
-TEST(Channel, BusyTimePerKind) {
-  Channel ch;
-  ch.add(0.0, 1.0, 1, "wlan", false);
-  ch.add(2.0, 0.5, 0, "dummy", false);
-  ch.add(3.0, 1.0, 1, "wlan", false);
-  EXPECT_DOUBLE_EQ(ch.busy_time("wlan", 10.0), 2.0);
-  EXPECT_DOUBLE_EQ(ch.busy_time("dummy", 10.0), 0.5);
-  // Horizon truncation.
-  EXPECT_DOUBLE_EQ(ch.busy_time("wlan", 3.5), 1.5);
+  ch.add(5.0, 1.0, 1, Medium::Wlan);
+  EXPECT_THROW(ch.add(4.0, 1.0, 2, Medium::Wlan), Error);
 }
 
 TEST(Channel, UtilizationMergesOverlaps) {
   Channel ch;
-  ch.add(0.0, 2.0, 1, "wlan", false);
-  ch.add(1.0, 2.0, 2, "backscatter", false);  // overlaps 1s
+  ch.add(0.0, 2.0, 1, Medium::Wlan);
+  ch.add(1.0, 2.0, 2, Medium::Backscatter);  // overlaps 1s
   EXPECT_NEAR(ch.utilization(10.0), 0.3, 1e-9);
 }
 

@@ -341,23 +341,6 @@ TEST(CommCost, BackwardAddsTrafficButSparesSensors) {
   EXPECT_LT(rb.total_messages, 2.0 * rf.total_messages);
 }
 
-TEST(CommCost, MultihopChargesRelays) {
-  Rng rng(1);
-  ml::Network net = small_cnn(rng);
-  const auto g = UnitGraph::build(net, {1, 6, 6});
-  const auto wsn = WsnTopology::grid(kArea, 4, 4);
-  const auto a = assign_centralized(g, wsn, 15);  // corner sink: long routes
-  CommCostOptions multi;
-  multi.multihop = true;
-  CommCostOptions single;
-  single.multihop = false;
-  const auto rm = compute_comm_cost(a, wsn, multi);
-  const auto rs = compute_comm_cost(a, wsn, single);
-  EXPECT_GT(rm.total_hop_transmissions, rs.total_hop_transmissions);
-  // End-to-end message count is routing-independent.
-  EXPECT_DOUBLE_EQ(rm.total_messages, rs.total_messages);
-}
-
 TEST(CommCost, PerNodeSumsToTwiceHops) {
   Rng rng(1);
   ml::Network net = small_cnn(rng);

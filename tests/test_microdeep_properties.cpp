@@ -109,18 +109,6 @@ TEST_P(MicroDeepPropertyTest, CostAccountingBalances) {
   EXPECT_EQ(r.per_node.size(), wsn_.num_nodes());
 }
 
-TEST_P(MicroDeepPropertyTest, MessageCountIsRoutingIndependent) {
-  CommCostOptions multi;
-  multi.multihop = true;
-  multi.aggregate_dense = false;
-  CommCostOptions single = multi;
-  single.multihop = false;
-  const auto rm = compute_comm_cost(assignment_, wsn_, multi);
-  const auto rs = compute_comm_cost(assignment_, wsn_, single);
-  EXPECT_DOUBLE_EQ(rm.total_messages, rs.total_messages);
-  EXPECT_GE(rm.total_hop_transmissions, rs.total_hop_transmissions);
-}
-
 TEST_P(MicroDeepPropertyTest, DenseAggregationNeverIncreasesTraffic) {
   CommCostOptions agg;
   agg.aggregate_dense = true;

@@ -31,7 +31,9 @@ TEST(MakeChunks, CoversRangeContiguouslyWithSequentialIndices) {
         EXPECT_EQ(chunks[c].index, c);
         EXPECT_LT(chunks[c].begin, chunks[c].end);
         EXPECT_LE(chunks[c].size(), grain);
-        if (c > 0) EXPECT_EQ(chunks[c].begin, chunks[c - 1].end);
+        if (c > 0) {
+          EXPECT_EQ(chunks[c].begin, chunks[c - 1].end);
+        }
       }
     }
   }

@@ -186,50 +186,13 @@ TEST(Histogram, MergeRejectsMismatchedBinning) {
   EXPECT_THROW(a.merge(c), Error);
 }
 
-TEST(ExactQuantile, ExactValues) {
-  std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.25), 2.0);
-}
-
-TEST(ExactQuantile, Interpolates) {
-  std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.75), 7.5);
-}
-
-TEST(ExactQuantile, RejectsEmptyAndBadQ) {
-  EXPECT_THROW(exact_quantile({}, 0.5), Error);
-  EXPECT_THROW(exact_quantile({1.0}, 1.5), Error);
-}
-
-// exact_percentile takes p in [0,100] — the same contract split as
-// Histogram::quantile vs Histogram::percentile, so the two families can no
-// longer be confused by argument range.
-TEST(ExactPercentile, MatchesQuantileContract) {
-  std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(exact_percentile(v, 50.0), exact_quantile(v, 0.5));
-  EXPECT_DOUBLE_EQ(exact_percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(exact_percentile(v, 100.0), 5.0);
-  EXPECT_THROW(exact_percentile(v, 100.5), Error);
-  EXPECT_THROW(exact_percentile(v, -1.0), Error);
-}
-
-// Hand-computed p50/p99 regression pins for both conventions over the
-// population 1..100 (interpolating: pos = q*(n-1); nearest-rank:
-// idx = llround(q*(n-1))).
-TEST(ExactPercentile, HandComputedP50P99) {
+// Hand-computed p50/p99 regression pins over the population 1..100 for
+// the nearest-rank convention (netexec/fleet/obs_report): p50 ->
+// llround(49.5) = 50 (half-up) -> v[50] = 51; p99 -> llround(98.01) = 98
+// -> v[98] = 99.
+TEST(NearestRankQuantile, HandComputedP50P99) {
   std::vector<double> v;
   for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
-  // Interpolating: p50 -> pos 49.5 -> (50 + 51)/2; p99 -> pos 98.01 ->
-  // 99 * 0.99 + 100 * 0.01.
-  EXPECT_DOUBLE_EQ(exact_percentile(v, 50.0), 50.5);
-  EXPECT_DOUBLE_EQ(exact_percentile(v, 99.0), 99.01);
-  // Nearest-rank (netexec/fleet/obs_report convention): p50 ->
-  // llround(49.5) = 50 (half-up) -> v[50] = 51; p99 -> llround(98.01) =
-  // 98 -> v[98] = 99.
   EXPECT_DOUBLE_EQ(nearest_rank_quantile(v, 0.50), 51.0);
   EXPECT_DOUBLE_EQ(nearest_rank_quantile(v, 0.99), 99.0);
 }
@@ -242,11 +205,6 @@ TEST(NearestRankQuantile, EdgesAndEmpty) {
   // matching tools/obs_report.py's pinned percentile([1,2], 0.5) == 2.
   EXPECT_DOUBLE_EQ(nearest_rank_quantile({1.0, 2.0}, 0.5), 2.0);
   EXPECT_THROW(nearest_rank_quantile({1.0}, 1.5), Error);
-}
-
-TEST(MeanOf, Basics) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({2.0, 4.0}), 3.0);
 }
 
 }  // namespace
