@@ -60,6 +60,7 @@ struct RunResult {
   double accuracy = 0.0;
   microdeep::CommCostReport cost;
   netexec::NetEvalResult netexec;  // filled only when netexec_obs != nullptr
+  double netexec_wall_s = 0.0;     // wall time of that float replay
   netexec::NetEvalResult quant;    // same replay over 1-byte int8 frames
   std::size_t peak_memory_float = 0;  // peak per-node residency, 4-byte model
   std::size_t peak_memory_int8 = 0;   // same assignment, 1-byte model
@@ -89,7 +90,11 @@ RunResult run(ml::Network net, const WsnTopology& wsn,
     ncfg.obs = netexec_obs;
     netexec::NetworkExecutor exec(net, model.unit_graph(), model.assignment(),
                                   model.wsn(), ncfg);
+    const auto t0 = std::chrono::steady_clock::now();
     res.netexec = exec.evaluate(test, nullptr, netexec_samples);
+    res.netexec_wall_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
 
     // Quantized-transport row: identical trained model and channel seed
     // (paired per-frame loss draws), but every inter-node frame carries one
@@ -182,6 +187,9 @@ int main(int argc, char** argv) {
                      std::chrono::duration<double>(t1 - t0).count(), 1.0);
   bench::record_perf(obs, "e1.microdeep_train",
                      std::chrono::duration<double>(t2 - t1).count(), 1.0);
+  // The float netexec replay alone (spans on): inferences per wall second.
+  bench::record_perf(obs, "e1.netexec", microdeep_r.netexec_wall_s,
+                     static_cast<double>(microdeep_r.netexec.samples));
 
   Table t({"system", "accuracy", "max comm cost", "mean comm cost",
            "max vs standard"});
@@ -220,6 +228,9 @@ int main(int argc, char** argv) {
             << " of float; peak node memory "
             << microdeep_r.peak_memory_float << " B float -> "
             << microdeep_r.peak_memory_int8 << " B int8\n";
+  std::cout << "netexec replay wall time: " << microdeep_r.netexec.samples
+            << " inferences in " << Table::num(microdeep_r.netexec_wall_s, 3)
+            << " s\n";
 
   // Root-span latency attribution (phases tile each inference's root span,
   // so every column sums to the corresponding latency percentile).

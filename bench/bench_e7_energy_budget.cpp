@@ -300,6 +300,7 @@ int main(int argc, char** argv) {
     double p50_latency_s = 0.0;
     double energy_per_inference_j = 0.0;
     double checkpoint_energy_per_inference_j = 0.0;
+    double overdraw_per_inference_j = 0.0;
     std::uint64_t resumes = 0;
     std::uint64_t deferrals = 0;
     std::uint64_t starved = 0;
@@ -318,7 +319,7 @@ int main(int argc, char** argv) {
         DroughtCell cell;
         std::vector<double> lats;
         std::size_t correct = 0, matched = 0;
-        double energy = 0.0, ckpt = 0.0;
+        double energy = 0.0, ckpt = 0.0, overdraw = 0.0;
         for (std::size_t s = 0; s < drought_samples; ++s) {
           const auto r = exec.run(test.x(sample_idx[s]));
           if (static_cast<int>(r.output.argmax()) == test.label(sample_idx[s])) {
@@ -328,6 +329,7 @@ int main(int argc, char** argv) {
           lats.push_back(r.latency_s);
           energy += r.energy_j;
           ckpt += r.checkpoint_energy_j;
+          overdraw += r.overdraw_j;
           cell.resumes += r.resumes;
           cell.deferrals += r.deferrals;
           cell.starved += r.starved;
@@ -339,12 +341,13 @@ int main(int argc, char** argv) {
         cell.p50_latency_s = lats[lats.size() / 2];
         cell.energy_per_inference_j = energy / n;
         cell.checkpoint_energy_per_inference_j = ckpt / n;
+        cell.overdraw_per_inference_j = overdraw / n;
         return cell;
       });
 
   Table t6({"severity", "policy", "accuracy", "bitwise match", "p50 (s)",
-            "energy/inf (uJ)", "ckpt/inf (uJ)", "resumes", "deferrals",
-            "starved"});
+            "energy/inf (uJ)", "ckpt/inf (uJ)", "overdraw/inf (uJ)",
+            "resumes", "deferrals", "starved"});
   for (std::size_t i = 0; i < n_combos; ++i) {
     const auto& sev = severities[i / std::size(policies)];
     const auto policy = policies[i % std::size(policies)];
@@ -354,6 +357,7 @@ int main(int argc, char** argv) {
                 Table::num(cell.p50_latency_s, 3),
                 Table::num(cell.energy_per_inference_j * 1e6, 1),
                 Table::num(cell.checkpoint_energy_per_inference_j * 1e6, 1),
+                Table::num(cell.overdraw_per_inference_j * 1e6, 1),
                 Table::num(static_cast<double>(cell.resumes), 0),
                 Table::num(static_cast<double>(cell.deferrals), 0),
                 Table::num(static_cast<double>(cell.starved), 0)});
@@ -366,6 +370,9 @@ int main(int argc, char** argv) {
         .set(cell.energy_per_inference_j);
     obs.metrics().gauge(key + ".checkpoint_energy_per_inference_j")
         .set(cell.checkpoint_energy_per_inference_j);
+    // Energy the drained capacitor did not have (netexec floors it at zero).
+    obs.metrics().gauge(key + ".overdraw_per_inference_j")
+        .set(cell.overdraw_per_inference_j);
     obs.metrics().gauge(key + ".resumes").set(static_cast<double>(cell.resumes));
     obs.metrics().gauge(key + ".deferrals").set(static_cast<double>(cell.deferrals));
   }

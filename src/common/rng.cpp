@@ -18,6 +18,15 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+constexpr std::uint64_t kSplitMix = 0x632be59bd9b4e019ULL;  // split()'s key mix
+
+/// The first output of Rng(seed): xoshiro256** of state word 1, the second
+/// SplitMix64 word of the seed.
+std::uint64_t first_output(std::uint64_t seed) {
+  splitmix64(seed);
+  return rotl(splitmix64(seed) * 5, 7) * 9;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -41,7 +50,7 @@ Rng Rng::split(std::uint64_t stream_id) {
   // Mix the stream id into a fresh SplitMix64 seed derived from this
   // generator's own output so sibling streams differ even for id 0.
   const std::uint64_t base = (*this)();
-  return Rng(base ^ (0x632be59bd9b4e019ULL * (stream_id + 1)));
+  return Rng(base ^ (kSplitMix * (stream_id + 1)));
 }
 
 double Rng::uniform() {
@@ -138,6 +147,14 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
     if (r < 0.0) return i;
   }
   return weights.size() - 1;  // numerical edge: all mass consumed
+}
+
+double keyed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                     std::uint64_t c) {
+  std::uint64_t s = first_output(seed) ^ (kSplitMix * (a + 1));
+  s = first_output(s) ^ (kSplitMix * (b + 1));
+  s = first_output(s) ^ (kSplitMix * (c + 1));
+  return static_cast<double>(first_output(s) >> 11) * 0x1.0p-53;
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {

@@ -79,4 +79,11 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
+/// Rng(seed).split(a).split(b).split(c).uniform(), bit for bit, without
+/// building the four generators: a fresh Rng's split() reads only its
+/// first output, which is one SplitMix64 word of the seed.  The keyed
+/// per-event draw of simulations that must not depend on call order.
+double keyed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                     std::uint64_t c);
+
 }  // namespace zeiot

@@ -27,6 +27,15 @@ void compute_layer(ml::Layer& layer, const UnitGraph& graph,
     const ml::Tensor& w = params[0]->value;  // (oc, ic, k, k)
     const ml::Tensor& b = params[1]->value;
     const int p = conv->padding();
+    // Every index the loops form is in bounds (ky and kx are checked per
+    // neighbour below), so the weights are read from w.data() directly.
+    ZEIOT_CHECK(w.ndim() == 4 && out.channels <= w.dim(0) &&
+                in.channels <= w.dim(1) && conv->kernel() <= w.dim(2) &&
+                conv->kernel() <= w.dim(3));
+    // Strides of ky, ic and oc in the weight tensor.
+    const auto w_ky = static_cast<std::size_t>(w.dim(3));
+    const std::size_t w_ic = static_cast<std::size_t>(w.dim(2)) * w_ky;
+    const std::size_t w_oc = static_cast<std::size_t>(w.dim(1)) * w_ic;
     for_each_unit([&](UnitId u) {
       const int local = static_cast<int>(u - out.first_unit);
       const int oy = local / out.width;
@@ -47,11 +56,15 @@ void compute_layer(ml::Layer& layer, const UnitGraph& graph,
         const int kx = sx - ox + p;
         ZEIOT_CHECK(ky >= 0 && ky < conv->kernel() && kx >= 0 &&
                     kx < conv->kernel());
+        const float* w_k = w.data() + static_cast<std::size_t>(ky) * w_ky +
+                           static_cast<std::size_t>(kx);
+        const std::vector<float>& x = acts[src];
         for (int oc = 0; oc < out.channels; ++oc) {
+          const float* w_oc_k = w_k + static_cast<std::size_t>(oc) * w_oc;
           float dot = 0.0f;
           for (int ic = 0; ic < in.channels; ++ic) {
-            dot += w.at({oc, ic, ky, kx}) *
-                   acts[src][static_cast<std::size_t>(ic)];
+            dot += w_oc_k[static_cast<std::size_t>(ic) * w_ic] *
+                   x[static_cast<std::size_t>(ic)];
           }
           acc[static_cast<std::size_t>(oc)] += dot;
         }
@@ -75,16 +88,24 @@ void compute_layer(ml::Layer& layer, const UnitGraph& graph,
     const auto params = dense->params();
     const ml::Tensor& w = params[0]->value;  // (out, in_features)
     const ml::Tensor& b = params[1]->value;
+    // Every (o, feature) the loops form is in bounds, so the weights are
+    // read from w.data() directly.
+    ZEIOT_CHECK(w.ndim() == 2 && out.num_units() <= w.dim(0) &&
+                in.channels * in.num_units() <= w.dim(1));
+    const auto in_units = static_cast<std::size_t>(in.num_units());
+    const auto w_o_stride = static_cast<std::size_t>(w.dim(1));
     for_each_unit([&](UnitId u) {
       const int o = static_cast<int>(u - out.first_unit);
       acts[u].assign(1, b[static_cast<std::size_t>(o)]);
-      for (int s = 0; s < in.num_units(); ++s) {
-        const UnitId src = in.first_unit + static_cast<UnitId>(s);
+      const float* w_o = w.data() + static_cast<std::size_t>(o) * w_o_stride;
+      for (std::size_t s = 0; s < in_units; ++s) {
+        const std::vector<float>& x =
+            acts[in.first_unit + static_cast<UnitId>(s)];
         // Flatten order is NCHW: feature index = ic*H*W + (y*W + x).
         float dot = 0.0f;
         for (int ic = 0; ic < in.channels; ++ic) {
-          const int feature = ic * in.num_units() + s;
-          dot += w.at({o, feature}) * acts[src][static_cast<std::size_t>(ic)];
+          dot += w_o[static_cast<std::size_t>(ic) * in_units + s] *
+                 x[static_cast<std::size_t>(ic)];
         }
         acts[u][0] += dot;
       }

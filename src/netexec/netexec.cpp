@@ -26,23 +26,9 @@ constexpr energy::ActivityCosts kCosts{};          // power draw per activity
 constexpr energy::CheckpointCosts kCommitCosts{};  // as run_chain prices it
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Half-open activity interval on the virtual time axis.
-struct Ival {
-  double lo = 0.0;
-  double hi = 0.0;
-};
+}  // namespace
 
-/// Partitions [0, horizon] into the latency phases by a sweep over the
-/// recorded activity intervals.  Overlaps resolve by priority
-/// compute > checkpoint > airtime > retry (a tick where any MCU computes
-/// counts as compute even if a radio is also on air); uncovered time is
-/// idle.  The sums telescope over the same segment boundaries, so they add
-/// up to `horizon` to within floating-point association error.
-PhaseBreakdown attribute_phases(const std::vector<Ival>& compute,
-                                const std::vector<Ival>& checkpoint,
-                                const std::vector<Ival>& airtime,
-                                const std::vector<Ival>& retry,
-                                double horizon) {
+PhaseBreakdown attribute_phases(const PhaseIntervals& ivals, double horizon) {
   PhaseBreakdown out;
   if (horizon <= 0.0) return out;
   struct Edge {
@@ -51,25 +37,32 @@ PhaseBreakdown attribute_phases(const std::vector<Ival>& compute,
     int delta;  // +1 open, -1 close
   };
   std::vector<Edge> edges;
-  edges.reserve(2 * (compute.size() + checkpoint.size() + airtime.size() +
-                     retry.size()));
-  auto push = [&](const std::vector<Ival>& ivals, int cat) {
-    for (const Ival& iv : ivals) {
-      const double lo = std::max(0.0, iv.lo);
-      const double hi = std::min(horizon, iv.hi);
+  edges.reserve(2 * (ivals.compute.size() + ivals.checkpoint.size() +
+                     ivals.airtime.size() + ivals.retry.size()));
+  auto push = [&](const std::vector<Interval>& list, int cat) {
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      // A phase counts only as active or not, so an interval equal to the
+      // one before it (radios sending in step) changes nothing.
+      if (i > 0 && list[i].lo == list[i - 1].lo &&
+          list[i].hi == list[i - 1].hi) {
+        continue;
+      }
+      const double lo = std::max(0.0, list[i].lo);
+      const double hi = std::min(horizon, list[i].hi);
       if (hi <= lo) continue;  // empty or entirely past the horizon
       edges.push_back(Edge{lo, cat, +1});
       edges.push_back(Edge{hi, cat, -1});
     }
   };
-  push(compute, 0);
-  push(checkpoint, 1);
-  push(airtime, 2);
-  push(retry, 3);
-  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
-    if (x.t != y.t) return x.t < y.t;
-    return x.delta < y.delta;  // closes before opens at equal times
-  });
+  push(ivals.compute, 0);
+  push(ivals.checkpoint, 1);
+  push(ivals.airtime, 2);
+  push(ivals.retry, 3);
+  // A segment is flushed only when time advances, after every edge at the
+  // earlier time has been applied, so edges at equal times may come in any
+  // order: sorting on time alone gives the same sums, bit for bit.
+  std::sort(edges.begin(), edges.end(),
+            [](const Edge& x, const Edge& y) { return x.t < y.t; });
   int active[4] = {0, 0, 0, 0};
   double acc[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
   double prev = 0.0;
@@ -94,8 +87,6 @@ PhaseBreakdown attribute_phases(const std::vector<Ival>& compute,
   out.idle_s = acc[4];
   return out;
 }
-
-}  // namespace
 
 NetworkExecutor::NetworkExecutor(ml::Network& net,
                                  const microdeep::UnitGraph& graph,
@@ -428,7 +419,7 @@ struct NetworkExecutor::Inference {
     }
     sim_events = sim.run();
     ZEIOT_CHECK_MSG(sim.pending() == 0, "netexec event loop did not drain");
-    for (const std::deque<Waiting>& q : radio_q) {
+    for (const std::deque<Run>& q : radio_q) {
       ZEIOT_CHECK_MSG(q.empty(), "netexec radio queue did not drain");
     }
     return finish();
@@ -512,10 +503,9 @@ struct NetworkExecutor::Inference {
     }
     evaluate_units(k, n);
     const double compute_j = kCosts.compute_watt * dur;
-    ledger[n].record("compute", compute_j);
-    spend_stored(n, start, compute_j);
+    charge(n, start, Activity::Compute, compute_j);
     const double finish = start + dur;
-    compute_ivals.push_back(Ival{start, finish});
+    phases.compute.push_back(Interval{start, finish});
     if (sp != nullptr) {
       compute_span[k][n] =
           sp->add(obs::SpanKind::NodeCompute, start, finish, root, seed,
@@ -598,7 +588,7 @@ struct NetworkExecutor::Inference {
       const CommitReceipt receipt = nvm_commit(n, p.units[n], k + 1, finish);
       done_t = finish + receipt.duration_s;
       cpu_free[n] = std::max(cpu_free[n], done_t);
-      ckpt_ivals.push_back(Ival{finish, done_t});
+      phases.checkpoint.push_back(Interval{finish, done_t});
       if (sp != nullptr) {
         sp->add(obs::SpanKind::Checkpoint, finish, done_t,
                 compute_span[k][n] != 0 ? compute_span[k][n] : root, seed,
@@ -647,7 +637,7 @@ struct NetworkExecutor::Inference {
       obs->spans().instant(obs::SpanKind::MicroDeepHop, sim.now(), m.src_node,
                            m.dst_node, static_cast<double>(m.hops));
     }
-    attempt_hop(k, mi, m.src_node, 0, 0);
+    attempt_hop(new_frame(k, mi, m.src_node));
   }
 
   /// Span parent of every frame of plan k: the span that produced its
@@ -659,52 +649,79 @@ struct NetworkExecutor::Inference {
     return p != 0 ? p : root;
   }
 
-  void attempt_hop(std::size_t k, std::size_t mi, NodeId cur, int hop,
-                   int attempt) {
-    const LayerPlan& plan = plans[k];
-    const Message& m = plan.messages[mi];
+  // -- Frames in flight ------------------------------------------------------
+
+  /// A frame between hops: the message it carries, the node holding it and
+  /// the hop attempt it takes next.  Events and radio queues name a frame by
+  /// its index in `frames`, so an event's closure is `this` plus one index
+  /// and fits inside std::function without allocating.
+  struct Frame {
+    std::size_t k = 0;   // plan
+    std::size_t mi = 0;  // message of the plan
+    NodeId node = 0;     // holder
+    int hop = 0;
+    int attempt = 0;
+    std::uint32_t next = 0;  // the frame after it in its radio-queue run
+  };
+
+  std::uint32_t new_frame(std::size_t k, std::size_t mi, NodeId node) {
+    const Frame fr{k, mi, node, 0, 0, 0};
+    if (free_frames.empty()) {
+      frames.push_back(fr);
+      return static_cast<std::uint32_t>(frames.size() - 1);
+    }
+    const std::uint32_t f = free_frames.back();
+    free_frames.pop_back();
+    frames[f] = fr;
+    return f;
+  }
+
+  /// Frame f's next hop attempt from its holder.
+  void attempt_hop(std::uint32_t f) {
+    const Frame fr = frames[f];
+    const LayerPlan& plan = plans[fr.k];
+    const Message& m = plan.messages[fr.mi];
+    const NodeId cur = fr.node;
     const double now = sim.now();
     fault::FaultInjector* const fault = cfg.fault;
     if (fault != nullptr && fault->node_dead(now, cur)) {
       ++res.frames_lost;  // holder died with the frame in its buffer
+      free_frames.push_back(f);
       return;
     }
     const double revival = ex.brownout_until(cur, now);
     if (revival >= 0.0 && !ckpt) {
       ++res.frames_lost;  // volatile buffer died with the node
+      free_frames.push_back(f);
       return;
     }
     // Browned out with NVM: the frame waits in the durable TX queue and the
     // attempt replays at revival (not an ARQ attempt — the keyed loss draws
     // are untouched, preserving bit-identical resume).
     if (revival >= 0.0) {
-      sim.schedule_at(revival, [this, k, mi, cur, hop, attempt] {
-        attempt_hop(k, mi, cur, hop, attempt);
-      });
+      sim.schedule_at(revival, [this, f] { attempt_hop(f); });
       return;
     }
     // Radio busy: wait in the holder's radio queue, not an attempt yet.
     if (radio_free[cur] > now) {
-      wait_for_radio(cur, Waiting{radio_free[cur], sim.reserve(), k, mi, hop,
-                                  attempt});
+      join_radio_queue(cur, Run{radio_free[cur], sim.reserve(), f, f, 1});
       return;
     }
     const NodeId nxt = ex.wsn_.next_hop(cur, m.dst_node);
     const double air = plan.air_s;
     radio_free[cur] = now + air;
     ++res.transmissions;
-    if (attempt > 0) ++res.retransmissions;
-    ledger[cur].record("tx", kCosts.backscatter_tx_watt * air);
-    ledger[nxt].record("rx", kCosts.rx_watt * air);
-    spend_stored(cur, now, kCosts.backscatter_tx_watt * air);
-    spend_stored(nxt, now, kCosts.rx_watt * air);
-    air_ivals.push_back(Ival{now, now + air});
+    if (fr.attempt > 0) ++res.retransmissions;
+    charge(cur, now, Activity::Tx, kCosts.backscatter_tx_watt * air);
+    charge(nxt, now, Activity::Rx, kCosts.rx_watt * air);
+    phases.airtime.push_back(Interval{now, now + air});
     if (obs != nullptr) {
       obs->spans().instant(obs::SpanKind::PacketTx, now, cur, nxt, air);
     }
     if (sp != nullptr) {
-      sp->add(attempt == 0 ? obs::SpanKind::HopTx : obs::SpanKind::HopRetryTx,
-              now, now + air, frame_parent(k, m), seed,
+      sp->add(fr.attempt == 0 ? obs::SpanKind::HopTx
+                              : obs::SpanKind::HopRetryTx,
+              now, now + air, frame_parent(fr.k, m), seed,
               static_cast<std::uint32_t>(cur), static_cast<std::uint32_t>(nxt),
               kCosts.backscatter_tx_watt * air);
     }
@@ -715,11 +732,10 @@ struct NetworkExecutor::Inference {
     // then a dead receiver.
     bool lost = false;
     if (cfg.channel.loss_per_hop > 0.0) {
-      Rng draw = Rng(seed)
-                     .split(plan.first_uid + mi)
-                     .split(static_cast<std::uint64_t>(hop))
-                     .split(static_cast<std::uint64_t>(attempt));
-      lost = draw.uniform() < cfg.channel.loss_per_hop;
+      lost = keyed_uniform(seed, plan.first_uid + fr.mi,
+                           static_cast<std::uint64_t>(fr.hop),
+                           static_cast<std::uint64_t>(fr.attempt)) <
+             cfg.channel.loss_per_hop;
     }
     if (!lost && fault != nullptr) {
       lost = fault->should_drop(now, cur, nxt) ||
@@ -740,65 +756,101 @@ struct NetworkExecutor::Inference {
       lost = !ckpt;
     }
     if (!lost) {
-      sim.schedule_at(arrive_t, [this, k, mi, nxt, hop] {
-        arrive(k, mi, nxt, hop + 1);
-      });
-    } else if (attempt >= cfg.max_retries) {
+      frames[f].node = nxt;
+      frames[f].hop = fr.hop + 1;
+      frames[f].attempt = 0;
+      sim.schedule_at(arrive_t, [this, f] { arrive(f); });
+    } else if (fr.attempt >= cfg.max_retries) {
       ++res.frames_lost;  // abandoned; the consumer's deadline substitutes
+      free_frames.push_back(f);
     } else {
-      const double wait = kAckTimeoutS * std::pow(kBackoffFactor, attempt);
-      retry_ivals.push_back(Ival{now + air, now + air + wait});
+      const double wait = kAckTimeoutS * std::pow(kBackoffFactor, fr.attempt);
+      phases.retry.push_back(Interval{now + air, now + air + wait});
       if (sp != nullptr) {
         sp->add(obs::SpanKind::Backoff, now + air, now + air + wait,
-                frame_parent(k, m), seed, static_cast<std::uint32_t>(cur),
-                static_cast<std::uint32_t>(attempt + 1), 0.0);
+                frame_parent(fr.k, m), seed, static_cast<std::uint32_t>(cur),
+                static_cast<std::uint32_t>(fr.attempt + 1), 0.0);
       }
-      sim.schedule_at(now + air + wait, [this, k, mi, cur, hop, attempt] {
-        attempt_hop(k, mi, cur, hop, attempt + 1);
-      });
+      frames[f].attempt = fr.attempt + 1;
+      sim.schedule_at(now + air + wait, [this, f] { attempt_hop(f); });
     }
   }
 
-  // -- Radio queues (ticket invariant: see netexec.hpp) ---------------------
+  // -- Radio queues (ticket invariant and runs: see netexec.hpp) ------------
 
-  /// A frame waiting for its holder's radio: its ticket (radio-free time,
-  /// reserved position), and the hop attempt it resumes.
-  struct Waiting {
+  /// Frames waiting for one node's radio at consecutive positions pos,
+  /// pos + 1, ... that share the ticket time t: frames[head] waits at pos,
+  /// and each frame's `next` waits at the position after its own.
+  struct Run {
     double t = 0.0;
     sim::Position pos;
-    std::size_t k = 0;
-    std::size_t mi = 0;
-    int hop = 0;
-    int attempt = 0;
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    std::uint32_t count = 0;
   };
 
-  void wait_for_radio(NodeId n, const Waiting& w) {
-    radio_q[n].push_back(w);
+  /// Appends run r to node n's queue.  A run that starts right after the
+  /// tail run's last position, at the same time, extends it.
+  void join_radio_queue(NodeId n, const Run& r) {
+    std::deque<Run>& q = radio_q[n];
+    if (!q.empty() && q.back().t == r.t &&
+        q.back().pos + q.back().count == r.pos) {
+      Run& tail = q.back();
+      frames[tail.tail].next = r.head;
+      tail.tail = r.tail;
+      tail.count += r.count;
+    } else {
+      q.push_back(r);
+    }
     if (drain_armed[n]) return;  // the pending (or running) drain gets to it
     drain_armed[n] = 1;
     arm_drain(n);
   }
 
   void arm_drain(NodeId n) {
-    const Waiting& head = radio_q[n].front();
+    const Run& head = radio_q[n].front();
     sim.schedule_at(head.t, head.pos, [this, n] { drain(n); });
   }
 
-  /// Node n's drain event, at its head's ticket.  Each frame retakes
-  /// attempt_hop's checks from the top; one that finds the radio busy again
-  /// re-queues with a fresh ticket, as its re-poll would have rescheduled.
-  /// The next frame is taken inline only when its ticket is now and no
-  /// pending event orders before it, i.e. when its re-poll would have been
-  /// the very next event.  The drain stays armed while it runs, so frames
-  /// it re-queues only append.
+  /// Node n's drain event, at its head's ticket.  The head run's frames
+  /// re-poll the radio one after the other, as their re-poll events would
+  /// have run.  While the radio is free, each frame takes attempt_hop from
+  /// the top: it is sent, or lost or held with a downed holder.  Once the
+  /// radio is busy, every frame left would find it busy and re-queue with
+  /// a fresh ticket at the next position, so what is left of the run
+  /// re-queues as one run.  (The radio can only be busy at its free
+  /// instant when n sent a frame at this very instant, so n is up now, and
+  /// death and brownout are pure in time: no frame left would fail the
+  /// holder checks first.)  The next run is taken inline only when its
+  /// ticket is now and no pending event orders before it, i.e. when its
+  /// re-poll would have been the very next event.  The drain stays armed
+  /// while it runs, so frames it re-queues only append.
   void drain(NodeId n) {
-    std::deque<Waiting>& q = radio_q[n];
+    std::deque<Run>& q = radio_q[n];
+    const double now = sim.now();
     do {
-      const Waiting w = q.front();
-      q.pop_front();
-      attempt_hop(w.k, w.mi, n, w.hop, w.attempt);
-    } while (!q.empty() && q.front().t == sim.now() &&
-             !sim.has_pending_before(q.front().t, q.front().pos));
+      for (bool more = true; more;) {
+        Run& r = q.front();
+        if (radio_free[n] > now) {
+          Run rest = r;
+          q.pop_front();
+          rest.t = radio_free[n];
+          rest.pos = sim.reserve(rest.count);
+          join_radio_queue(n, rest);
+          break;
+        }
+        const std::uint32_t f = r.head;
+        more = --r.count > 0;
+        if (more) {
+          r.head = frames[f].next;
+          r.pos = r.pos + 1;
+        } else {
+          q.pop_front();
+        }
+        attempt_hop(f);
+      }
+    } while (!q.empty() && q.front().t == now &&
+             !sim.has_pending_before(now, q.front().pos));
     if (q.empty()) {
       drain_armed[n] = 0;
     } else {
@@ -806,20 +858,23 @@ struct NetworkExecutor::Inference {
     }
   }
 
-  void arrive(std::size_t k, std::size_t mi, NodeId at, int hop) {
-    const LayerPlan& plan = plans[k];
-    const Message& m = plan.messages[mi];
+  void arrive(std::uint32_t f) {
+    const Frame fr = frames[f];
+    const LayerPlan& plan = plans[fr.k];
+    const Message& m = plan.messages[fr.mi];
+    const NodeId at = fr.node;
     if (obs != nullptr) {
       obs->spans().instant(obs::SpanKind::PacketRx, sim.now(), at, m.dst_node,
                            static_cast<double>(plan.payload_bytes));
     }
     if (at != m.dst_node) {
-      attempt_hop(k, mi, at, hop, 0);  // forward along the shortest path
+      attempt_hop(f);  // forward along the shortest path
       return;
     }
-    auto& s = st[k];
-    if (s.delivered[mi]) return;
-    s.delivered[mi] = 1;
+    free_frames.push_back(f);
+    auto& s = st[fr.k];
+    if (s.delivered[fr.mi]) return;
+    s.delivered[fr.mi] = 1;
     if (ckpt) {
       // Write-through durable inbox: the payload is latched into NVM on
       // delivery (remote activations cannot be recomputed locally), so
@@ -830,7 +885,7 @@ struct NetworkExecutor::Inference {
       ++res.late_frames;  // consumer already computed with a substitute
       return;
     }
-    dec_pending(k, at);
+    dec_pending(fr.k, at);
   }
 
   // -- Sensing, brownouts and NVM -------------------------------------------
@@ -852,8 +907,7 @@ struct NetworkExecutor::Inference {
     const std::vector<UnitId>& inputs = ex.own_inputs_[n];
     for (const UnitId u : inputs) unit_valid[u] = 1;
     const double sense_j = kCosts.sense_watt * kSenseS;
-    ledger[n].record("sense", sense_j);
-    spend_stored(n, t, sense_j);
+    charge(n, t, Activity::Sense, sense_j);
     if (sp != nullptr) {
       // Zero-duration marker: sensing costs energy over kSenseS but does
       // not delay the inference (inputs are ready at sample time).
@@ -962,7 +1016,7 @@ struct NetworkExecutor::Inference {
 
   /// One durable commit burst on node n: merge the entries into the node's
   /// NVM state, re-encode the canonical image, and charge exactly one
-  /// "checkpoint" ledger record (base + per-byte) for the bytes written.
+  /// checkpoint burst (base + per-byte) for the bytes written.
   CommitReceipt nvm_commit(NodeId n, const std::vector<UnitId>& units_list,
                            std::size_t plans_done, double t) {
     NodeCheckpointState& state = nvm_state[n];
@@ -988,8 +1042,7 @@ struct NetworkExecutor::Inference {
     nvm_image[n] = encode_checkpoint(state);
     const CommitReceipt receipt{kCommitCosts.energy_j(bytes),
                                 kCommitCosts.duration_s(bytes)};
-    ledger[n].record("checkpoint", receipt.energy_j);
-    spend_stored(n, t, receipt.energy_j);
+    charge(n, t, Activity::Checkpoint, receipt.energy_j);
     ++res.checkpoints;
     res.checkpoint_bytes += bytes;
     return receipt;
@@ -1027,12 +1080,19 @@ struct NetworkExecutor::Inference {
     stored_t[n] = std::max(stored_t[n], t);
   }
 
-  /// Debits a burst; one the capacitor cannot fully cover still runs and
-  /// leaves it at zero.
-  void spend_stored(NodeId n, double t, double j) {
+  /// Charges node n a burst of j joules for activity a at time t: to its
+  /// ledger, and under harvest to its capacitor.  A burst the capacitor
+  /// cannot fully cover still runs and leaves it at zero; the shortfall
+  /// counts as overdraw.
+  void charge(NodeId n, double t, Activity a, double j) {
+    ZEIOT_CHECK_MSG(j >= 0.0, "ledger energy must be >= 0");
+    const auto i = static_cast<std::size_t>(a);
+    ledger[n][i] += j;
     if (!harvesting) return;
     accrue(n, t);
-    stored[n] = std::max(0.0, stored[n] - j);
+    const double left = stored[n] - j;
+    if (left < 0.0) res.overdraw_by_activity_j[i] -= left;
+    stored[n] = std::max(0.0, left);
   }
 
   /// Earliest time >= t when node n's capacitor reaches `need`; -1 when the
@@ -1080,16 +1140,21 @@ struct NetworkExecutor::Inference {
             ? st.back().finish_s
             : dl_shift + static_cast<double>(plans.size()) * cfg.layer_deadline_s;
     res.degraded = res.substitutions > 0;
-    res.breakdown = attribute_phases(compute_ivals, ckpt_ivals, air_ivals,
-                                     retry_ivals, res.latency_s);
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      res.tx_energy_j += ledger[n].of("tx");
-      res.rx_energy_j += ledger[n].of("rx");
-      res.compute_energy_j += ledger[n].of("compute");
-      res.sense_energy_j += ledger[n].of("sense");
-      res.checkpoint_energy_j += ledger[n].of("checkpoint");
-      res.energy_j += ledger[n].total_joule();
+    res.breakdown = attribute_phases(phases, res.latency_s);
+    const auto of = [](const Ledger& l, Activity a) {
+      return l[static_cast<std::size_t>(a)];
+    };
+    for (const Ledger& l : ledger) {
+      res.tx_energy_j += of(l, Activity::Tx);
+      res.rx_energy_j += of(l, Activity::Rx);
+      res.compute_energy_j += of(l, Activity::Compute);
+      res.sense_energy_j += of(l, Activity::Sense);
+      res.checkpoint_energy_j += of(l, Activity::Checkpoint);
+      double total = 0.0;
+      for (const double j : l) total += j;
+      res.energy_j += total;
     }
+    for (const double j : res.overdraw_by_activity_j) res.overdraw_j += j;
     if (sp != nullptr) record_phase_spans();
     if (memory != nullptr) {
       memory->resize(ex.graph_.num_units());
@@ -1146,6 +1211,7 @@ struct NetworkExecutor::Inference {
       count("netexec.exec.suspensions", res.suspensions);
       count("netexec.exec.deferrals", res.deferrals);
       count("netexec.exec.starved", res.starved);
+      m.counter("netexec.energy.overdraw_j").inc(res.overdraw_j);
     }
     if (res.degraded) m.counter("netexec.exec.degraded").inc();
     m.summary("netexec.exec.latency_s").observe(res.latency_s);
@@ -1182,12 +1248,14 @@ struct NetworkExecutor::Inference {
   microdeep::ActTable acts = microdeep::ActTable(ex.graph_.num_units());
   std::vector<char> unit_valid = std::vector<char>(ex.graph_.num_units(), 0);
   std::vector<double> radio_free = std::vector<double>(n_nodes, 0.0);
-  std::vector<std::deque<Waiting>> radio_q =
-      std::vector<std::deque<Waiting>>(n_nodes);
+  std::vector<std::deque<Run>> radio_q = std::vector<std::deque<Run>>(n_nodes);
+  std::vector<Frame> frames;               // frames in flight, by index
+  std::vector<std::uint32_t> free_frames;  // slots of delivered or lost ones
   std::vector<char> drain_armed = std::vector<char>(n_nodes, 0);
   std::vector<double> cpu_free = std::vector<double>(n_nodes, 0.0);
-  std::vector<energy::EnergyLedger> ledger =
-      std::vector<energy::EnergyLedger>(n_nodes);
+  // Energy per node and activity, in joules.
+  using Ledger = std::array<double, kActivityCount>;
+  std::vector<Ledger> ledger = std::vector<Ledger>(n_nodes, Ledger{});
   // Capacitor charge and the time it was integrated to (harvest only).
   std::vector<double> stored =
       std::vector<double>(harvesting ? n_nodes : 0, cfg.harvest.initial_j);
@@ -1207,7 +1275,7 @@ struct NetworkExecutor::Inference {
   std::vector<std::vector<obs::SpanId>> compute_span;
   // Latency-attribution intervals, collected whether or not spans are on;
   // finish() turns them into res.breakdown.
-  std::vector<Ival> compute_ivals, ckpt_ivals, air_ivals, retry_ivals;
+  PhaseIntervals phases;
   std::vector<PlanState> st = std::vector<PlanState>(plans.size());
   // Event-invalidation epochs per (plan, node): every in-flight compute,
   // commit or deferral event captures one and bails if a suspend bumped it.

@@ -35,6 +35,21 @@
 // draw happens where a re-poll's would, and an arrival that lands on a
 // radio-free instant before a waiting frame's ticket goes first.
 //
+// The queue holds runs: frames that share one ticket time at consecutive
+// positions p, p+1, ... (a layer's burst of frames is one run).  No event
+// can take a position between two of a run's, so when the drain reaches a
+// run's first frame, every frame of the run would re-poll next, one after
+// the other.  Once the radio is busy at that instant (a frame of the run
+// was just sent, or an arrival at the same instant took the radio first),
+// the node sent a frame at this instant, so it is alive and not browned
+// out; those are point queries that draw nothing, so every frame left
+// would pass them, find the radio busy and re-queue at the next
+// consecutive positions.  The rest of the run therefore moves to the back
+// of the queue as one run, with one block reservation
+// (sim::Simulator::reserve(n)): one check stands for the whole run.
+// Frames whose holder is down, and frames on a zero-airtime channel,
+// still take their attempt one by one — each exactly once.
+//
 // The radio and energy model constants are fixed, not configurable:
 // 4 ms ACK timeout doubling per retry, a 9-byte frame header, a 10 ms
 // sensing burst, energy::ActivityCosts and energy::CheckpointCosts
@@ -51,6 +66,7 @@
 // set microdeep::compute_comm_cost counts.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "fault/injector.hpp"
@@ -139,6 +155,12 @@ struct NetExecConfig {
   HarvestConfig harvest{};
 };
 
+/// What a node spends energy on.  The order is the ledger's summation order
+/// (alphabetical, as the string-keyed ledger summed it), so every energy
+/// total keeps its bits.
+enum class Activity : std::uint8_t { Checkpoint, Compute, Rx, Sense, Tx };
+inline constexpr std::size_t kActivityCount = 5;
+
 /// Latency attribution of one inference: a disjoint partition of the root
 /// interval [0, latency_s] by activity, computed from the recorded
 /// compute/airtime/backoff intervals with a priority sweep (overlaps
@@ -184,9 +206,35 @@ struct NetInferenceResult {
   std::uint64_t deferrals = 0;         // computes postponed awaiting harvest
   std::uint64_t starved = 0;           // deadline-forced computes skipped dry
   double checkpoint_energy_j = 0.0;    // ledger total of "checkpoint"
+  /// Capacitor overdraw (harvest only; zero otherwise): the part of each
+  /// burst the stored charge did not cover.  The burst still runs and the
+  /// capacitor floors at zero, so this is energy the node did not have.
+  /// Indexed by Activity; overdraw_j is the sum.
+  std::array<double, kActivityCount> overdraw_by_activity_j{};
+  double overdraw_j = 0.0;
   /// Where the latency went (always computed; spans are optional).
   PhaseBreakdown breakdown{};
 };
+
+/// Half-open activity interval [lo, hi) on the virtual time axis.
+struct Interval {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// The activity intervals of one inference, by phase, each list in the
+/// order the inference recorded it.
+struct PhaseIntervals {
+  std::vector<Interval> compute, checkpoint, airtime, retry;
+};
+
+/// Partitions [0, horizon] into PhaseBreakdown's phases by a sweep over
+/// `ivals`.  Overlaps resolve by priority compute > checkpoint > airtime >
+/// retry (a tick where any MCU computes counts as compute even if a radio
+/// is also on air); uncovered time is idle.  Parts past the horizon are
+/// cut off.  The result depends only on the set of intervals, not on list
+/// order.
+PhaseBreakdown attribute_phases(const PhaseIntervals& ivals, double horizon);
 
 /// Dataset-level aggregate of evaluate().
 struct NetEvalResult {

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace zeiot::sim {
@@ -27,7 +28,11 @@ EventHandle Simulator::push(Time t, std::uint64_t seq, Callback cb,
 
 void Simulator::retire(std::uint32_t i) {
   Slot& s = slots_[i];
-  if (s.positioned) held_positions_.erase(s.seq);
+  if (s.positioned) {
+    auto it = std::find(held_positions_.begin(), held_positions_.end(), s.seq);
+    *it = held_positions_.back();
+    held_positions_.pop_back();
+  }
   if (++s.gen == 0) s.gen = 1;
   free_slots_.push_back(i);
   --pending_;
@@ -52,8 +57,10 @@ EventHandle Simulator::schedule_at(Time t, Position pos, Callback cb) {
                       << t << " now=" << now_);
   // An ordinary schedule never takes a reserved position, so only events
   // scheduled here can already hold one.
-  ZEIOT_CHECK_MSG(held_positions_.insert(pos.seq_).second,
+  ZEIOT_CHECK_MSG(std::find(held_positions_.begin(), held_positions_.end(),
+                            pos.seq_) == held_positions_.end(),
                   "position " << pos.seq_ << " already holds a pending event");
+  held_positions_.push_back(pos.seq_);
   return push(t, pos.seq_, std::move(cb), true);
 }
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -44,6 +43,12 @@ class Position {
  public:
   Position() = default;
 
+  /// The position k places after this one.  For the first position of a
+  /// block from Simulator::reserve(n), first + k (k < n) is the block's
+  /// k-th; past the block it names a position this caller does not hold.
+  Position operator+(std::uint64_t k) const { return Position(seq_ + k); }
+  bool operator==(const Position&) const = default;
+
  private:
   friend class Simulator;
   explicit Position(std::uint64_t seq) : seq_(seq) {}
@@ -74,6 +79,13 @@ class SimObserver {
 };
 
 /// Event-driven simulator.  Not thread-safe; one instance per experiment.
+///
+/// Callbacks are std::function<void()>, kept in a reused slot per pending
+/// event.  libstdc++ stores a trivially copyable callable of at most 16
+/// bytes inside the std::function itself, so a closure over `this` plus
+/// 8 bytes of arguments schedules without allocating; larger captures
+/// allocate once per event.  Hot callers (netexec's arrivals, retries and
+/// radio-queue drains) keep to that size.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -100,13 +112,23 @@ class Simulator {
   /// Reserves the position the next schedule() or schedule_at() would get,
   /// without scheduling anything.  It consumes that position, so every
   /// later event's position is as if an event had been scheduled here.
-  Position reserve() { return Position(next_seq_++); }
+  /// reserve(n) reserves n >= 1 consecutive positions in one step, the ones
+  /// n reserve() calls in a row would return, and returns the first; the
+  /// k-th is first + k.  No event can ever take a position between two of
+  /// them.
+  Position reserve(std::uint64_t n = 1) {
+    ZEIOT_CHECK_MSG(n >= 1, "reserve(n) requires n >= 1");
+    const Position first(next_seq_);
+    next_seq_ += n;
+    return first;
+  }
 
   /// Schedules `cb` at (t, pos): it runs exactly where an event scheduled
   /// for time t at the moment `pos` was reserved would have run.  Throws
   /// when `pos` is null or not yet handed out by this simulator, when it
-  /// already holds a pending event, or when (t, pos) orders at or before
-  /// the running event.
+  /// already holds a pending event (each position runs at most one event
+  /// at a time, so equal (time, position) pairs can never tie), or when
+  /// (t, pos) orders at or before the running event.
   EventHandle schedule_at(Time t, Position pos, Callback cb);
 
   /// True when a pending event orders strictly before (t, pos), i.e. would
@@ -178,8 +200,10 @@ class Simulator {
   std::size_t pending_ = 0;
   // Reserved positions that hold a pending event: only schedule_at(t,
   // Position, cb) checks and fills it, and only retiring a positioned
-  // event empties it.
-  std::unordered_set<std::uint64_t> held_positions_;
+  // event empties it.  A flat list searched linearly: it holds one entry
+  // per pending position-scheduled event (netexec: at most one per node),
+  // and once grown it never allocates again.
+  std::vector<std::uint64_t> held_positions_;
   SimObserver* observer_ = nullptr;
 };
 

@@ -218,8 +218,10 @@ TEST(BenchSmoke, E6BackscatterSeedSweep) {
   run_seed_sweep("bench_e6_backscatter_mac", {});
 }
 
+// The energy bench must report the drought sweep's capacitor overdraw.
 TEST(BenchSmoke, E7EnergySeedSweep) {
-  run_seed_sweep("bench_e7_energy_budget", {});
+  run_seed_sweep("bench_e7_energy_budget",
+                 {"e7.drought.s40.none.overdraw_per_inference_j"});
 }
 
 // The fleet bench must report the fleet aggregates plus the headline

@@ -535,5 +535,94 @@ TEST(NetexecConformance, LastKnownMemorySubstitutesAcrossInferences) {
   EXPECT_TRUE(third.degraded);
 }
 
+/// attribute_phases as first written: every interval edge sorted on
+/// time, closes before opens at equal times, then the same sweep.
+PhaseBreakdown tie_broken_sort_sweep(const PhaseIntervals& ivals,
+                                     double horizon) {
+  PhaseBreakdown out;
+  if (horizon <= 0.0) return out;
+  struct Edge {
+    double t;
+    int cat;
+    int delta;
+  };
+  std::vector<Edge> edges;
+  const std::vector<Interval>* lists[4] = {&ivals.compute, &ivals.checkpoint,
+                                           &ivals.airtime, &ivals.retry};
+  for (int cat = 0; cat < 4; ++cat) {
+    for (const Interval& iv : *lists[cat]) {
+      const double lo = std::max(0.0, iv.lo);
+      const double hi = std::min(horizon, iv.hi);
+      if (hi <= lo) continue;
+      edges.push_back(Edge{lo, cat, +1});
+      edges.push_back(Edge{hi, cat, -1});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+    if (x.t != y.t) return x.t < y.t;
+    return x.delta < y.delta;
+  });
+  int active[4] = {0, 0, 0, 0};
+  double acc[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
+  double prev = 0.0;
+  auto flush = [&](double t) {
+    if (t <= prev) return;
+    const int cat = active[0] > 0 ? 0 : active[1] > 0 ? 1
+                                    : active[2] > 0   ? 2
+                                    : active[3] > 0   ? 3
+                                                      : 4;
+    acc[cat] += t - prev;
+    prev = t;
+  };
+  for (const Edge& e : edges) {
+    flush(e.t);
+    active[e.cat] += e.delta;
+  }
+  flush(horizon);
+  out.compute_s = acc[0];
+  out.checkpoint_s = acc[1];
+  out.airtime_s = acc[2];
+  out.retry_s = acc[3];
+  out.idle_s = acc[4];
+  return out;
+}
+
+TEST(NetexecPhases, AttributionMatchesTheTieBrokenSortSweep) {
+  // Tie-heavy random inputs: times on a 0.25 s grid (exact sums) or a 0.1 s
+  // grid (rounded sums), intervals starting or ending together, repeated
+  // back to back, of zero length, starting before 0, ending past the
+  // horizon, and all four phases overlapping; horizons of zero or less
+  // included.  Every phase must come out bit for bit as the reference's.
+  Rng rng(99);
+  for (int trial = 0; trial < 4000; ++trial) {
+    SCOPED_TRACE(trial);
+    const double step = trial % 2 == 0 ? 0.25 : 0.1;
+    const auto tick = [&](int lo, int hi) {
+      return step * static_cast<double>(rng.uniform_int(lo, hi));
+    };
+    PhaseIntervals ivals;
+    std::vector<Interval>* lists[4] = {&ivals.compute, &ivals.checkpoint,
+                                       &ivals.airtime, &ivals.retry};
+    const auto n = rng.uniform_int(0, 60);
+    for (std::int64_t i = 0; i < n; ++i) {
+      std::vector<Interval>& list = *lists[rng.uniform_int(0, 3)];
+      if (!list.empty() && rng.bernoulli(0.3)) {
+        list.push_back(list.back());
+        continue;
+      }
+      const double lo = tick(-2, 24);
+      list.push_back(Interval{lo, lo + tick(0, 8)});
+    }
+    const double horizon = trial % 10 == 0 ? tick(-2, 0) : tick(1, 26);
+    const PhaseBreakdown got = attribute_phases(ivals, horizon);
+    const PhaseBreakdown want = tie_broken_sort_sweep(ivals, horizon);
+    ASSERT_EQ(got.compute_s, want.compute_s);
+    ASSERT_EQ(got.checkpoint_s, want.checkpoint_s);
+    ASSERT_EQ(got.airtime_s, want.airtime_s);
+    ASSERT_EQ(got.retry_s, want.retry_s);
+    ASSERT_EQ(got.idle_s, want.idle_s);
+  }
+}
+
 }  // namespace
 }  // namespace zeiot::netexec

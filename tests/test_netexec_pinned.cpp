@@ -12,7 +12,9 @@
 // digests the logits and every counter, energy and breakdown field of
 // each NetInferenceResult, and compares one digest per combination with
 // the value recorded when the suite was written.  A mismatch means the
-// executor's observable behaviour changed.
+// executor's observable behaviour changed.  The capacitor overdraw is
+// checked beside the digests, not mixed into them: it is exactly zero
+// wherever the harvest model is off.
 //
 // The EqualTimeOrder cases pin the order of equal-time events under radio
 // contention, where it is most fragile: frames waiting for a busy radio,
@@ -134,7 +136,12 @@ void expect_pinned(fleet::InferenceTemplate& tmpl, std::uint64_t seed,
                                       tmpl.wsn, cfg);
         Fnv1a d;
         for (std::size_t s = 0; s < 3; ++s) {
-          mix_result(d, exec.run(tmpl.data.x(s)));
+          const netexec::NetInferenceResult r = exec.run(tmpl.data.x(s));
+          mix_result(d, r);
+          if (arm.harvest_initial_j == 0.0) {
+            for (const double j : r.overdraw_by_activity_j) EXPECT_EQ(j, 0.0);
+            EXPECT_EQ(r.overdraw_j, 0.0);
+          }
         }
         ASSERT_LT(i, want.size());
         EXPECT_EQ(d.value(), want[i])
@@ -271,6 +278,34 @@ void expect_order_pinned(fleet::InferenceTemplate& tmpl, std::uint64_t seed,
     d.mix(legacy::span_stream(obs.spans()).digest());
     EXPECT_EQ(d.value(), want[i]) << c.name << ": got " << d.value() << "ULL";
   }
+}
+
+TEST(NetexecPinned, HarvestReportsTheOverdrawOfReceiving) {
+  // The E1 arm none+harvest (60 uJ, float, brownout and drought): the
+  // capacitor runs dry, receiving keeps drawing from it, and the shortfall
+  // shows up as rx overdraw.  The total is the sum over activities.
+  auto tmpl = fleet::make_lounge_template();
+  netexec::NetExecConfig cfg = fleet::deployment_netexec_config(
+      11, nullptr, energy::CheckpointPolicy::None);
+  cfg.harvest.enabled = true;
+  cfg.harvest.initial_j = 60e-6;
+  fault::FaultInjector inj(brownout_and_drought());
+  cfg.fault = &inj;
+  netexec::NetworkExecutor exec(tmpl->net, tmpl->graph, tmpl->assignment,
+                                tmpl->wsn, cfg);
+  double rx = 0.0;
+  for (std::size_t s = 0; s < 3; ++s) {
+    const netexec::NetInferenceResult r = exec.run(tmpl->data.x(s));
+    double sum = 0.0;
+    for (const double j : r.overdraw_by_activity_j) {
+      EXPECT_GE(j, 0.0);
+      sum += j;
+    }
+    EXPECT_EQ(r.overdraw_j, sum);
+    rx += r.overdraw_by_activity_j[static_cast<std::size_t>(
+        netexec::Activity::Rx)];
+  }
+  EXPECT_GT(rx, 0.0);
 }
 
 TEST(NetexecPinned, LoungeE1) {

@@ -2,10 +2,11 @@
 //
 // A node's radio sends one frame at a time; frames that find it busy wait
 // in the node's radio queue and leave in the order their re-polls would
-// have fired.  These tests pin that behaviour on a scenario small enough
-// to predict frame by frame, pin the ARQ backoff schedule of a single
-// frame, and bound the simulator events the queue spends per transmission
-// on the E1 template.
+// have fired.  These tests pin that behaviour on scenarios small enough
+// to predict frame by frame (a burst leaving back to back, a relayed frame
+// cutting into a waiting burst, holders dying under a waiting burst), pin
+// the ARQ backoff schedule of a single frame, and bound the simulator
+// events the queue spends per transmission on the E1 template.
 #include "netexec/netexec.hpp"
 
 #include <gtest/gtest.h>
@@ -189,6 +190,99 @@ TEST(NetexecTransport, FramesWaitingAtADeadNodeAreLostWhenItsRadioFrees) {
       EXPECT_FALSE(r.degraded);
     }
   }
+}
+
+TEST(NetexecTransport, AHolderDyingMidBurstLosesTheFramesStillWaiting) {
+  // Node 0's burst leaves one frame per airtime: frame i at i * air.  A
+  // death over [2.5 air, 3.5 air) lets frames 0, 1 and 2 leave; at 3 air
+  // the drain finds the holder dead and every frame still waiting is lost
+  // there, one by one, though the node revives before the next would have
+  // left.
+  using fault::FaultEvent;
+  using fault::FaultType;
+  Clique c;
+  fault::FaultInjector inj{fault::FaultPlan(
+      {FaultEvent{2.5 * kAir, FaultType::NodeDeath, 0, 0.0, 1.0},
+       FaultEvent{3.5 * kAir, FaultType::NodeRevival, 0, 0.0, 1.0}})};
+  obs::Observability o;
+  o.enable_spans(kRecordCapacity);
+  NetExecConfig cfg = lossless(&o);
+  cfg.fault = &inj;
+  NetworkExecutor exec(c.net, c.graph, c.assignment, c.wsn, cfg);
+  const NetInferenceResult r = exec.run(sample());
+
+  const std::vector<NodeId> want = c.plan0_destinations();
+  ASSERT_GT(want.size(), 4u);
+  EXPECT_EQ(r.frames_lost, want.size() - 3);
+  const std::vector<obs::SpanEvent> tx = sent_by(o, 0);
+  ASSERT_EQ(tx.size(), 3u);
+  double t = 0.0;
+  for (std::size_t i = 0; i < tx.size(); ++i) {
+    EXPECT_EQ(tx[i].t0, t) << "frame " << i;
+    EXPECT_EQ(tx[i].b, want[i]) << "frame " << i;
+    t += kAir;
+  }
+  EXPECT_TRUE(r.degraded);
+}
+
+TEST(NetexecTransport, ARelayedArrivalOnTheRadioFreeInstantGoesFirst) {
+  // A line 0 - 3 - 1 - 2, plus node 4 next to 1 and 2.  A 1x1 conv makes
+  // conv unit i consume input unit i only.  Input 0 is sensed on node 0,
+  // inputs 1-4 on node 1; conv units 0, 1 and 3 run on node 2, units 2 and
+  // 4 on node 4, the logits on node 2.  So node 1 sends its own burst
+  // 1->2, 2->4, 3->2, 4->4 (message order) and relays input 0, which left
+  // node 0 at t = 0 and reaches node 1 over relay 3 at 2 air: exactly when
+  // node 1's radio frees after its second frame.  The arrival was
+  // scheduled before the burst's waiting frames took their positions, so
+  // it takes the radio first; then the burst's rest leaves in message
+  // order.
+  Rng rng(11);
+  ml::Network net;
+  net.emplace<ml::Conv2D>(1, 1, 1, 0, rng);
+  net.emplace<ml::Flatten>();
+  net.emplace<ml::Dense>(5, 2, rng);
+  const UnitGraph graph = UnitGraph::build(net, {1, 1, 5});
+  const WsnTopology wsn({{0, 5}, {4, 5}, {6, 5}, {2, 5}, {5, 6.5}},
+                        Rect{0, 0, 10, 10}, 2.5);
+  ASSERT_EQ(wsn.hops(0, 2), 3);
+  ASSERT_EQ(wsn.next_hop(0, 2), 3u);
+  std::vector<NodeId> map(graph.num_units(), 2);
+  const microdeep::UnitLayer& in = graph.layers()[0];
+  const microdeep::UnitLayer& conv = graph.layers()[1];
+  for (int i = 0; i < in.num_units(); ++i) {
+    map[in.first_unit + i] = i == 0 ? 0 : 1;
+  }
+  map[conv.first_unit + 2] = 4;
+  map[conv.first_unit + 4] = 4;
+  const Assignment assignment(&graph, map);
+
+  obs::Observability o;
+  o.enable_spans(kRecordCapacity);
+  NetworkExecutor exec(net, graph, assignment, wsn, lossless(&o));
+  const NetInferenceResult r = exec.run(ml::Tensor({1, 1, 5}));
+  EXPECT_FALSE(r.degraded);
+
+  // Node 1's radio: its burst at 0 and air, the relayed frame at 2 air,
+  // then the rest of the burst back to back.
+  const std::vector<obs::SpanEvent> tx = sent_by(o, 1);
+  const std::vector<std::pair<double, NodeId>> want = {
+      {0.0, 2}, {kAir, 4}, {2 * kAir, 2}, {3 * kAir, 2}, {4 * kAir, 4}};
+  ASSERT_EQ(tx.size(), want.size());
+  for (std::size_t i = 0; i < tx.size(); ++i) {
+    EXPECT_DOUBLE_EQ(tx[i].t0, want[i].first) << "frame " << i;
+    EXPECT_EQ(tx[i].b, want[i].second) << "frame " << i;
+  }
+  // The frame at 2 air is the relayed one: its hop span's parent is node
+  // 0's sensing, the burst's is node 1's.
+  std::vector<NodeId> producer;
+  for (const obs::SpanEvent& e : of_kind(o, obs::SpanKind::HopTx)) {
+    if (e.a != 1) continue;
+    for (std::size_t i = 0; i < o.spans().size(); ++i) {
+      const obs::SpanEvent& p = o.spans().at(i);
+      if (p.id == e.parent) producer.push_back(p.a);
+    }
+  }
+  EXPECT_EQ(producer, (std::vector<NodeId>{1, 1, 0, 1, 1}));
 }
 
 TEST(NetexecTransport, ArqRetriesBackOffExponentiallyThenAbandon) {

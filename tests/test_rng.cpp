@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 namespace zeiot {
@@ -240,6 +241,35 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{0, 1}, std::pair{-1, 1}, std::pair{0, 100},
                       std::pair{-1000, 1000}, std::pair{5, 5},
                       std::pair{-7, -7}, std::pair{0, 1000000}));
+
+TEST(Rng, KeyedUniformIsTheSplitChainsDraw) {
+  // Bit for bit, over 10^5 random keys plus every combination of the
+  // extreme keys 0 and UINT64_MAX (whose split mix multiplies by 0).
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  auto chain = [](std::uint64_t s, std::uint64_t a, std::uint64_t b,
+                  std::uint64_t c) {
+    return Rng(s).split(a).split(b).split(c).uniform();
+  };
+  for (const std::uint64_t s : {std::uint64_t{0}, kMax}) {
+    for (const std::uint64_t a : {std::uint64_t{0}, kMax}) {
+      for (const std::uint64_t b : {std::uint64_t{0}, kMax}) {
+        for (const std::uint64_t c : {std::uint64_t{0}, kMax}) {
+          ASSERT_EQ(keyed_uniform(s, a, b, c), chain(s, a, b, c));
+        }
+      }
+    }
+  }
+  Rng keys(2024);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t s = keys();
+    // Small keys too, as a frame's hop and attempt numbers are.
+    const std::uint64_t a = keys();
+    const std::uint64_t b = keys() % 8;
+    const std::uint64_t c = i % 2 == 0 ? keys() % 4 : keys();
+    ASSERT_EQ(keyed_uniform(s, a, b, c), chain(s, a, b, c))
+        << s << " " << a << " " << b << " " << c;
+  }
+}
 
 }  // namespace
 }  // namespace zeiot

@@ -241,7 +241,8 @@ struct RefKernel {
 
 TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
   // Random mixes of every kernel operation, on times quantised to 0.25 s
-  // so ties are common.  Some events schedule a child when they run, which
+  // so ties are common.  Positions come from single and block
+  // reservations.  Some events schedule a child when they run, which
   // reuses slots freed in the same run.  Each answer, the execution order
   // and pending() must equal the reference's.
   constexpr int kChild = 1000000;  // a child's label: its parent's + this
@@ -304,8 +305,14 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
                               : sim.schedule_at(sim.now() + d, make_cb(label)));
         handle_labels.push_back(label);
         ref.add(ref.now + d, ref.next_seq++, label);
-      } else if (kind < 38) {
+      } else if (kind < 34) {
         reserved.emplace_back(sim.reserve(), ref.next_seq++);
+      } else if (kind < 38) {
+        const auto n = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+        const Position first = sim.reserve(n);
+        for (std::uint64_t k = 0; k < n; ++k) {
+          reserved.emplace_back(first + k, ref.next_seq++);
+        }
       } else if (kind < 48) {
         if (reserved.empty()) continue;
         const auto& [pos, seq] = reserved[pick(0, reserved.size())];
@@ -468,6 +475,63 @@ TEST(SimulatorPosition, ReservationConsumesExactlyOneId) {
   }
   ASSERT_EQ(fired[0].size(), 4u);
   EXPECT_EQ(fired[0], fired[1]);
+}
+
+/// Records the (time, id) of every event the kernel runs.
+struct FiredLog : SimObserver {
+  std::vector<std::pair<double, std::uint64_t>> fired;
+  void on_executed(Time t, std::uint64_t id, std::size_t) override {
+    fired.emplace_back(t, id);
+  }
+};
+
+TEST(SimulatorPosition, BlockReservationIsThatManySingleReservations) {
+  // Four events at t = 1 and 2 are scheduled either at once (mode 0), or at
+  // positions taken by four reserve() calls (1) or by one reserve(4) (2),
+  // and then scheduled later, from an earlier event and in reverse order.
+  // Ordinary events scheduled before and after bracket them.  All three
+  // runs fire the same events in the same order with the same ids: a
+  // block's k-th position is the k-th single reservation, and the block
+  // consumes exactly four ids.
+  const double at[4] = {1.0, 2.0, 1.0, 1.0};
+  std::vector<std::vector<int>> orders;
+  std::vector<std::vector<std::pair<double, std::uint64_t>>> fired;
+  for (int mode = 0; mode < 3; ++mode) {
+    Simulator sim;
+    FiredLog log;
+    sim.set_observer(&log);
+    std::vector<int> order;
+    sim.schedule_at(1.0, [&] { order.push_back(-1); });
+    std::vector<Position> pos;
+    if (mode == 0) {
+      for (int k = 0; k < 4; ++k) {
+        sim.schedule_at(at[k], [&order, k] { order.push_back(k); });
+      }
+    } else if (mode == 1) {
+      for (int k = 0; k < 4; ++k) pos.push_back(sim.reserve());
+    } else {
+      const Position first = sim.reserve(4);
+      for (std::uint64_t k = 0; k < 4; ++k) pos.push_back(first + k);
+    }
+    sim.schedule_at(1.0, [&] { order.push_back(-2); });
+    sim.schedule_at(2.0, [&] { order.push_back(-3); });
+    sim.schedule_at(0.5, [&] {
+      for (int k = static_cast<int>(pos.size()) - 1; k >= 0; --k) {
+        sim.schedule_at(at[k], pos[static_cast<std::size_t>(k)],
+                        [&order, k] { order.push_back(k); });
+      }
+    });
+    EXPECT_EQ(sim.run(), 8u);
+    orders.push_back(order);
+    fired.push_back(log.fired);
+  }
+  EXPECT_EQ(orders[0], (std::vector<int>{-1, 0, 2, 3, -2, 1, -3}));
+  EXPECT_EQ(orders[1], orders[0]);
+  EXPECT_EQ(orders[2], orders[0]);
+  EXPECT_EQ(fired[1], fired[0]);
+  EXPECT_EQ(fired[2], fired[0]);
+  Simulator sim;
+  EXPECT_THROW(sim.reserve(0), Error);
 }
 
 TEST(SimObserver, ExecutedCounterMatchesRunReturn) {
