@@ -1,10 +1,7 @@
-// Planar geometry primitives for node deployments and grid sensing fields.
+// Planar and 3-D geometry primitives for node deployments and tag arrays.
 #pragma once
 
 #include <cmath>
-#include <cstddef>
-
-#include "common/error.hpp"
 
 namespace zeiot {
 
@@ -67,61 +64,6 @@ struct Rect {
     return p.x >= x0 && p.x < x1 && p.y >= y0 && p.y < y1;
   }
   Point2D center() const { return {(x0 + x1) / 2.0, (y0 + y1) / 2.0}; }
-};
-
-/// Integer cell index into a W x H grid (column `x`, row `y`).
-struct CellIndex {
-  int x = 0;
-  int y = 0;
-  friend bool operator==(CellIndex a, CellIndex b) {
-    return a.x == b.x && a.y == b.y;
-  }
-};
-
-/// Maps continuous coordinates in `area` onto a `cols` x `rows` cell grid.
-class GridMapper {
- public:
-  GridMapper(Rect area, int cols, int rows) : area_(area), cols_(cols), rows_(rows) {
-    ZEIOT_CHECK_MSG(cols > 0 && rows > 0, "GridMapper needs positive dims");
-    ZEIOT_CHECK_MSG(area.width() > 0 && area.height() > 0,
-                    "GridMapper needs a non-degenerate area");
-  }
-
-  int cols() const { return cols_; }
-  int rows() const { return rows_; }
-  const Rect& area() const { return area_; }
-
-  /// Cell containing `p` (clamped to the grid for boundary points).
-  CellIndex cell_of(Point2D p) const {
-    auto cx = static_cast<int>((p.x - area_.x0) / area_.width() *
-                               static_cast<double>(cols_));
-    auto cy = static_cast<int>((p.y - area_.y0) / area_.height() *
-                               static_cast<double>(rows_));
-    cx = cx < 0 ? 0 : (cx >= cols_ ? cols_ - 1 : cx);
-    cy = cy < 0 ? 0 : (cy >= rows_ ? rows_ - 1 : cy);
-    return {cx, cy};
-  }
-
-  /// Centre point of a cell.
-  Point2D cell_center(CellIndex c) const {
-    ZEIOT_CHECK(c.x >= 0 && c.x < cols_ && c.y >= 0 && c.y < rows_);
-    return {area_.x0 + (static_cast<double>(c.x) + 0.5) * area_.width() /
-                           static_cast<double>(cols_),
-            area_.y0 + (static_cast<double>(c.y) + 0.5) * area_.height() /
-                           static_cast<double>(rows_)};
-  }
-
-  /// Row-major flat index of a cell.
-  std::size_t flat(CellIndex c) const {
-    ZEIOT_CHECK(c.x >= 0 && c.x < cols_ && c.y >= 0 && c.y < rows_);
-    return static_cast<std::size_t>(c.y) * static_cast<std::size_t>(cols_) +
-           static_cast<std::size_t>(c.x);
-  }
-
- private:
-  Rect area_;
-  int cols_;
-  int rows_;
 };
 
 }  // namespace zeiot

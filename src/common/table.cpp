@@ -56,28 +56,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::write_csv(std::ostream& os) const {
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      // Quote cells containing separators.
-      if (row[c].find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (char ch : row[c]) {
-          if (ch == '"') os << "\"\"";
-          else os << ch;
-        }
-        os << '"';
-      } else {
-        os << row[c];
-      }
-    }
-    os << '\n';
-  };
-  write_row(header_);
-  for (const auto& row : rows_) write_row(row);
-}
-
 void print_bar_series(std::ostream& os, const std::string& title,
                       const std::vector<double>& values, int width) {
   os << title << '\n';

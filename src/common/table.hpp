@@ -1,4 +1,4 @@
-// Console table and CSV output used by the bench harnesses to print the
+// Console table output used by the bench harnesses to print the
 // rows/series that mirror the paper's tables and figures.
 #pragma once
 
@@ -24,8 +24,6 @@ class Table {
 
   /// Renders with column alignment and a header rule.
   void print(std::ostream& os) const;
-  /// Renders as CSV (header + rows).
-  void write_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

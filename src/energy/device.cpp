@@ -53,10 +53,6 @@ void IntermittentDevice::set_observability(obs::Observability* obs,
   brownouts_ctr_ = &obs_->metrics().counter("energy.brownouts", dev);
 }
 
-void IntermittentDevice::set_fault_injector(fault::FaultInjector* fault) {
-  fault_ = fault;
-}
-
 void IntermittentDevice::advance(double t_seconds) {
   ZEIOT_CHECK_MSG(t_seconds >= last_t_, "advance() must be monotonic");
   // Integrate in small steps so duty-cycled harvesters and the hysteresis
@@ -65,8 +61,7 @@ void IntermittentDevice::advance(double t_seconds) {
   double t = last_t_;
   while (t < t_seconds) {
     const double dt = std::min(kMaxStep, t_seconds - t);
-    double p = harvester_->power_watt(t);
-    if (fault_ != nullptr) p *= fault_->harvest_scale(t, device_id_);
+    const double p = harvester_->power_watt(t);
     cap_.charge(p, dt);
     if (switch_.is_on()) {
       // Sleep leakage while powered (best effort; device browns out if the
@@ -98,11 +93,6 @@ bool IntermittentDevice::try_spend(const std::string& activity,
   ZEIOT_CHECK_MSG(power_watt >= 0.0 && duration_s >= 0.0,
                   "activity power/duration must be >= 0");
   if (!switch_.is_on()) return false;
-  if (fault_ != nullptr && fault_->in_brownout(last_t_, device_id_)) {
-    // Injected supply-rail fault: the rail is held in reset, so the
-    // activity is denied even though the capacitor may hold charge.
-    return false;
-  }
   const double e = power_watt * duration_s;
   if (!cap_.draw(e)) return false;
   const bool was_on = switch_.is_on();

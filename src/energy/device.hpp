@@ -12,7 +12,6 @@
 
 #include "energy/harvester.hpp"
 #include "energy/storage.hpp"
-#include "fault/injector.hpp"
 #include "obs/obs.hpp"
 
 namespace zeiot::energy {
@@ -98,13 +97,6 @@ class IntermittentDevice {
   /// spans.
   void set_observability(obs::Observability* obs, std::uint32_t device_id = 0);
 
-  /// Installs (or clears) a fault injector, queried against the device id
-  /// from set_observability (set it first).  HarvestDrought windows scale
-  /// the harvested power by their magnitude during advance(); Brownout
-  /// windows deny try_spend while active (the supply rail is held in
-  /// reset even though the capacitor may hold charge).
-  void set_fault_injector(fault::FaultInjector* fault);
-
   /// Integrates harvesting (and sleep leakage while ON) up to time `t`
   /// (must be >= the previous call).  Updates the ON/OFF state.
   void advance(double t_seconds);
@@ -137,7 +129,6 @@ class IntermittentDevice {
   std::size_t boots_ = 0;
   obs::Observability* obs_ = nullptr;
   std::uint32_t device_id_ = 0;
-  fault::FaultInjector* fault_ = nullptr;
   // Handles resolved once per set_observability so advance()'s inner loop
   // does not rebuild label keys every 50 ms step.
   obs::Counter* harvested_ctr_ = nullptr;

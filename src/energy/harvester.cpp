@@ -9,19 +9,6 @@ ConstantHarvester::ConstantHarvester(double watts) : watts_(watts) {
   ZEIOT_CHECK_MSG(watts >= 0.0, "harvested power must be >= 0");
 }
 
-DutyCycledRfHarvester::DutyCycledRfHarvester(double on_watts, double duty,
-                                             double period_s)
-    : on_watts_(on_watts), duty_(duty), period_s_(period_s) {
-  ZEIOT_CHECK_MSG(on_watts >= 0.0, "power must be >= 0");
-  ZEIOT_CHECK_MSG(duty >= 0.0 && duty <= 1.0, "duty must be in [0,1]");
-  ZEIOT_CHECK_MSG(period_s > 0.0, "period must be > 0");
-}
-
-double DutyCycledRfHarvester::power_watt(double t_seconds) {
-  const double phase = std::fmod(t_seconds, period_s_) / period_s_;
-  return phase < duty_ ? on_watts_ : 0.0;
-}
-
 SolarHarvester::SolarHarvester(double peak_watts, Rng rng, double noise_sigma)
     : peak_watts_(peak_watts), rng_(rng), noise_sigma_(noise_sigma) {
   ZEIOT_CHECK_MSG(peak_watts >= 0.0, "power must be >= 0");
@@ -36,56 +23,6 @@ double SolarHarvester::power_watt(double t_seconds) {
   const double sun = std::sin((phase - 0.25) / 0.5 * M_PI);
   const double noise = std::max(0.0, 1.0 + rng_.normal(0.0, noise_sigma_));
   return peak_watts_ * sun * noise;
-}
-
-VibrationHarvester::VibrationHarvester(double base_watts, double burst_watts,
-                                       double burst_rate_hz,
-                                       double burst_len_s, Rng rng)
-    : base_watts_(base_watts),
-      burst_watts_(burst_watts),
-      burst_rate_hz_(burst_rate_hz),
-      burst_len_s_(burst_len_s),
-      rng_(rng) {
-  ZEIOT_CHECK_MSG(base_watts >= 0.0 && burst_watts >= 0.0, "power >= 0");
-  ZEIOT_CHECK_MSG(burst_rate_hz > 0.0, "burst rate must be > 0");
-  ZEIOT_CHECK_MSG(burst_len_s > 0.0, "burst length must be > 0");
-  next_burst_t_ = rng_.exponential(burst_rate_hz_);
-}
-
-double VibrationHarvester::power_watt(double t_seconds) {
-  // Advance the burst process up to t (queries must be non-decreasing in
-  // time within one simulation, which the kernel guarantees).
-  while (t_seconds >= next_burst_t_) {
-    burst_end_t_ = next_burst_t_ + burst_len_s_;
-    next_burst_t_ += rng_.exponential(burst_rate_hz_);
-  }
-  return t_seconds < burst_end_t_ ? base_watts_ + burst_watts_ : base_watts_;
-}
-
-ThermalHarvester::ThermalHarvester(double mean_watts, double sigma_watts,
-                                   double tau_s, Rng rng)
-    : mean_watts_(mean_watts),
-      sigma_watts_(sigma_watts),
-      tau_s_(tau_s),
-      rng_(rng),
-      level_(mean_watts) {
-  ZEIOT_CHECK_MSG(mean_watts >= 0.0, "power must be >= 0");
-  ZEIOT_CHECK_MSG(sigma_watts >= 0.0, "sigma must be >= 0");
-  ZEIOT_CHECK_MSG(tau_s > 0.0, "tau must be > 0");
-}
-
-double ThermalHarvester::power_watt(double t_seconds) {
-  const double dt = std::max(0.0, t_seconds - last_t_);
-  last_t_ = t_seconds;
-  if (dt > 0.0) {
-    // Exact OU discretisation.
-    const double a = std::exp(-dt / tau_s_);
-    const double noise_sd =
-        sigma_watts_ * std::sqrt(std::max(0.0, 1.0 - a * a));
-    level_ = mean_watts_ + a * (level_ - mean_watts_) +
-             rng_.normal(0.0, noise_sd);
-  }
-  return std::max(0.0, level_);
 }
 
 }  // namespace zeiot::energy

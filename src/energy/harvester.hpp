@@ -1,12 +1,11 @@
 // Energy harvester models for zero-energy IoT devices (Sec. III.A of the
-// paper: RF, solar/light, vibration, heat).
+// paper names RF, solar/light, vibration and heat; modelled here are a
+// constant RF carrier and indoor light).
 //
 // A harvester reports the instantaneous harvested power (watts) at a given
 // time.  Stochastic harvesters own an Rng substream so two devices with the
 // same parameters still see independent environments.
 #pragma once
-
-#include <memory>
 
 #include "common/rng.hpp"
 
@@ -29,19 +28,6 @@ class ConstantHarvester final : public Harvester {
   double watts_;
 };
 
-/// RF harvesting from an intermittently active carrier: `on_watts` while the
-/// carrier duty-cycles on (fraction `duty` of each `period_s`), else 0.
-class DutyCycledRfHarvester final : public Harvester {
- public:
-  DutyCycledRfHarvester(double on_watts, double duty, double period_s);
-  double power_watt(double t_seconds) override;
-
- private:
-  double on_watts_;
-  double duty_;
-  double period_s_;
-};
-
 /// Indoor light harvesting with a diurnal profile: peak at `peak_watts`
 /// mid-day, zero at night, plus multiplicative noise (clouds, occlusion).
 class SolarHarvester final : public Harvester {
@@ -53,42 +39,6 @@ class SolarHarvester final : public Harvester {
   double peak_watts_;
   Rng rng_;
   double noise_sigma_;
-};
-
-/// Vibration harvesting: background level plus exponential-interarrival
-/// bursts of `burst_watts` lasting `burst_len_s` (footsteps, machinery).
-class VibrationHarvester final : public Harvester {
- public:
-  VibrationHarvester(double base_watts, double burst_watts,
-                     double burst_rate_hz, double burst_len_s, Rng rng);
-  double power_watt(double t_seconds) override;
-
- private:
-  double base_watts_;
-  double burst_watts_;
-  double burst_rate_hz_;
-  double burst_len_s_;
-  Rng rng_;
-  double next_burst_t_ = 0.0;
-  double burst_end_t_ = -1.0;
-};
-
-/// Thermoelectric harvesting: slowly wandering power following an
-/// Ornstein-Uhlenbeck process around `mean_watts` (temperature gradients
-/// drift slowly).  Never negative.
-class ThermalHarvester final : public Harvester {
- public:
-  ThermalHarvester(double mean_watts, double sigma_watts, double tau_s,
-                   Rng rng);
-  double power_watt(double t_seconds) override;
-
- private:
-  double mean_watts_;
-  double sigma_watts_;
-  double tau_s_;
-  Rng rng_;
-  double level_;
-  double last_t_ = 0.0;
 };
 
 }  // namespace zeiot::energy

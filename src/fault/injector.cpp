@@ -73,24 +73,6 @@ bool FaultInjector::active_window(double t, FaultType type, std::uint32_t a,
   return found;
 }
 
-bool FaultInjector::in_brownout(double t, std::uint32_t device) const {
-  double mag;
-  return active_window(t, FaultType::Brownout, device, device, mag);
-}
-
-double FaultInjector::harvest_scale(double t, std::uint32_t device) const {
-  double scale = 1.0;
-  for (const FaultEvent& e : plan_.events()) {
-    if (e.t > t) break;
-    if (e.type != FaultType::HarvestDrought || t >= e.t + e.duration_s) {
-      continue;
-    }
-    if (!matches(e, device, device)) continue;
-    scale = std::min(scale, std::max(0.0, e.magnitude));
-  }
-  return scale;
-}
-
 double FaultInjector::message_delay_s(double t, std::uint32_t src,
                                       std::uint32_t dst) {
   double delay;

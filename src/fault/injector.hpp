@@ -3,9 +3,9 @@
 // — through a nullable pointer defaulting to nullptr, so un-faulted runs
 // pay one pointer test per site and stay at seed speed.
 //
-// State queries (node_dead, in_brownout, harvest_scale, message_delay_s)
-// are pure functions of the plan and can be asked at any time, in any
-// order.  Probabilistic queries (should_drop / should_corrupt) consume the
+// State queries (node_dead, dead_mask, message_delay_s) are pure
+// functions of the plan and can be asked at any time, in any order.
+// Probabilistic queries (should_drop / should_corrupt) consume the
 // injector's own SplitMix-seeded substream in call order; since every
 // zeiot simulation is single-threaded and deterministic, a fixed (plan,
 // seed) pair reproduces the identical fault realization run after run.
@@ -48,13 +48,6 @@ class FaultInjector {
 
   /// Dead flags for nodes [0, num_nodes) at time `t`.
   std::vector<bool> dead_mask(double t, std::size_t num_nodes) const;
-
-  /// True when `device` sits inside a Brownout window at `t`.
-  bool in_brownout(double t, std::uint32_t device) const;
-
-  /// Product is not meaningful for overlapping droughts; the *smallest*
-  /// active scale wins (worst case).  1.0 when no drought is active.
-  double harvest_scale(double t, std::uint32_t device) const;
 
   /// Largest active delay among MessageDelay windows matching either
   /// endpoint at `t`; 0 when none.  Records the injection when > 0.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <sstream>
 
@@ -282,74 +281,6 @@ std::string validate_schedule(const CollectionSchedule& schedule,
     }
   }
   return {};
-}
-
-CollectionFaultReport replay_schedule_with_faults(
-    const CollectionSchedule& schedule, fault::FaultInjector& fault,
-    obs::Observability* obs) {
-  ZEIOT_CHECK_MSG(schedule.feasible, "cannot replay an infeasible schedule");
-  CollectionFaultReport rep;
-
-  // Group windows by (device, instance): the primary first, then its
-  // recovery windows in start order — the fallback chain for one cycle.
-  struct Key {
-    CollectionDeviceId device;
-    int instance;
-    bool operator<(const Key& o) const {
-      if (device != o.device) return device < o.device;
-      return instance < o.instance;
-    }
-  };
-  std::map<Key, std::vector<const ScheduleEntry*>> chains;
-  for (const auto& e : schedule.entries) {
-    chains[{e.device, e.instance}].push_back(&e);
-  }
-
-  for (auto& [key, windows] : chains) {
-    std::sort(windows.begin(), windows.end(),
-              [](const ScheduleEntry* a, const ScheduleEntry* b) {
-                if (a->recovery != b->recovery) return !a->recovery;
-                return a->start_s < b->start_s;
-              });
-    ++rep.instances;
-    bool delivered = false;
-    bool on_primary = true;
-    for (const ScheduleEntry* w : windows) {
-      if (fault.node_dead(w->start_s, w->device)) {
-        ++rep.dead_windows;
-      } else if (fault.should_drop(w->start_s, w->device,
-                                   fault::kInfrastructure) ||
-                 fault.should_corrupt(w->start_s, w->device,
-                                      fault::kInfrastructure)) {
-        ++rep.faulted_windows;
-      } else {
-        delivered = true;
-        if (on_primary) {
-          ++rep.delivered_first_try;
-        } else {
-          ++rep.recovered;
-        }
-        if (obs != nullptr) {
-          obs->spans().instant(obs::SpanKind::PacketTx, w->start_s,
-                               w->device);
-        }
-        break;
-      }
-      on_primary = false;
-    }
-    if (!delivered) ++rep.lost;
-  }
-
-  if (obs != nullptr) {
-    auto& mreg = obs->metrics();
-    mreg.counter("mac.collection.delivered")
-        .inc(static_cast<double>(rep.delivered_first_try));
-    mreg.counter("mac.collection.recovered")
-        .inc(static_cast<double>(rep.recovered));
-    mreg.counter("mac.collection.lost").inc(static_cast<double>(rep.lost));
-    mreg.gauge("mac.collection.delivery_ratio").set(rep.delivery_ratio());
-  }
-  return rep;
 }
 
 }  // namespace zeiot::mac

@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "common/geometry.hpp"
-#include "fault/injector.hpp"
-#include "obs/obs.hpp"
 
 namespace zeiot::mac {
 
@@ -90,38 +88,6 @@ CollectionSchedule synthesize_schedule(
 std::string validate_schedule(const CollectionSchedule& schedule,
                               const std::vector<DeviceRequirement>& devices,
                               const CollectionConfig& cfg);
-
-/// Outcome of replaying a synthesized schedule against a fault injector.
-struct CollectionFaultReport {
-  std::size_t instances = 0;           // primary cycle instances replayed
-  std::size_t delivered_first_try = 0; // primary window succeeded
-  std::size_t recovered = 0;           // delivered via a recovery window
-  std::size_t lost = 0;                // every window failed or device dead
-  std::size_t dead_windows = 0;        // windows skipped: device was dead
-  std::size_t faulted_windows = 0;     // windows hit by drop/corrupt
-
-  double delivery_ratio() const {
-    return instances == 0 ? 1.0
-                          : static_cast<double>(delivered_first_try +
-                                                recovered) /
-                                static_cast<double>(instances);
-  }
-};
-
-/// Replays every primary cycle instance of `schedule` against `fault`:
-/// a window is skipped when its device is dead at the window start, and an
-/// otherwise-clean transmission may be dropped or corrupted by an active
-/// message window (infrastructure side is fault::kInfrastructure).  A failed
-/// primary falls back to that device+instance's reserved recovery windows in
-/// start order — the mechanism the paper's Sec. V recovery slots exist for.
-///
-/// When `obs` is non-null, emits mac.collection.delivered / .recovered /
-/// .lost counters, a mac.collection.delivery_ratio gauge, and a PacketTx
-/// instant span per delivered instance (a = device id) when the context
-/// records spans.
-CollectionFaultReport replay_schedule_with_faults(
-    const CollectionSchedule& schedule, fault::FaultInjector& fault,
-    obs::Observability* obs = nullptr);
 
 /// Duration of one transmission of `payload_bytes` under `cfg`.
 double transmission_duration_s(const CollectionConfig& cfg,

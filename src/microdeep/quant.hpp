@@ -5,9 +5,9 @@
 // static calibration pass (absmax over a calibration batch, walked through
 // the per-unit kernels the nodes run).  A unit layer's transmitted values
 // are the values the NEXT unit-producing net layer consumes — i.e. after
-// any folded elementwise layers (ReLU, Flatten, Dropout) have been
-// applied — matching exactly what the executor moves between nodes.  The
-// walk is scalar code, so the scales do not depend on the GEMM backend.
+// any folded elementwise layers (ReLU, Flatten) have been applied —
+// matching exactly what the executor moves between nodes.  The walk is
+// scalar code, so the scales do not depend on the GEMM backend.
 #pragma once
 
 #include <cstdint>

@@ -184,7 +184,7 @@ ActTable unit_walk(ml::Network& net, const UnitGraph& graph,
     } else if (dynamic_cast<ml::ReLU*>(&layer) != nullptr) {
       apply_relu_layer(graph, cur, acts);
     }
-    // Flatten and Dropout (inference) do not change unit activations.
+    // Flatten does not change unit activations.
   }
   return acts;
 }

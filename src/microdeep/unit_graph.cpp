@@ -99,8 +99,7 @@ UnitGraph UnitGraph::build(const ml::Network& net,
       g.net_to_unit_layer_[li] = static_cast<int>(g.layers_.size()) - 1;
       next_unit += static_cast<UnitId>(ul.num_units());
     } else if (dynamic_cast<const ml::Flatten*>(&l) != nullptr ||
-               dynamic_cast<const ml::ReLU*>(&l) != nullptr ||
-               dynamic_cast<const ml::Dropout*>(&l) != nullptr) {
+               dynamic_cast<const ml::ReLU*>(&l) != nullptr) {
       // Elementwise / reshaping layers execute on the producer's node and
       // add no units or messages.
       if (dynamic_cast<const ml::Flatten*>(&l) != nullptr) {

@@ -20,8 +20,8 @@ namespace zeiot::microdeep {
 
 using UnitId = std::uint32_t;
 
-/// One distributable layer of units (elementwise layers such as ReLU and
-/// Dropout are folded into their producer and create no units).
+/// One distributable layer of units (elementwise and reshaping layers,
+/// ReLU and Flatten, are folded into their producer and create no units).
 struct UnitLayer {
   enum class Kind { Input, Conv, Pool, Dense };
   Kind kind = Kind::Input;
@@ -42,7 +42,7 @@ struct UnitEdge {
 class UnitGraph {
  public:
   /// Builds the unit graph of `net` for a (C,H,W) input.  Supported layers:
-  /// Conv2D, MaxPool2D, Dense, Flatten, ReLU, Dropout.
+  /// Conv2D, MaxPool2D, Dense, Flatten, ReLU.
   static UnitGraph build(const ml::Network& net,
                          const std::vector<int>& input_shape);
 

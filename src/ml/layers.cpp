@@ -416,41 +416,4 @@ Tensor Dense::backward(const Tensor& grad_y) {
   return grad_x;
 }
 
-// ---------------------------------------------------------------- Dropout --
-
-Dropout::Dropout(double p, Rng& rng) : p_(p), rng_(rng) {
-  ZEIOT_CHECK_MSG(p >= 0.0 && p < 1.0, "dropout p must be in [0,1)");
-}
-
-Tensor Dropout::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  scale_.assign(x.size(), 1.0f);
-  if (train && p_ > 0.0) {
-    const auto keep = static_cast<float>(1.0 / (1.0 - p_));
-    float* dst = y.data();
-    float* sc = scale_.data();
-    const std::size_t sz = y.size();
-    for (std::size_t i = 0; i < sz; ++i) {
-      if (rng_.bernoulli(p_)) {
-        sc[i] = 0.0f;
-        dst[i] = 0.0f;
-      } else {
-        sc[i] = keep;
-        dst[i] *= keep;
-      }
-    }
-  }
-  return y;
-}
-
-Tensor Dropout::backward(const Tensor& grad_y) {
-  ZEIOT_CHECK_MSG(grad_y.size() == scale_.size(), "dropout size mismatch");
-  Tensor grad_x = grad_y;
-  float* g = grad_x.data();
-  const float* sc = scale_.data();
-  const std::size_t sz = grad_x.size();
-  for (std::size_t i = 0; i < sz; ++i) g[i] *= sc[i];
-  return grad_x;
-}
-
 }  // namespace zeiot::ml

@@ -34,7 +34,8 @@ struct Param {
 class Layer {
  public:
   virtual ~Layer() = default;
-  /// Forward pass; `train` enables behaviours like dropout.
+  /// Forward pass; `train` marks a training pass (no layer here behaves
+  /// differently between training and inference).
   virtual Tensor forward(const Tensor& x, bool train) = 0;
   /// Backward pass: receives dL/dy, accumulates parameter gradients,
   /// returns dL/dx.  Must be called after forward on the same input.
@@ -46,12 +47,8 @@ class Layer {
   virtual std::vector<int> output_shape(const std::vector<int>& in) const = 0;
   /// Deep copy for data-parallel replicas: parameter values and gradients
   /// are copied, forward caches come along but are overwritten by the next
-  /// forward.  Layers whose *training* forward draws randomness (Dropout)
-  /// share the original generator and must report rng_forward() = true so
-  /// the trainer keeps them off the sharded path.
+  /// forward.
   virtual std::unique_ptr<Layer> clone() const = 0;
-  /// True when forward(x, /*train=*/true) consumes shared RNG state.
-  virtual bool rng_forward() const { return false; }
 
   /// Binds the scratch arena this layer carves kernel temporaries from.
   /// Owned by the enclosing Network; standalone layers fall back to a
@@ -192,28 +189,6 @@ class Dense final : public Layer {
   Param weight_;  // (out, in)
   Param bias_;    // (out)
   Tensor cached_x_;
-};
-
-/// Inverted dropout with keep probability 1-p.
-class Dropout final : public Layer {
- public:
-  Dropout(double p, Rng& rng);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_y) override;
-  std::string name() const override { return "dropout"; }
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<Dropout>(*this);
-  }
-  bool rng_forward() const override { return true; }
-  std::vector<int> output_shape(const std::vector<int>& in) const override {
-    return in;
-  }
-
- private:
-  double p_;
-  Rng& rng_;
-  std::vector<float> scale_;  // 0 or 1/(1-p) per element of the last forward
 };
 
 }  // namespace zeiot::ml

@@ -69,13 +69,6 @@ Network Network::clone() const {
   return copy;
 }
 
-bool Network::parallel_safe() const {
-  for (const auto& l : layers_) {
-    if (l->rng_forward()) return false;
-  }
-  return true;
-}
-
 void Network::copy_param_values_from(Network& src) {
   const auto mine = params();
   const auto theirs = src.params();

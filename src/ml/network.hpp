@@ -44,9 +44,6 @@ class Network {
   void zero_grads();
   /// Deep copy (layer clones) for data-parallel replicas.
   Network clone() const;
-  /// True when no layer consumes shared RNG state in its training forward
-  /// — the precondition for sharding a batch across replicas.
-  bool parallel_safe() const;
   /// Copies parameter *values* from `src` (identical architecture
   /// required); gradients are untouched.  Used to resync replicas with the
   /// primary before each sharded batch.

@@ -71,7 +71,6 @@ TrainHistory Trainer::fit(const Dataset& train, const Dataset& val,
       cfg.pool != nullptr ? *cfg.pool
                           : (pool_ != nullptr ? *pool_ : par::global_pool());
   const auto grain = static_cast<std::size_t>(cfg.shard_grain);
-  const bool shardable = net_.parallel_safe();
 
   // Observability: virtual-time spans on the epoch axis + wall-time
   // profiler regions.  Shard spans are recorded on this thread during the
@@ -108,7 +107,7 @@ TrainHistory Trainer::fit(const Dataset& train, const Dataset& val,
           order.size(), start + static_cast<std::size_t>(cfg.batch_size));
       const std::size_t bn = end - start;
       const auto shards = par::make_chunks(bn, grain);
-      if (!shardable || shards.size() <= 1) {
+      if (shards.size() <= 1) {
         // Serial whole-batch path.  A single-shard batch computes the same
         // bits here as on a replica, so thread count still cannot matter.
         const std::vector<std::size_t> idx(

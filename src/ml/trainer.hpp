@@ -9,9 +9,9 @@
 // worker count), every shard runs forward/backward on its own network
 // replica, and the shard gradients are summed into the primary network in
 // shard order before the optimizer step.  Results are therefore
-// bit-identical between ZEIOT_THREADS=1 and ZEIOT_THREADS=N.  Networks
-// containing RNG-consuming layers (Dropout) fall back to the serial
-// whole-batch path at any thread count, which is equally deterministic.
+// bit-identical between ZEIOT_THREADS=1 and ZEIOT_THREADS=N.  A batch
+// that fits in one shard runs on the primary network directly, which
+// computes the same bits as a replica would.
 #pragma once
 
 #include <functional>

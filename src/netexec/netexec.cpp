@@ -165,7 +165,7 @@ void NetworkExecutor::build_plans() {
                         "netexec: ReLU must follow a producing layer");
         plans_.back().relu_after = true;
       }
-      continue;  // Flatten / Dropout: no units, no traffic
+      continue;  // Flatten: no units, no traffic
     }
 
     LayerPlan p;

@@ -1,7 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <iomanip>
 
 #include "common/error.hpp"
 
@@ -45,36 +44,6 @@ void ProfilerRegistry::report(MetricsRegistry& metrics) const {
     metrics.gauge("prof." + r.name + ".count")
         .set(static_cast<double>(r.count));
   }
-}
-
-void ProfilerRegistry::render(std::ostream& out) const {
-  std::vector<std::size_t> order(regions_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    if (regions_[x].self_s != regions_[y].self_s) {
-      return regions_[x].self_s > regions_[y].self_s;
-    }
-    return regions_[x].name < regions_[y].name;
-  });
-  out << "region                          self_s     total_s    count\n";
-  for (const std::size_t i : order) {
-    const Region& r = regions_[i];
-    if (r.count == 0) continue;
-    out << std::left << std::setw(30) << r.name << std::right << ' '
-        << std::setw(10) << std::setprecision(4) << std::fixed << r.self_s
-        << ' ' << std::setw(11) << r.total_s << ' ' << std::setw(8) << r.count
-        << '\n';
-  }
-  out.unsetf(std::ios::fixed);
-}
-
-void ProfilerRegistry::reset() {
-  for (Region& r : regions_) {
-    r.total_s = 0.0;
-    r.self_s = 0.0;
-    r.count = 0;
-  }
-  stack_.clear();
 }
 
 }  // namespace zeiot::obs

@@ -21,7 +21,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -50,12 +49,6 @@ class ProfilerRegistry {
   /// Publishes every region as gauges: prof.<name>.total_s / .self_s /
   /// .count.  Call once, after the measured phase (bench_report does).
   void report(MetricsRegistry& metrics) const;
-
-  /// Human-readable table sorted by self time (descending).
-  void render(std::ostream& out) const;
-
-  /// Drops all timing data but keeps interned region ids valid.
-  void reset();
 
  private:
   friend class ScopedTimer;

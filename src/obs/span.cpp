@@ -1,6 +1,5 @@
 #include "obs/span.hpp"
 
-#include <iomanip>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -184,46 +183,6 @@ void SpanRecorder::export_chrome_trace(std::ostream& out) const {
   w.end_array();
   w.end_object();
   out << '\n';
-}
-
-void SpanRecorder::render_tree(std::ostream& out) const {
-  // Children in record order, per parent.  Ids are dense (1..size), so the
-  // child index is a flat vector of vectors.
-  std::vector<std::vector<std::size_t>> children(spans_.size() + 1);
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    // A parent beyond the retained range (possible after a capped merge)
-    // renders as a root rather than indexing out of bounds.
-    const SpanId p =
-        spans_[i].parent <= spans_.size() ? spans_[i].parent : SpanId{0};
-    children[p].push_back(i);
-  }
-  const std::streamsize prec = out.precision();
-  out << std::setprecision(6);
-  // Iterative DFS so a deep chain cannot overflow the stack.
-  struct Frame {
-    std::size_t idx;
-    int depth;
-  };
-  std::vector<Frame> stack;
-  for (auto it = children[0].rbegin(); it != children[0].rend(); ++it) {
-    stack.push_back({*it, 0});
-  }
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    const SpanEvent& s = spans_[f.idx];
-    for (int d = 0; d < f.depth; ++d) out << "  ";
-    out << span_kind_name(s.kind) << " [" << s.t0 << ", " << s.t1 << ") dur="
-        << s.duration() << " a=" << s.a << " b=" << s.b;
-    if (s.value != 0.0) out << " v=" << s.value;
-    if (f.depth == 0) out << " trace=" << s.trace_id;
-    out << '\n';
-    const auto& kids = children[s.id];
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back({*it, f.depth + 1});
-    }
-  }
-  out << std::setprecision(static_cast<int>(prec));
 }
 
 }  // namespace zeiot::obs

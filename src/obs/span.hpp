@@ -194,10 +194,6 @@ class SpanRecorder {
   /// id, tid = the span's `a` attribute, ts/dur in virtual microseconds.
   void export_chrome_trace(std::ostream& out) const;
 
-  /// Indented text rendering of the span forest, children in record
-  /// order, with durations and payloads.
-  void render_tree(std::ostream& out) const;
-
  private:
   std::size_t capacity_ = 0;
   std::vector<SpanEvent> spans_;

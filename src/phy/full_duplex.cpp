@@ -1,5 +1,6 @@
 #include "phy/full_duplex.hpp"
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace zeiot::phy {
@@ -18,7 +19,7 @@ double FullDuplexAp::residual_si_dbm() const {
 }
 
 double backscatter_sinr_db(const FullDuplexAp& ap,
-                           const radio::PathLossModel& model, double d_tag_m,
+                           const radio::LogDistance& model, double d_tag_m,
                            double reflection_loss_db) {
   // Monostatic dyadic channel: the carrier travels AP -> tag -> AP.
   const auto uplink = radio::compute_backscatter_link(
@@ -29,7 +30,7 @@ double backscatter_sinr_db(const FullDuplexAp& ap,
 }
 
 double backscatter_range_m(const FullDuplexAp& ap,
-                           const radio::PathLossModel& model,
+                           const radio::LogDistance& model,
                            double required_sinr_db,
                            double reflection_loss_db, double max_search_m) {
   ZEIOT_CHECK_MSG(max_search_m > 0.1, "search range too small");

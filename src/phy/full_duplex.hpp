@@ -29,14 +29,14 @@ struct FullDuplexAp {
 /// `d_tag_m` reflects the AP's own carrier (monostatic dyadic channel),
 /// competing against the residual self-interference plus thermal noise.
 double backscatter_sinr_db(const FullDuplexAp& ap,
-                           const radio::PathLossModel& model, double d_tag_m,
+                           const radio::LogDistance& model, double d_tag_m,
                            double reflection_loss_db = 6.0);
 
 /// Largest tag distance at which the uplink SINR stays at or above
 /// `required_sinr_db` (binary search over [0.1, max_search_m]; returns 0
 /// if even the closest range fails).
 double backscatter_range_m(const FullDuplexAp& ap,
-                           const radio::PathLossModel& model,
+                           const radio::LogDistance& model,
                            double required_sinr_db,
                            double reflection_loss_db = 6.0,
                            double max_search_m = 100.0);

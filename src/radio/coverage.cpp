@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
+
 namespace zeiot::radio {
 
 double CoverageMap::at(int col, int row) const {
@@ -27,7 +29,7 @@ double CoverageMap::worst_watt() const {
 
 CoverageMap compute_coverage(const Rect& area, double cell_m,
                              const std::vector<Carrier>& carriers,
-                             const PathLossModel& model,
+                             const LogDistance& model,
                              double rectifier_efficiency) {
   ZEIOT_CHECK_MSG(cell_m > 0.0, "cell size must be > 0");
   ZEIOT_CHECK_MSG(area.width() > 0.0 && area.height() > 0.0,
@@ -57,7 +59,7 @@ CoverageMap compute_coverage(const Rect& area, double cell_m,
 
 std::vector<Carrier> greedy_place_carriers(const Rect& area, double cell_m,
                                            double candidate_step_m, int k,
-                                           const PathLossModel& model,
+                                           const LogDistance& model,
                                            double threshold_watt,
                                            const TxSpec& carrier_tx,
                                            double rectifier_efficiency) {

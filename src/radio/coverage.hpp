@@ -42,7 +42,7 @@ struct CoverageMap {
 /// all carriers through `model` with the given rectifier efficiency.
 CoverageMap compute_coverage(const Rect& area, double cell_m,
                              const std::vector<Carrier>& carriers,
-                             const PathLossModel& model,
+                             const LogDistance& model,
                              double rectifier_efficiency = 0.3);
 
 /// Greedy carrier placement: repeatedly adds, from a grid of candidate
@@ -51,7 +51,7 @@ CoverageMap compute_coverage(const Rect& area, double cell_m,
 /// placed or full coverage is reached.  Returns the chosen carriers.
 std::vector<Carrier> greedy_place_carriers(
     const Rect& area, double cell_m, double candidate_step_m, int k,
-    const PathLossModel& model, double threshold_watt,
+    const LogDistance& model, double threshold_watt,
     const TxSpec& carrier_tx = {30.0, 2.0}, double rectifier_efficiency = 0.3);
 
 }  // namespace zeiot::radio

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace zeiot::radio {
@@ -20,14 +21,7 @@ LinkBudget finish(double rx_power_dbm, const RxSpec& rx) {
 
 }  // namespace
 
-LinkBudget compute_link(const PathLossModel& model, const TxSpec& tx,
-                        const RxSpec& rx, double d_m, double extra_loss_db) {
-  const double prx = tx.power_dbm + tx.antenna_gain_db + rx.antenna_gain_db -
-                     model.loss_db(d_m) - extra_loss_db;
-  return finish(prx, rx);
-}
-
-LinkBudget compute_backscatter_link(const PathLossModel& model,
+LinkBudget compute_backscatter_link(const LogDistance& model,
                                     const TxSpec& source, const RxSpec& rx,
                                     double d_source_tag_m, double d_tag_rx_m,
                                     double reflection_loss_db,
@@ -45,7 +39,7 @@ double sinr_db(double signal_dbm, double interference_dbm, double noise_dbm) {
   return watt_to_dbm(dbm_to_watt(signal_dbm)) - watt_to_dbm(denom_w);
 }
 
-double harvestable_power_watt(const PathLossModel& model, const TxSpec& tx,
+double harvestable_power_watt(const LogDistance& model, const TxSpec& tx,
                               double d_m, double rectifier_efficiency) {
   ZEIOT_CHECK_MSG(rectifier_efficiency >= 0.0 && rectifier_efficiency <= 1.0,
                   "rectifier efficiency in [0,1]");

@@ -1,12 +1,11 @@
-// Link budget computation: ties together propagation, noise and BER models
-// into per-link SNR/SINR and packet success probabilities.
+// Link budget computation: ties together propagation and receiver noise
+// into per-link SNR/SINR and harvestable power.
 //
 // Backscatter links are the special case the paper cares about: the signal
 // traverses source -> tag -> receiver with a reflection loss at the tag, so
 // the budget multiplies two path losses (the "dyadic backscatter channel").
 #pragma once
 
-#include "radio/ber.hpp"
 #include "radio/propagation.hpp"
 
 namespace zeiot::radio {
@@ -32,15 +31,10 @@ struct LinkBudget {
   double snr_linear = 0.0;
 };
 
-/// One-hop budget over `model` at distance `d_m`, plus optional extra loss
-/// (shadowing, walls, body) in dB.
-LinkBudget compute_link(const PathLossModel& model, const TxSpec& tx,
-                        const RxSpec& rx, double d_m, double extra_loss_db = 0.0);
-
 /// Backscatter (dyadic) budget: carrier source at distance `d_source_tag_m`
 /// from the tag, receiver at `d_tag_rx_m`.  `reflection_loss_db` models the
 /// tag's modulation efficiency (typically 5-10 dB when impedance switching).
-LinkBudget compute_backscatter_link(const PathLossModel& model,
+LinkBudget compute_backscatter_link(const LogDistance& model,
                                     const TxSpec& source, const RxSpec& rx,
                                     double d_source_tag_m, double d_tag_rx_m,
                                     double reflection_loss_db = 6.0,
@@ -51,7 +45,7 @@ double sinr_db(double signal_dbm, double interference_dbm, double noise_dbm);
 
 /// RF power (watts) available for harvesting at distance `d_m` from `tx`
 /// through `model`, scaled by rectifier efficiency in [0,1].
-double harvestable_power_watt(const PathLossModel& model, const TxSpec& tx,
+double harvestable_power_watt(const LogDistance& model, const TxSpec& tx,
                               double d_m, double rectifier_efficiency = 0.3);
 
 }  // namespace zeiot::radio

@@ -3,23 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/units.hpp"
+#include "common/error.hpp"
 
 namespace zeiot::radio {
 
 namespace {
 constexpr double kMinDistanceM = 0.1;
-}
-
-FreeSpace::FreeSpace(double freq_hz) : freq_hz_(freq_hz) {
-  ZEIOT_CHECK_MSG(freq_hz > 0.0, "FreeSpace requires freq > 0");
-}
-
-double FreeSpace::loss_db(double d_m) const {
-  const double d = std::max(d_m, kMinDistanceM);
-  // FSPL = 20 log10(4 pi d / lambda)
-  const double lambda = wavelength_m(freq_hz_);
-  return 20.0 * std::log10(4.0 * M_PI * d / lambda);
 }
 
 LogDistance::LogDistance(double loss_at_ref_db, double exponent,
@@ -34,28 +23,6 @@ LogDistance::LogDistance(double loss_at_ref_db, double exponent,
 double LogDistance::loss_db(double d_m) const {
   const double d = std::max(d_m, kMinDistanceM);
   return loss_at_ref_db_ + 10.0 * exponent_ * std::log10(d / ref_dist_m_);
-}
-
-IndoorWalls::IndoorWalls(LogDistance base, double wall_loss_db)
-    : base_(base), wall_loss_db_(wall_loss_db) {
-  ZEIOT_CHECK_MSG(wall_loss_db >= 0.0, "wall loss must be >= 0 dB");
-}
-
-double IndoorWalls::loss_db(double d_m) const { return base_.loss_db(d_m); }
-
-double IndoorWalls::loss_db(double d_m, int walls) const {
-  ZEIOT_CHECK_MSG(walls >= 0, "wall count must be >= 0");
-  return base_.loss_db(d_m) + wall_loss_db_ * static_cast<double>(walls);
-}
-
-double draw_shadowing_db(Rng& rng, double sigma_db) {
-  ZEIOT_CHECK_MSG(sigma_db >= 0.0, "shadowing sigma must be >= 0");
-  return rng.normal(0.0, sigma_db);
-}
-
-double received_dbm(const PathLossModel& model, double tx_dbm, double d_m,
-                    double tx_gain_db, double rx_gain_db) {
-  return tx_dbm + tx_gain_db + rx_gain_db - model.loss_db(d_m);
 }
 
 }  // namespace zeiot::radio

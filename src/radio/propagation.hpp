@@ -1,72 +1,25 @@
-// Large-scale radio propagation models.
+// Large-scale radio propagation.
 //
-// Every wireless subsystem in the library (WLAN, 802.15.4, BLE, backscatter)
-// computes received power as
-//   Prx[dBm] = Ptx[dBm] + Gtx[dB] + Grx[dB] - PL(d)[dB] - X[dB]
-// where PL is one of the deterministic models below and X an optional
-// log-normal shadowing term that is *static per link* (re-drawn only when a
-// deployment changes), matching how indoor shadowing behaves.
+// The link budgets in this library (backscatter uplink, RF harvesting,
+// carrier coverage, full-duplex range) compute received power as
+//   Prx[dBm] = Ptx[dBm] + Gtx[dB] + Grx[dB] - PL(d)[dB]
+// with PL the deterministic log-distance model below.
 #pragma once
-
-#include <memory>
-
-#include "common/geometry.hpp"
-#include "common/rng.hpp"
 
 namespace zeiot::radio {
 
-/// Interface: deterministic path loss in dB at distance `d_m` metres.
-class PathLossModel {
- public:
-  virtual ~PathLossModel() = default;
-  /// Path loss in dB; d_m is clamped to >= 0.1 m internally.
-  virtual double loss_db(double d_m) const = 0;
-};
-
-/// Friis free-space path loss at carrier `freq_hz`.
-class FreeSpace final : public PathLossModel {
- public:
-  explicit FreeSpace(double freq_hz);
-  double loss_db(double d_m) const override;
-
- private:
-  double freq_hz_;
-};
-
 /// Log-distance model: PL(d) = PL(d0) + 10 n log10(d/d0).
 /// Typical indoor 2.4 GHz: n in [2.5, 4], PL(1m) ~ 40 dB.
-class LogDistance final : public PathLossModel {
+class LogDistance {
  public:
   LogDistance(double loss_at_ref_db, double exponent, double ref_dist_m = 1.0);
-  double loss_db(double d_m) const override;
-
-  double exponent() const { return exponent_; }
+  /// Path loss in dB; d_m is clamped to >= 0.1 m internally.
+  double loss_db(double d_m) const;
 
  private:
   double loss_at_ref_db_;
   double exponent_;
   double ref_dist_m_;
 };
-
-/// ITU-style indoor model with wall penetration: log-distance plus
-/// `wall_loss_db` per wall crossed (caller supplies the wall count).
-class IndoorWalls final : public PathLossModel {
- public:
-  IndoorWalls(LogDistance base, double wall_loss_db);
-  double loss_db(double d_m) const override;
-  /// Loss including `walls` penetrations.
-  double loss_db(double d_m, int walls) const;
-
- private:
-  LogDistance base_;
-  double wall_loss_db_;
-};
-
-/// Draws a static log-normal shadowing offset (dB) for a link.
-double draw_shadowing_db(Rng& rng, double sigma_db);
-
-/// Convenience: received power in dBm through a model (no shadowing).
-double received_dbm(const PathLossModel& model, double tx_dbm, double d_m,
-                    double tx_gain_db = 0.0, double rx_gain_db = 0.0);
 
 }  // namespace zeiot::radio

@@ -66,31 +66,6 @@ std::vector<double> unwrap_phase(const std::vector<double>& wrapped) {
   return out;
 }
 
-std::optional<double> radial_velocity(const TrajectoryConfig& cfg,
-                                      const std::vector<double>& t_s,
-                                      const std::vector<double>& phase_rad) {
-  ZEIOT_CHECK_MSG(t_s.size() == phase_rad.size(), "series size mismatch");
-  const auto unwrapped = unwrap_phase(phase_rad);
-  // Least-squares slope over valid samples.
-  double st = 0.0, sp = 0.0, stt = 0.0, stp = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < t_s.size(); ++i) {
-    if (std::isnan(unwrapped[i])) continue;
-    st += t_s[i];
-    sp += unwrapped[i];
-    stt += t_s[i] * t_s[i];
-    stp += t_s[i] * unwrapped[i];
-    ++n;
-  }
-  if (n < 4) return std::nullopt;
-  const double denom = static_cast<double>(n) * stt - st * st;
-  if (std::abs(denom) < 1e-12) return std::nullopt;
-  const double slope = (static_cast<double>(n) * stp - st * sp) / denom;
-  const double lambda = wavelength_m(cfg.carrier_hz);
-  // d(phase)/dt = 4*pi/lambda * d(range)/dt.
-  return slope * lambda / (4.0 * M_PI);
-}
-
 namespace {
 
 /// Index of minimal unwrapped phase (closest approach), if it is an

@@ -46,12 +46,6 @@ PhaseTrack simulate_track(const TrajectoryConfig& cfg, Point2D start,
 /// Unwraps a wrapped phase series (ignores NaN gaps).
 std::vector<double> unwrap_phase(const std::vector<double>& wrapped);
 
-/// Radial velocity (m/s, positive = receding) from a phase series via a
-/// least-squares slope of the unwrapped phase.
-std::optional<double> radial_velocity(const TrajectoryConfig& cfg,
-                                      const std::vector<double>& t_s,
-                                      const std::vector<double>& phase_rad);
-
 enum class CrossingDirection { None = 0, Inward, Outward };
 
 struct CrossingEvent {

@@ -116,17 +116,4 @@ std::size_t Simulator::run(std::size_t limit) {
   return executed;
 }
 
-std::size_t Simulator::run_until(Time t) {
-  ZEIOT_CHECK_MSG(t >= now_, "run_until() in the past");
-  std::size_t executed = 0;
-  while (!heap_.empty() && heap_.top().time <= t) {
-    if (pop_and_run()) ++executed;
-  }
-  if (t > now_) {
-    now_ = t;
-    now_seq_ = 0;  // nothing has run at t yet
-  }
-  return executed;
-}
-
 }  // namespace zeiot::sim

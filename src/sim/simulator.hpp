@@ -143,9 +143,6 @@ class Simulator {
   /// Returns the number of events executed.
   std::size_t run(std::size_t limit = SIZE_MAX);
 
-  /// Runs events with timestamp <= `t`, then advances the clock to `t`.
-  std::size_t run_until(Time t);
-
   /// Number of events currently pending (scheduled, not yet run/cancelled).
   std::size_t pending() const { return pending_; }
 

@@ -1,7 +1,7 @@
 // zeiot::fault — plan generation, injector semantics, invariant checking,
-// and the injection points wired through the MAC / backscatter / MicroDeep /
-// energy subsystems.  Everything here is seeded: a failing case names the
-// exact plan digest needed to replay it.
+// and the injection points wired through the CSMA MAC, the backscatter
+// coexistence simulator and netexec.  Everything here is seeded: a failing
+// case names the exact plan digest needed to replay it.
 #include "fault/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -14,10 +14,8 @@
 
 #include "backscatter/coexistence.hpp"
 #include "common/error.hpp"
-#include "energy/device.hpp"
 #include "fault/injector.hpp"
 #include "fault/invariants.hpp"
-#include "mac/collection.hpp"
 #include "mac/csma.hpp"
 #include "netexec/netexec.hpp"
 #include "sim/simulator.hpp"
@@ -149,21 +147,6 @@ TEST(FaultInjector, DelayWindowsOverlapToMax) {
   EXPECT_EQ(inj.injected(FaultType::MessageDelay), 2u);
 }
 
-TEST(FaultInjector, BrownoutAndDroughtWindows) {
-  FaultInjector inj(
-      FaultPlan({{1.0, FaultType::Brownout, 0, 2.0, 1.0},
-                 {0.0, FaultType::HarvestDrought, 0, 10.0, 0.5},
-                 {4.0, FaultType::HarvestDrought, 0, 10.0, 0.1}}));
-  EXPECT_FALSE(inj.in_brownout(0.5, 0));
-  EXPECT_TRUE(inj.in_brownout(1.5, 0));
-  EXPECT_FALSE(inj.in_brownout(3.5, 0));
-  EXPECT_DOUBLE_EQ(inj.harvest_scale(2.0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(inj.harvest_scale(5.0, 0), 0.1)
-      << "overlapping droughts: the smallest scale (worst case) wins";
-  EXPECT_DOUBLE_EQ(inj.harvest_scale(5.0, 3), 1.0);
-  EXPECT_DOUBLE_EQ(inj.harvest_scale(50.0, 0), 1.0);
-}
-
 TEST(FaultInjector, RecordsInjectionsIntoObservability) {
   obs::Observability obs;
   obs.enable_spans(16);
@@ -282,52 +265,6 @@ TEST(FaultWiring, CsmaDropWindowForcesRetries) {
   EXPECT_EQ(m.successes, 0u) << "every clean win is dropped in flight";
   EXPECT_GT(m.fault_dropped, 0u);
   EXPECT_GT(m.drops, 0u) << "retry limits must eventually discard frames";
-}
-
-TEST(FaultWiring, CollectionReplayRecoversAndLoses) {
-  std::vector<mac::DeviceRequirement> devices{
-      {0, {1.0, 1.0}, 1.0, 16}, {1, {2.0, 1.0}, 1.0, 16}};
-  mac::CollectionConfig cfg;
-  cfg.recovery_slots = 1;
-  const auto schedule = mac::synthesize_schedule(devices, cfg);
-  ASSERT_TRUE(schedule.feasible);
-
-  FaultInjector none{FaultPlan{}};
-  const auto clean = mac::replay_schedule_with_faults(schedule, none);
-  EXPECT_EQ(clean.instances, 2u);
-  EXPECT_EQ(clean.delivered_first_try, 2u);
-  EXPECT_EQ(clean.lost, 0u);
-  EXPECT_DOUBLE_EQ(clean.delivery_ratio(), 1.0);
-
-  // Window over device 0's primary transmission only: the reserved
-  // recovery slot must save the instance.
-  double primary_start = 0.0, recovery_start = 0.0;
-  for (const auto& e : schedule.entries) {
-    if (e.device != 0) continue;
-    (e.recovery ? recovery_start : primary_start) = e.start_s;
-  }
-  ASSERT_LT(primary_start, recovery_start);
-  FaultInjector partial(FaultPlan({{primary_start, FaultType::MessageDrop, 0,
-                                    (recovery_start - primary_start) / 2.0,
-                                    1.0}}));
-  const auto rec = mac::replay_schedule_with_faults(schedule, partial);
-  EXPECT_EQ(rec.recovered, 1u);
-  EXPECT_EQ(rec.lost, 0u);
-  EXPECT_EQ(rec.faulted_windows, 1u);
-
-  // Certain drop over the whole hyperperiod: everything is lost.
-  FaultInjector total(FaultPlan({{0.0, FaultType::MessageDrop, kAllTargets,
-                                  schedule.hyperperiod_s + 1.0, 1.0}}));
-  const auto lost = mac::replay_schedule_with_faults(schedule, total);
-  EXPECT_EQ(lost.lost, 2u);
-  EXPECT_DOUBLE_EQ(lost.delivery_ratio(), 0.0);
-
-  // Dead device: windows are skipped, not transmitted-and-dropped.
-  FaultInjector dead(FaultPlan({{0.0, FaultType::NodeDeath, 0}}));
-  const auto d = mac::replay_schedule_with_faults(schedule, dead);
-  EXPECT_EQ(d.lost, 1u);
-  EXPECT_GT(d.dead_windows, 0u);
-  EXPECT_EQ(d.delivered_first_try, 1u) << "device 1 is unaffected";
 }
 
 // Room for a whole 15-20 s chaos run of coexistence: no record dropped.
@@ -529,39 +466,6 @@ TEST(FaultWiring, ExecutorDelayStretchesLatency) {
       << "every cross-node hop gained 250 ms";
   EXPECT_FALSE(delayed.degraded);
   expect_same_bits(base.output, delayed.output);  // timing, never values
-}
-
-TEST(FaultWiring, DeviceDroughtStopsChargingAndBrownoutDeniesWork) {
-  using namespace zeiot::energy;
-  auto make_device = [] {
-    return IntermittentDevice(std::make_unique<ConstantHarvester>(1e-3),
-                              Capacitor(100e-6, 5.0, 0.0),
-                              HysteresisSwitch(3.0, 2.0));
-  };
-  // Drought with scale 0 over [0, 10): no charge is accumulated.
-  IntermittentDevice dry = make_device();
-  FaultInjector drought(FaultPlan(
-      {{0.0, FaultType::HarvestDrought, 0, 10.0, 0.0}}));
-  dry.set_fault_injector(&drought);
-  IntermittentDevice wet = make_device();
-  dry.advance(5.0);
-  wet.advance(5.0);
-  EXPECT_LT(dry.stored_joule(), wet.stored_joule())
-      << "scaled-to-zero harvest must fall behind the healthy device";
-
-  // Brownout window: the rail is held in reset, so activities are denied
-  // even though the capacitor is charged and the switch is ON.
-  IntermittentDevice dev = make_device();
-  FaultInjector rail(FaultPlan({{1.0, FaultType::Brownout, 0, 2.0, 1.0}}));
-  dev.set_fault_injector(&rail);
-  dev.advance(0.5);
-  ASSERT_TRUE(dev.is_on());
-  EXPECT_TRUE(dev.try_sense(0.01));
-  dev.advance(1.5);  // inside the brownout window
-  EXPECT_TRUE(dev.is_on()) << "capacitor is still charged";
-  EXPECT_FALSE(dev.try_sense(0.01)) << "rail fault denies the activity";
-  dev.advance(3.5);  // past the window
-  EXPECT_TRUE(dev.try_sense(0.01));
 }
 
 TEST(FaultWiring, InvariantCheckerHoldsUnderChaosRun) {

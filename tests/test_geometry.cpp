@@ -38,43 +38,5 @@ TEST(Rect, DimsAndContains) {
   EXPECT_EQ(r.center(), (Point2D{5.0, 2.5}));
 }
 
-TEST(GridMapper, RejectsDegenerate) {
-  EXPECT_THROW(GridMapper({0, 0, 0, 1}, 2, 2), Error);
-  EXPECT_THROW(GridMapper({0, 0, 1, 1}, 0, 2), Error);
-}
-
-TEST(GridMapper, CellOfCorners) {
-  GridMapper g({0.0, 0.0, 10.0, 10.0}, 5, 5);
-  EXPECT_EQ(g.cell_of({0.1, 0.1}), (CellIndex{0, 0}));
-  EXPECT_EQ(g.cell_of({9.9, 9.9}), (CellIndex{4, 4}));
-  // Boundary points clamp into the grid.
-  EXPECT_EQ(g.cell_of({10.0, 10.0}), (CellIndex{4, 4}));
-  EXPECT_EQ(g.cell_of({-5.0, -5.0}), (CellIndex{0, 0}));
-}
-
-TEST(GridMapper, CellCenterRoundtrip) {
-  GridMapper g({0.0, 0.0, 25.0, 17.0}, 25, 17);
-  for (int y = 0; y < 17; ++y) {
-    for (int x = 0; x < 25; ++x) {
-      const CellIndex c{x, y};
-      EXPECT_EQ(g.cell_of(g.cell_center(c)), c);
-    }
-  }
-}
-
-TEST(GridMapper, FlatIndexRowMajor) {
-  GridMapper g({0.0, 0.0, 4.0, 4.0}, 4, 4);
-  EXPECT_EQ(g.flat({0, 0}), 0u);
-  EXPECT_EQ(g.flat({3, 0}), 3u);
-  EXPECT_EQ(g.flat({0, 1}), 4u);
-  EXPECT_EQ(g.flat({3, 3}), 15u);
-}
-
-TEST(GridMapper, FlatRejectsOutOfRange) {
-  GridMapper g({0.0, 0.0, 4.0, 4.0}, 4, 4);
-  EXPECT_THROW(g.flat({4, 0}), Error);
-  EXPECT_THROW(g.cell_center({-1, 0}), Error);
-}
-
 }  // namespace
 }  // namespace zeiot

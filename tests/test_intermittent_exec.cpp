@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -433,6 +434,66 @@ TEST(IntermittentExec, HarvestDeferralIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < a.latencies_s.size(); ++i) {
     EXPECT_EQ(a.latencies_s[i], b.latencies_s[i]) << "sample " << i;
   }
+}
+
+TEST(IntermittentExec, HarvestDroughtDelaysTheFirstComputeByItsLength) {
+  // The harvest-ready solve: with an empty capacitor and no harvest at all
+  // during [0, D), each node's first compute waits for D plus the time the
+  // harvest then needs to cover its admission energy.  Lengthening the
+  // drought by 0.3 s therefore starts the earliest compute exactly 0.3 s
+  // later, up to the solve's 1 ns retry floor.  The solve jumps the whole
+  // drought at once, so a compute waits through at most two deferrals (the
+  // solve and one retry), however long the drought.
+  Scenario sc;
+  const auto sample = make_sample();
+  struct DroughtRun {
+    netexec::NetInferenceResult result;
+    double first_compute_s = std::numeric_limits<double>::infinity();
+    std::uint64_t computes = 0;
+  };
+  const auto run_with_drought = [&](double drought_s, double deadline_s) {
+    fault::FaultInjector inj(fault::FaultPlan({fault::FaultEvent{
+        0.0, fault::FaultType::HarvestDrought, fault::kAllTargets, drought_s,
+        0.0}}));
+    obs::Observability obs;
+    obs.enable_spans(1 << 16);
+    netexec::NetExecConfig cfg;
+    cfg.channel.loss_per_hop = 0.0;
+    cfg.harvest.enabled = true;
+    cfg.harvest.initial_j = 0.0;
+    cfg.layer_deadline_s = deadline_s;
+    cfg.fault = &inj;
+    cfg.obs = &obs;
+    netexec::NetworkExecutor exec(sc.net, sc.graph, sc.assignment, sc.wsn,
+                                  cfg);
+    DroughtRun run;
+    run.result = exec.run(sample);
+    for (std::size_t i = 0; i < obs.spans().size(); ++i) {
+      const obs::SpanEvent& e = obs.spans().at(i);
+      if (e.kind == obs::SpanKind::NodeCompute) {
+        run.first_compute_s = std::min(run.first_compute_s, e.t0);
+        ++run.computes;
+      }
+    }
+    return run;
+  };
+
+  const DroughtRun short_drought = run_with_drought(0.2, 2.0);
+  const DroughtRun long_drought = run_with_drought(0.5, 2.0);
+  for (const DroughtRun* run : {&short_drought, &long_drought}) {
+    EXPECT_GT(run->result.deferrals, 0u) << "an empty capacitor must defer";
+    EXPECT_LE(run->result.deferrals, 2 * run->computes);
+    EXPECT_EQ(run->result.starved, 0u);
+  }
+  EXPECT_GT(short_drought.first_compute_s, 0.2);
+  EXPECT_NEAR(long_drought.first_compute_s - short_drought.first_compute_s,
+              0.3, 1e-9);
+
+  // A drought that outlasts plan 0's deadline leaves its forced computes
+  // on a dry capacitor: they are starved and the output is substituted.
+  const DroughtRun starved = run_with_drought(0.5, 0.25);
+  EXPECT_GT(starved.result.starved, 0u);
+  EXPECT_TRUE(starved.result.degraded);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Property tests for the GEMM-backed CNN kernels (ml/kernels) against the
 // retained naive reference implementations, plus the workspace/pool
-// plumbing and the ReLU/Dropout mask rewrites.
+// plumbing and the ReLU mask rewrite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -397,7 +397,7 @@ TEST(Workspace, RequireAfterAllocIsRejected) {
   EXPECT_NO_THROW(ws.require(32));
 }
 
-// ------------------------------------------------ ReLU / Dropout rewrite --
+// ---------------------------------------------------------- ReLU rewrite --
 
 TEST(MaskRewrite, ReluMatchesDefinition) {
   Rng rng(51);
@@ -412,34 +412,6 @@ TEST(MaskRewrite, ReluMatchesDefinition) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     ASSERT_EQ(gx[i], x[i] > 0.0f ? gy[i] : 0.0f);
   }
-}
-
-TEST(MaskRewrite, DropoutMatchesOriginalRngSequence) {
-  // The pointer-loop rewrite must consume the SAME Bernoulli draws in the
-  // same element order as the original per-element implementation.
-  const double p = 0.4;
-  Rng rng_layer(52);
-  Dropout dropout(p, rng_layer);
-  Rng xr(53);
-  const Tensor x = random_tensor({4, 25}, xr);
-  const Tensor y = dropout.forward(x, /*train=*/true);
-
-  Rng rng_ref(52);  // replay the original element-order definition
-  const auto keep = static_cast<float>(1.0 / (1.0 - p));
-  std::vector<float> scale_ref(x.size(), 1.0f);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    scale_ref[i] = rng_ref.bernoulli(p) ? 0.0f : keep;
-    ASSERT_EQ(y[i], x[i] * scale_ref[i]) << "dropout forward at " << i;
-  }
-  Rng gr(54);
-  const Tensor gy = random_tensor(x.shape(), gr);
-  const Tensor gx = dropout.backward(gy);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_EQ(gx[i], gy[i] * scale_ref[i]) << "dropout backward at " << i;
-  }
-  // Eval mode is the identity and consumes no randomness.
-  const Tensor y_eval = dropout.forward(x, /*train=*/false);
-  expect_bit_identical(y_eval, x, "dropout eval");
 }
 
 }  // namespace

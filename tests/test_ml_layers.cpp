@@ -243,38 +243,6 @@ TEST(Dense, RejectsFeatureMismatch) {
   EXPECT_THROW(d.forward(x, false), Error);
 }
 
-// ---------------------------------------------------------------- Dropout --
-
-TEST(Dropout, InferencePassesThrough) {
-  Rng rng(13);
-  Dropout drop(0.5, rng);
-  Tensor x = random_input({2, 8}, 14);
-  const Tensor y = drop.forward(x, /*train=*/false);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainingZeroesAndRescales) {
-  Rng rng(13);
-  Dropout drop(0.5, rng);
-  Tensor x({1, 1000}, 1.0f);
-  const Tensor y = drop.forward(x, /*train=*/true);
-  int zeros = 0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f) ++zeros;
-    else EXPECT_FLOAT_EQ(y[i], 2.0f);  // 1/(1-0.5)
-    sum += y[i];
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 1000.0, 0.5, 0.06);
-  EXPECT_NEAR(sum / 1000.0, 1.0, 0.12);  // expectation preserved
-}
-
-TEST(Dropout, RejectsBadP) {
-  Rng rng(1);
-  EXPECT_THROW(Dropout(1.0, rng), Error);
-  EXPECT_THROW(Dropout(-0.1, rng), Error);
-}
-
 // ------------------------------------------------------------------- Loss --
 
 TEST(Softmax, RowsSumToOne) {

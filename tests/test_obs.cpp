@@ -326,25 +326,6 @@ TEST(SpanRecorder, ExportChromeTraceFormat) {
   EXPECT_NE(s.find("\"tid\":5"), std::string::npos);
 }
 
-TEST(SpanRecorder, RenderTreeIndentsChildren) {
-  SpanRecorder rec(8);
-  const SpanId root = rec.open(SpanKind::Inference, 0.0, 0, 1);
-  const SpanId hop = rec.add(SpanKind::HopTx, 0.0, 1.0, root, 1);
-  rec.add(SpanKind::Backoff, 1.0, 1.5, hop, 1);
-  rec.close(root, 2.0);
-  std::ostringstream out;
-  rec.render_tree(out);
-  const std::string s = out.str();
-  const auto inf = s.find("inference");
-  const auto tx = s.find("hop_tx");
-  const auto bo = s.find("backoff");
-  ASSERT_NE(inf, std::string::npos);
-  ASSERT_NE(tx, std::string::npos);
-  ASSERT_NE(bo, std::string::npos);
-  EXPECT_LT(inf, tx);
-  EXPECT_LT(tx, bo);
-}
-
 TEST(Observability, EnableSpansOptIn) {
   Observability obs;
   EXPECT_FALSE(obs.spans_enabled());
@@ -488,16 +469,6 @@ TEST(Observability, MergeFromCombinesMetricsTracesAndSpans) {
   EXPECT_EQ(dst.spans().at(2).parent, 0u);
   EXPECT_EQ(dst.spans().at(3).parent, 3u);
   EXPECT_EQ(dst.spans().root_count(), 3u);  // two instants and the root
-}
-
-TEST(Profiler, ResetKeepsInternedIds) {
-  ProfilerRegistry prof;
-  const auto id = prof.region("r");
-  { ScopedTimer t(&prof, id); }
-  prof.reset();
-  EXPECT_EQ(prof.at(id).count, 0u);
-  EXPECT_DOUBLE_EQ(prof.at(id).total_s, 0.0);
-  EXPECT_EQ(prof.region("r"), id);
 }
 
 }  // namespace

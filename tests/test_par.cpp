@@ -79,36 +79,47 @@ TEST(ThreadPool, SurvivesRepeatedReuse) {
   EXPECT_EQ(total.load(), 200u * 64u);
 }
 
-TEST(ThreadPool, BackToBackJobsRunEveryIndexExactlyOnce) {
-  // Many short jobs of varying size on one pool: a worker claiming an index
-  // just as one job drains must not run it against the next job's
-  // function, and run() must not return while any task is still running.
-  // Either defect shows up as an index that ran twice, a task still in
-  // flight after run() returned, or a hang.  Both are rare per job, so the
-  // test runs 3M jobs: about 9 s in a Release build and under 150 s with
-  // ThreadSanitizer, inside the par label's 300 s timeout.
+// Many short jobs of varying size on one pool: a worker claiming an index
+// just as one job drains must not run it against the next job's function,
+// and run() must not return while any task is still running.  Either
+// defect shows up as an index that ran twice, a task still in flight after
+// run() returned, or a hang.  Both are rare per job, so each pool size runs
+// 1M jobs, one test case per size so ctest times and schedules them apart.
+namespace {
+void expect_back_to_back_jobs_run_every_index_once(std::size_t threads) {
   constexpr std::size_t kJobs = 1000000;
-  for (std::size_t threads : {2u, 3u, 4u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(31);
-    std::atomic<int> in_flight{0};
-    std::size_t bad_jobs = 0;
-    for (std::size_t job = 0; job < kJobs; ++job) {
-      const std::size_t count = 2 + job % 30;
-      for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-      pool.run(count, [&](std::size_t i) {
-        in_flight.fetch_add(1);
-        hits[i < hits.size() ? i : 0].fetch_add(1);
-        in_flight.fetch_sub(1);
-      });
-      bool ok = in_flight.load() == 0;
-      for (std::size_t i = 0; i < hits.size(); ++i) {
-        ok = ok && hits[i].load() == (i < count ? 1 : 0);
-      }
-      if (!ok) ++bad_jobs;
+  ThreadPool pool(threads);
+  std::vector<std::atomic<int>> hits(31);
+  std::atomic<int> in_flight{0};
+  std::size_t bad_jobs = 0;
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    const std::size_t count = 2 + job % 30;
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    pool.run(count, [&](std::size_t i) {
+      in_flight.fetch_add(1);
+      hits[i < hits.size() ? i : 0].fetch_add(1);
+      in_flight.fetch_sub(1);
+    });
+    bool ok = in_flight.load() == 0;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ok = ok && hits[i].load() == (i < count ? 1 : 0);
     }
-    EXPECT_EQ(bad_jobs, 0u) << "pool of " << threads << " threads";
+    if (!ok) ++bad_jobs;
   }
+  EXPECT_EQ(bad_jobs, 0u) << "pool of " << threads << " threads";
+}
+}  // namespace
+
+TEST(ThreadPool, BackToBackJobsRunEveryIndexExactlyOnceOn2Threads) {
+  expect_back_to_back_jobs_run_every_index_once(2);
+}
+
+TEST(ThreadPool, BackToBackJobsRunEveryIndexExactlyOnceOn3Threads) {
+  expect_back_to_back_jobs_run_every_index_once(3);
+}
+
+TEST(ThreadPool, BackToBackJobsRunEveryIndexExactlyOnceOn4Threads) {
+  expect_back_to_back_jobs_run_every_index_once(4);
 }
 
 TEST(ThreadPool, PropagatesLowestIndexException) {

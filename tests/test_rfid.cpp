@@ -120,27 +120,6 @@ TEST(Trajectory, UnwrapRecoversMonotonePhase) {
   }
 }
 
-TEST(Trajectory, RadialVelocityOfRecedingTag) {
-  TrajectoryConfig cfg;
-  cfg.phase_noise_rad = 0.02;
-  Rng rng(7);
-  // Straight-line recession from antenna A along +x.
-  const auto track = simulate_track(cfg, {1.0, 0.0}, {0.8, 0.0}, 3.0, rng);
-  const auto v = radial_velocity(cfg, track.t_s, track.phase_a_rad);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_NEAR(*v, 0.8, 0.1);
-}
-
-TEST(Trajectory, ApproachingTagHasNegativeRadialVelocity) {
-  TrajectoryConfig cfg;
-  cfg.phase_noise_rad = 0.02;
-  Rng rng(8);
-  const auto track = simulate_track(cfg, {5.0, 0.0}, {-0.6, 0.0}, 3.0, rng);
-  const auto v = radial_velocity(cfg, track.t_s, track.phase_b_rad);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_LT(*v, -0.4);
-}
-
 TEST(Trajectory, DetectsInwardCrossing) {
   TrajectoryConfig cfg;
   Rng rng(9);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -101,28 +100,6 @@ TEST(Simulator, CancelAfterRunReturnsFalse) {
 TEST(Simulator, CancelNullHandleReturnsFalse) {
   Simulator sim;
   EXPECT_FALSE(sim.cancel(EventHandle{}));
-}
-
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
-  std::vector<double> times;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    sim.schedule(t, [&times, &sim] { times.push_back(sim.now()); });
-  }
-  const auto n = sim.run_until(2.5);
-  EXPECT_EQ(n, 2u);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.5);
-  EXPECT_EQ(sim.pending(), 2u);
-  sim.run();
-  EXPECT_EQ(times.size(), 4u);
-}
-
-TEST(Simulator, RunUntilInclusiveOfBoundary) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(2.0, [&] { ++fired; });
-  sim.run_until(2.0);
-  EXPECT_EQ(fired, 1);
 }
 
 TEST(Simulator, RunWithLimit) {
@@ -223,10 +200,10 @@ struct RefKernel {
       return e.live && before(e, probe);
     });
   }
-  /// Removes the earliest live event at or before `until` into `out`, as
-  /// the kernel runs it; false when there is none.
-  bool pop(double until, RefEvent& out) {
-    while (!events.empty() && events.front().t <= until) {
+  /// Removes the earliest live event into `out`, as the kernel runs it;
+  /// false when there is none.
+  bool pop(RefEvent& out) {
+    while (!events.empty()) {
       const RefEvent e = events.front();
       events.erase(events.begin());
       if (!e.live) continue;
@@ -246,7 +223,6 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
   // reuses slots freed in the same run.  Each answer, the execution order
   // and pending() must equal the reference's.
   constexpr int kChild = 1000000;  // a child's label: its parent's + this
-  constexpr double kForever = std::numeric_limits<double>::infinity();
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
@@ -280,11 +256,11 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
       child_delay.push_back(rng.bernoulli(0.2) ? tick(4) : -1.0);
       return static_cast<int>(child_delay.size() - 1);
     };
-    // Runs the reference as far as the kernel's run(limit)/run_until(until).
-    const auto ref_run = [&](std::size_t limit, double until) {
+    // Runs the reference as far as the kernel's run(limit).
+    const auto ref_run = [&](std::size_t limit) {
       std::size_t n = 0;
       RefEvent e{};
-      while (n < limit && ref.pop(until, e)) {
+      while (n < limit && ref.pop(e)) {
         ++n;
         want.push_back(e.label);
         if (e.label >= kChild) continue;
@@ -343,23 +319,16 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
         const double t = sim.now() + tick(2);
         ASSERT_EQ(sim.has_pending_before(t, pos),
                   ref.has_pending_before(t, seq));
-      } else if (kind < 93) {
-        const auto limit = static_cast<std::size_t>(rng.uniform_int(1, 3));
-        ASSERT_EQ(sim.run(limit), ref_run(limit, kForever));
       } else {
-        const double until = sim.now() + tick(1);
-        ASSERT_EQ(sim.run_until(until), ref_run(SIZE_MAX, until));
-        if (until > ref.now) {
-          ref.now = until;
-          ref.now_seq = 0;
-        }
+        const auto limit = static_cast<std::size_t>(rng.uniform_int(1, 3));
+        ASSERT_EQ(sim.run(limit), ref_run(limit));
       }
       ASSERT_EQ(sim.pending(), ref.pending());
       ASSERT_EQ(sim.now(), ref.now);
       ASSERT_EQ(ran.size(), want.size());
       ASSERT_EQ(handles.size(), handle_labels.size());
     }
-    ASSERT_EQ(sim.run(), ref_run(SIZE_MAX, kForever));
+    ASSERT_EQ(sim.run(), ref_run(SIZE_MAX));
     EXPECT_EQ(sim.pending(), 0u);
     EXPECT_EQ(ran, want);
   }

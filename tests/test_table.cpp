@@ -42,24 +42,6 @@ TEST(Table, PctFormatting) {
   EXPECT_EQ(Table::pct(0.918, 1), "91.8%");
 }
 
-TEST(Table, CsvBasic) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
-TEST(Table, CsvQuotesSpecials) {
-  Table t({"a"});
-  t.add_row({"with,comma"});
-  t.add_row({"with\"quote"});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_NE(os.str().find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"with\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, RowsCount) {
   Table t({"a"});
   EXPECT_EQ(t.rows(), 0u);
