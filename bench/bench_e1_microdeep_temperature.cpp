@@ -114,12 +114,11 @@ RunResult run(ml::Network net, const WsnTopology& wsn,
     res.quant = qexec.evaluate(test, nullptr, netexec_samples);
 
     // Peak per-node residency of the deployed assignment under the 4-byte
-    // (float) and 1-byte (int8) memory models — the budget search_assignment
-    // enforces when AssignmentSearchOptions::memory is enabled.
-    const auto fm = microdeep::make_node_memory_model(net, model.unit_graph(),
-                                                      4, 4, 0);
-    const auto qm = microdeep::make_node_memory_model(net, model.unit_graph(),
-                                                      1, 1, 0);
+    // (float) and 1-byte (int8) memory models.
+    const auto fm =
+        microdeep::make_node_memory_model(net, model.unit_graph(), 4, 4);
+    const auto qm =
+        microdeep::make_node_memory_model(net, model.unit_graph(), 1, 1);
     res.peak_memory_float = microdeep::peak_node_memory(
         model.assignment(), model.wsn().num_nodes(), fm);
     res.peak_memory_int8 = microdeep::peak_node_memory(

@@ -90,43 +90,16 @@ DeploymentOutcome FleetSimulator::run_inference_cell(
   out.devices = tmpl.devices;
   out.work_items = spec.samples;
 
-  netexec::NetExecConfig ncfg =
-      deployment_netexec_config(dep_seed, dep_obs, spec.checkpoint);
-  if (!spec.fault.has_value()) {
-    netexec::NetworkExecutor exec(tmpl.net, tmpl.graph, tmpl.assignment,
-                                  tmpl.wsn, ncfg);
-    const netexec::NetEvalResult ev = exec.evaluate(data, pool);
-    out.accuracy = ev.accuracy;
-    out.p50_latency_s = ev.p50_latency_s;
-    out.p99_latency_s = ev.p99_latency_s;
-    out.energy_per_item_j = ev.mean_energy_j;
-    out.frames_lost = ev.frames_lost;
-    out.latencies_s = ev.latencies_s;
-  } else {
-    // evaluate() forbids fault injection (the injector RNG is call-order
-    // coupled), so a faulted cell replays its samples through the
-    // sequential run() loop — still fully deterministic, because the
-    // injector is rebuilt from the deployment-local plan every time.
-    fault::FaultInjector inj(fault::generate_plan(*spec.fault));
-    if (dep_obs != nullptr) inj.set_observability(dep_obs);
-    ncfg.fault = &inj;
-    netexec::NetworkExecutor exec(tmpl.net, tmpl.graph, tmpl.assignment,
-                                  tmpl.wsn, ncfg);
-    std::size_t correct = 0;
-    double energy = 0.0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const netexec::NetInferenceResult r = exec.run(data.x(i));
-      if (static_cast<int>(r.output.argmax()) == data.label(i)) ++correct;
-      out.latencies_s.push_back(r.latency_s);
-      out.frames_lost += r.frames_lost;
-      energy += r.energy_j;
-    }
-    out.accuracy =
-        static_cast<double>(correct) / static_cast<double>(data.size());
-    out.p50_latency_s = pct(out.latencies_s, 0.50);
-    out.p99_latency_s = pct(out.latencies_s, 0.99);
-    out.energy_per_item_j = energy / static_cast<double>(data.size());
-  }
+  netexec::NetworkExecutor exec(tmpl.net, tmpl.graph, tmpl.assignment,
+                                tmpl.wsn,
+                                deployment_netexec_config(dep_seed, dep_obs));
+  const netexec::NetEvalResult ev = exec.evaluate(data, pool);
+  out.accuracy = ev.accuracy;
+  out.p50_latency_s = ev.p50_latency_s;
+  out.p99_latency_s = ev.p99_latency_s;
+  out.energy_per_item_j = ev.mean_energy_j;
+  out.frames_lost = ev.frames_lost;
+  out.latencies_s = ev.latencies_s;
   capture_record_digest(dep_obs, out);
   seal_digest(out);
   return out;
@@ -135,17 +108,9 @@ DeploymentOutcome FleetSimulator::run_inference_cell(
 DeploymentOutcome FleetSimulator::run_backscatter_cell(
     const DeploymentSpec& spec, std::uint64_t dep_seed,
     obs::Observability* dep_obs) {
-  const backscatter::CoexistenceConfig ccfg =
-      deployment_coexistence_config(spec, dep_seed);
-  std::unique_ptr<fault::FaultInjector> inj;
-  if (spec.fault.has_value()) {
-    inj = std::make_unique<fault::FaultInjector>(
-        fault::generate_plan(*spec.fault));
-    if (dep_obs != nullptr) inj->set_observability(dep_obs);
-  }
-  backscatter::CoexistenceSimulator sim(ccfg);
+  backscatter::CoexistenceSimulator sim(
+      deployment_coexistence_config(spec, dep_seed));
   sim.set_observability(dep_obs);
-  if (inj != nullptr) sim.set_fault_injector(inj.get());
   const backscatter::CoexistenceMetrics m = sim.run();
 
   DeploymentOutcome out;
@@ -160,8 +125,8 @@ DeploymentOutcome FleetSimulator::run_backscatter_cell(
   out.p50_latency_s = m.mean_latency_s;
   out.p99_latency_s = m.mean_latency_s;
   out.energy_per_item_j = 0.0;
-  out.frames_lost = static_cast<std::uint64_t>(m.frames_expired) +
-                    m.frames_collided + m.frames_faulted;
+  out.frames_lost =
+      static_cast<std::uint64_t>(m.frames_expired) + m.frames_collided;
   out.frames_delivered = m.frames_delivered;
   capture_record_digest(dep_obs, out);
   seal_digest(out);

@@ -14,8 +14,7 @@
 //      coexistence simulator bit-for-bit;
 //  (2) results and merged metric/span digests are identical at any worker
 //      count and across reruns;
-//  (3) a deployment's outcome is independent of fleet size and ordering;
-//  (4) a fault plan injected into one deployment never perturbs neighbors.
+//  (3) a deployment's outcome is independent of fleet size and ordering.
 //
 // Memory is bounded for million-device runs: deployments are processed in
 // fixed "waves" (only kFleetWaveSize per-slot contexts live at once — the
@@ -69,7 +68,7 @@ struct DeploymentOutcome {
   double p50_latency_s = 0.0;
   double p99_latency_s = 0.0;
   double energy_per_item_j = 0.0;
-  std::uint64_t frames_lost = 0;  // abandoned (E1/E2) or expired+collided+faulted (E6)
+  std::uint64_t frames_lost = 0;  // abandoned (E1/E2) or expired+collided (E6)
   std::uint64_t frames_delivered = 0;  // E6 only: tag frames delivered
   /// Per-inference latencies in sample order (inference cells only) — the
   /// raw population the fleet-level percentiles are computed from.
@@ -77,7 +76,7 @@ struct DeploymentOutcome {
   std::uint64_t span_digest = 0;
   /// FNV-1a over every field above: the deployment's behavioral identity.
   /// Equal digests <=> bitwise-equal outcomes, which is how the
-  /// conformance suite states fleet-size independence and fault isolation.
+  /// conformance suite states fleet-size independence.
   std::uint64_t digest = 0;
 };
 

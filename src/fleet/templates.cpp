@@ -110,21 +110,13 @@ ml::Dataset deployment_dataset(const InferenceTemplate& tmpl,
   return out;
 }
 
-netexec::NetExecConfig deployment_netexec_config(
-    std::uint64_t dep_seed, obs::Observability* obs,
-    energy::CheckpointPolicy checkpoint) {
+netexec::NetExecConfig deployment_netexec_config(std::uint64_t dep_seed,
+                                                 obs::Observability* obs) {
   netexec::NetExecConfig cfg;
   cfg.channel.loss_per_hop = 0.01;  // benign indoor link, as in bench_e1/e2
   Rng base(dep_seed);
   cfg.seed = par::substream(base, kExecKey)();
   cfg.obs = obs;
-  cfg.checkpoint.policy = checkpoint;
-  if (checkpoint == energy::CheckpointPolicy::EnergyAdaptive) {
-    // The adaptive policy keys off the capacitor level, so it implies the
-    // harvest model with a capacitor comfortably above the reserve.
-    cfg.harvest.enabled = true;
-    cfg.harvest.initial_j = 0.5e-3;
-  }
   return cfg;
 }
 

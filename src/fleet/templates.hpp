@@ -27,10 +27,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "backscatter/coexistence.hpp"
-#include "fault/injector.hpp"
 #include "microdeep/assignment.hpp"
 #include "ml/dataset.hpp"
 #include "netexec/netexec.hpp"
@@ -62,16 +60,6 @@ struct DeploymentSpec {
   std::size_t devices = 8;
   double horizon_s = 1.0;
   double wlan_rate_hz = 50.0;
-
-  /// Optional deployment-local fault plan (replayable from its own seed).
-  /// Faults injected here must never perturb any other deployment — the
-  /// isolation property the fleet conformance suite pins.
-  std::optional<fault::FaultSpec> fault;
-
-  /// NVM checkpoint policy of the cell's executor (inference cells only).
-  /// None preserves the classic volatile executor bit-for-bit; any other
-  /// policy makes brownout faults suspend/resume instead of being ignored.
-  energy::CheckpointPolicy checkpoint = energy::CheckpointPolicy::None;
 };
 
 /// Immutable shared context of one inference template (E1 / E2).
@@ -122,11 +110,9 @@ ml::Dataset deployment_dataset(const InferenceTemplate& tmpl,
 
 /// Network-in-the-loop configuration of one inference deployment: 1%
 /// per-hop loss (the benign indoor link of bench_e1/e2), loss substreams
-/// keyed by `dep_seed`.  A non-None `checkpoint` enables NVM checkpointing
-/// with the default commit costs (energy::CheckpointCosts).
-netexec::NetExecConfig deployment_netexec_config(
-    std::uint64_t dep_seed, obs::Observability* obs,
-    energy::CheckpointPolicy checkpoint = energy::CheckpointPolicy::None);
+/// keyed by `dep_seed`.
+netexec::NetExecConfig deployment_netexec_config(std::uint64_t dep_seed,
+                                                 obs::Observability* obs);
 
 /// Coexistence configuration of one backscatter cell (proposed MAC).
 backscatter::CoexistenceConfig deployment_coexistence_config(

@@ -39,8 +39,7 @@ int draw_backoff(Rng& rng, const CsmaConfig& cfg, int retries) {
 }  // namespace
 
 CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
-                          obs::Observability* obs,
-                          fault::FaultInjector* fault) {
+                          obs::Observability* obs) {
   ZEIOT_CHECK_MSG(cfg.num_stations >= 1, "need stations");
   ZEIOT_CHECK_MSG(cfg.cw_min >= 2 && cfg.cw_max >= cfg.cw_min,
                   "invalid contention window");
@@ -65,15 +64,9 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
 
   std::size_t slot = 0;
   while (slot < slots) {
-    const double t_now = static_cast<double>(slot);
     // Arrivals (unsaturated mode).
     if (!cfg.saturated) {
-      for (std::size_t i = 0; i < stations.size(); ++i) {
-        Station& st = stations[i];
-        if (fault != nullptr &&
-            fault->node_dead(t_now, static_cast<std::uint32_t>(i))) {
-          continue;
-        }
+      for (Station& st : stations) {
         if (!st.has_frame && rng.bernoulli(cfg.arrival_per_slot)) {
           st.has_frame = true;
           st.retries = 0;
@@ -86,24 +79,15 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
     // Who transmits this slot?
     std::vector<std::size_t> ready;
     for (std::size_t i = 0; i < stations.size(); ++i) {
-      if (!stations[i].has_frame || stations[i].backoff != 0) continue;
-      if (fault != nullptr &&
-          fault->node_dead(t_now, static_cast<std::uint32_t>(i))) {
-        continue;  // dead station: frame frozen until revival
+      if (stations[i].has_frame && stations[i].backoff == 0) {
+        ready.push_back(i);
       }
-      ready.push_back(i);
     }
 
     if (ready.empty()) {
-      // Idle slot: all counters tick down (dead stations stay frozen).
-      for (std::size_t i = 0; i < stations.size(); ++i) {
-        Station& st = stations[i];
-        if (!st.has_frame || st.backoff == 0) continue;
-        if (fault != nullptr &&
-            fault->node_dead(t_now, static_cast<std::uint32_t>(i))) {
-          continue;
-        }
-        --st.backoff;
+      // Idle slot: all counters tick down.
+      for (Station& st : stations) {
+        if (st.has_frame && st.backoff != 0) --st.backoff;
       }
       ++slot;
       continue;
@@ -118,43 +102,19 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
 
     if (ready.size() == 1) {
       Station& st = stations[ready.front()];
-      const auto sid = static_cast<std::uint32_t>(ready.front());
-      // An injected in-flight loss or corruption turns the clean win into a
-      // retry (the sender's ACK never arrives), honouring the retry limit.
-      bool faulted = false;
-      if (fault != nullptr) {
-        if (fault->should_drop(t_now, sid, fault::kInfrastructure)) {
-          ++m.fault_dropped;
-          faulted = true;
-        } else if (fault->should_corrupt(t_now, sid,
-                                         fault::kInfrastructure)) {
-          ++m.fault_corrupted;
-          faulted = true;
-        }
+      round_success = true;
+      ++m.successes;
+      ++m.per_station_successes[ready.front()];
+      if (obs != nullptr) {
+        obs->spans().instant(obs::SpanKind::PacketTx,
+                             static_cast<double>(slot),
+                             static_cast<std::uint32_t>(ready.front()));
       }
-      if (faulted) {
-        ++st.retries;
-        if (st.retries > cfg.max_retries) {
-          ++m.drops;
-          st.has_frame = cfg.saturated;
-          st.retries = 0;
-          st.enqueued_at = slot;
-        }
-        st.backoff = draw_backoff(rng, cfg, st.retries);
-      } else {
-        round_success = true;
-        ++m.successes;
-        ++m.per_station_successes[ready.front()];
-        if (obs != nullptr) {
-          obs->spans().instant(obs::SpanKind::PacketTx,
-                               static_cast<double>(slot), sid);
-        }
-        delay_sum += static_cast<double>(slot - st.enqueued_at);
-        st.has_frame = cfg.saturated;
-        st.retries = 0;
-        st.backoff = draw_backoff(rng, cfg, 0);
-        st.enqueued_at = slot;
-      }
+      delay_sum += static_cast<double>(slot - st.enqueued_at);
+      st.has_frame = cfg.saturated;
+      st.retries = 0;
+      st.backoff = draw_backoff(rng, cfg, 0);
+      st.enqueued_at = slot;
     } else {
       ++m.collisions;
       if (obs != nullptr) {
@@ -207,12 +167,6 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
     mreg.counter("mac.csma.collisions", labels)
         .inc(static_cast<double>(m.collisions));
     mreg.counter("mac.csma.drops", labels).inc(static_cast<double>(m.drops));
-    if (fault != nullptr) {
-      mreg.counter("mac.csma.fault_dropped", labels)
-          .inc(static_cast<double>(m.fault_dropped));
-      mreg.counter("mac.csma.fault_corrupted", labels)
-          .inc(static_cast<double>(m.fault_corrupted));
-    }
     mreg.counter("mac.csma.tx_opportunities", labels)
         .inc(static_cast<double>(tx_opportunities));
     mreg.gauge("mac.csma.throughput", labels).set(m.throughput);

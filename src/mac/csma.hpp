@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "obs/obs.hpp"
 
 namespace zeiot::mac {
@@ -38,9 +37,6 @@ struct CsmaMetrics {
   std::size_t successes = 0;
   std::size_t collisions = 0;   // collision events (>= 2 stations)
   std::size_t drops = 0;        // frames exceeding the retry limit
-  // Injected-fault outcomes (zero without an injector).
-  std::size_t fault_dropped = 0;    // clean transmissions lost in flight
-  std::size_t fault_corrupted = 0;  // delivered but unusable
   double throughput = 0.0;      // fraction of slots carrying a success
   double collision_probability = 0.0;  // collisions / tx opportunities
   double mean_access_delay_slots = 0.0;
@@ -60,14 +56,7 @@ struct CsmaMetrics {
 ///   mac.csma.throughput / mac.csma.collision_probability  (gauges)
 /// plus PacketTx / PacketCollision instant spans at t = slot index (a =
 /// winning station or collider count) when the context records spans.
-///
-/// When `fault` is non-null the run consults the injector in the slot-index
-/// time base: stations inside a death..revival span neither generate nor
-/// contend; an otherwise-successful transmission can be dropped or
-/// corrupted by active message windows (the station then retries like a
-/// collision loser, honouring the retry limit).
 CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
-                          obs::Observability* obs = nullptr,
-                          fault::FaultInjector* fault = nullptr);
+                          obs::Observability* obs = nullptr);
 
 }  // namespace zeiot::mac

@@ -26,14 +26,6 @@ MicroDeepModel::MicroDeepModel(ml::Network& net, const WsnTopology& wsn,
       assignment_ = std::make_unique<Assignment>(
           assign_balanced_heuristic(graph_, wsn_));
       break;
-    case AssignmentKind::SearchBest: {
-      AssignmentSearchOptions so = cfg_.search_options;
-      so.cost_options = cfg_.cost_options;
-      if (so.pool == nullptr) so.pool = cfg_.pool;
-      assignment_ = std::make_unique<Assignment>(
-          search_assignment(graph_, wsn_, so, cfg_.obs).best);
-      break;
-    }
   }
   // Cross-node fraction for every parameterised network layer.
   layer_cross_fraction_.assign(net_.num_layers(), 0.0);

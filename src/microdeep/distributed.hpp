@@ -16,23 +16,17 @@
 
 #include "fault/injector.hpp"
 #include "microdeep/comm_cost.hpp"
-#include "microdeep/search.hpp"
 #include "ml/trainer.hpp"
 
 namespace zeiot::microdeep {
 
-/// Strategy selector for bundled assignment construction.  SearchBest runs
-/// the deterministic parallel portfolio search (microdeep/search.hpp) and
-/// keeps the lowest-peak-cost candidate.
-enum class AssignmentKind { Centralized, Nearest, BalancedHeuristic, SearchBest };
+/// Strategy selector for bundled assignment construction.
+enum class AssignmentKind { Centralized, Nearest, BalancedHeuristic };
 
 struct MicroDeepConfig {
   AssignmentKind assignment = AssignmentKind::BalancedHeuristic;
   /// Sink node for the centralized baseline.
   NodeId sink = 0;
-  /// Portfolio knobs for AssignmentKind::SearchBest (cost_options and pool
-  /// are inherited from this config when left at their defaults).
-  AssignmentSearchOptions search_options{};
   /// Strength of the local-update (stale gradient) perturbation; 0 = exact.
   double staleness = 0.25;
   /// Communication-cost options used for reports.
@@ -46,9 +40,8 @@ struct MicroDeepConfig {
   /// Optional fault injector (null = no faults).  Must outlive the model.
   /// evaluate_under_plan() derives the dead-node set from its plan.
   fault::FaultInjector* fault = nullptr;
-  /// Worker pool for assignment search, training, and evaluation (null =
-  /// par::global_pool(), which honours ZEIOT_THREADS).  Must outlive the
-  /// model.
+  /// Worker pool for training and evaluation (null = par::global_pool(),
+  /// which honours ZEIOT_THREADS).  Must outlive the model.
   par::ThreadPool* pool = nullptr;
 };
 

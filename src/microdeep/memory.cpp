@@ -10,12 +10,10 @@ namespace zeiot::microdeep {
 NodeMemoryModel make_node_memory_model(const ml::Network& net,
                                        const UnitGraph& graph,
                                        int bytes_per_weight,
-                                       int bytes_per_activation,
-                                       std::size_t node_budget_bytes) {
+                                       int bytes_per_activation) {
   ZEIOT_CHECK_MSG(bytes_per_weight > 0 && bytes_per_activation > 0,
                   "byte sizes must be positive");
   NodeMemoryModel model;
-  model.node_budget_bytes = node_budget_bytes;
   model.bytes_per_activation = bytes_per_activation;
   model.layer_weight_bytes_per_node.assign(graph.layers().size(), 0);
   model.unit_weight_bytes.assign(graph.layers().size(), 0);
@@ -102,61 +100,6 @@ std::size_t peak_node_memory(const Assignment& assignment,
                              std::size_t num_nodes,
                              const NodeMemoryModel& model) {
   const auto bytes = compute_node_memory(assignment, num_nodes, model);
-  return bytes.empty() ? 0 : *std::max_element(bytes.begin(), bytes.end());
-}
-
-std::vector<std::size_t> compute_node_checkpoint_bytes(
-    const UnitGraph& graph, const Assignment& assignment,
-    std::size_t num_nodes, [[maybe_unused]] const NodeMemoryModel& model) {
-  // The image layout is fixed-width float regardless of the model's
-  // bytes_per_activation; `model` stays in the signature for symmetry with
-  // compute_node_memory and future per-model framing knobs.
-  std::vector<std::size_t> slots(num_nodes, 0);  // entry bytes, no header yet
-
-  // Own units: one entry per hosted unit across every layer (the executor
-  // commits sensed inputs unconditionally and compute outputs per policy,
-  // so the worst-case image holds them all).
-  for (std::size_t l = 0; l < graph.layers().size(); ++l) {
-    const UnitLayer& ul = graph.layers()[l];
-    for (int u = 0; u < ul.num_units(); ++u) {
-      const UnitId uid = ul.first_unit + static_cast<UnitId>(u);
-      const auto n = static_cast<std::size_t>(assignment.node_of(uid));
-      ZEIOT_CHECK_MSG(n < num_nodes, "assignment references node " << n
-                                         << " >= num_nodes " << num_nodes);
-      slots[n] += kNvmEntryOverheadBytes +
-                  static_cast<std::size_t>(ul.channels) * kNvmBytesPerActivation;
-    }
-  }
-
-  // Remote inbox: delivered frames are latched into NVM so they survive a
-  // brown-out; one entry per unique (consumer node, producer unit) pair,
-  // deduplicated exactly like compute_node_memory / the executor inbox.
-  std::unordered_set<std::uint64_t> seen;
-  for (const UnitEdge& e : graph.edges()) {
-    const NodeId src_node = assignment.node_of(e.src);
-    const NodeId dst_node = assignment.node_of(e.dst);
-    if (src_node == dst_node) continue;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(dst_node) << 32) | e.src;
-    if (!seen.insert(key).second) continue;
-    const UnitLayer& sl = graph.layers()[graph.layer_of(e.src)];
-    slots[static_cast<std::size_t>(dst_node)] +=
-        kNvmEntryOverheadBytes +
-        static_cast<std::size_t>(sl.channels) * kNvmBytesPerActivation;
-  }
-
-  for (auto& b : slots) {
-    if (b > 0) b += kNvmImageOverheadBytes;
-  }
-  return slots;
-}
-
-std::size_t peak_node_checkpoint_bytes(const UnitGraph& graph,
-                                       const Assignment& assignment,
-                                       std::size_t num_nodes,
-                                       const NodeMemoryModel& model) {
-  const auto bytes =
-      compute_node_checkpoint_bytes(graph, assignment, num_nodes, model);
   return bytes.empty() ? 0 : *std::max_element(bytes.begin(), bytes.end());
 }
 

@@ -17,8 +17,7 @@
 //                executor's per-node inbox).
 //
 // bytes_per_weight / bytes_per_activation parameterise the float (4/4) vs
-// int8-quantized (1/1) deployments; search_assignment consults the model to
-// reject candidates that violate the budget (see AssignmentSearchOptions).
+// int8-quantized (1/1) deployments.
 #pragma once
 
 #include <cstddef>
@@ -28,23 +27,7 @@
 
 namespace zeiot::microdeep {
 
-/// NVM checkpoint-image framing constants, shared with the netexec codec
-/// (netexec/checkpoint.cpp static_asserts against these): a node's image is
-/// a fixed header+trailer plus one entry per resident activation slot, each
-/// entry a small header plus the slot's channels as raw floats.  NVM always
-/// stores floats — even int8-quantized deployments checkpoint dequantized
-/// activations so resume is bit-identical to the uninterrupted run.
-inline constexpr std::size_t kNvmImageOverheadBytes = 28;  // header + crc
-inline constexpr std::size_t kNvmEntryOverheadBytes = 8;   // unit id + len
-inline constexpr std::size_t kNvmBytesPerActivation = 4;   // raw float bits
-
 struct NodeMemoryModel {
-  /// Hard per-node budget in bytes; 0 disables all memory checks.
-  std::size_t node_budget_bytes = 0;
-  /// Hard per-node NVM budget for checkpoint images; 0 disables the check.
-  /// Binds against `peak_node_checkpoint_bytes` in search_assignment when
-  /// the deployment runs with netexec checkpointing enabled.
-  std::size_t nvm_budget_bytes = 0;
   /// Bytes per transmitted/buffered activation value (4 float, 1 int8).
   int bytes_per_activation = 4;
   /// Per unit layer: weight bytes charged ONCE per node hosting at least
@@ -52,9 +35,6 @@ struct NodeMemoryModel {
   std::vector<std::size_t> layer_weight_bytes_per_node;
   /// Per unit layer: weight bytes charged per hosted unit (dense rows).
   std::vector<std::size_t> unit_weight_bytes;
-
-  bool enabled() const { return node_budget_bytes > 0; }
-  bool nvm_enabled() const { return nvm_budget_bytes > 0; }
 };
 
 /// Builds the model for `net` distributed as `graph`.  `bytes_per_weight`
@@ -63,35 +43,16 @@ struct NodeMemoryModel {
 NodeMemoryModel make_node_memory_model(const ml::Network& net,
                                        const UnitGraph& graph,
                                        int bytes_per_weight,
-                                       int bytes_per_activation,
-                                       std::size_t node_budget_bytes);
+                                       int bytes_per_activation);
 
 /// Total bytes resident on each node (indexed by NodeId) under `model`.
 std::vector<std::size_t> compute_node_memory(const Assignment& assignment,
                                              std::size_t num_nodes,
                                              const NodeMemoryModel& model);
 
-/// Largest per-node residency — the number the budget binds against.
+/// Largest per-node residency.
 std::size_t peak_node_memory(const Assignment& assignment,
                              std::size_t num_nodes,
                              const NodeMemoryModel& model);
-
-/// Worst-case NVM checkpoint image per node (indexed by NodeId): one entry
-/// per resident activation slot — every hosted unit's output across all
-/// layers (sensed inputs included; they are unrecoverable and always
-/// committed) plus the deduplicated remote inbox — with the image overhead
-/// charged to any node holding at least one slot.  Weights are NOT part of
-/// the image (they are provisioned, not runtime state).  The graph is
-/// passed explicitly (not via assignment.graph()) because assignments are
-/// copyable past their source graph's lifetime.
-std::vector<std::size_t> compute_node_checkpoint_bytes(
-    const UnitGraph& graph, const Assignment& assignment,
-    std::size_t num_nodes, const NodeMemoryModel& model);
-
-/// Largest per-node checkpoint image — what `nvm_budget_bytes` binds on.
-std::size_t peak_node_checkpoint_bytes(const UnitGraph& graph,
-                                       const Assignment& assignment,
-                                       std::size_t num_nodes,
-                                       const NodeMemoryModel& model);
 
 }  // namespace zeiot::microdeep

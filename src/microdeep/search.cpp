@@ -11,6 +11,10 @@ namespace zeiot::microdeep {
 
 namespace {
 
+/// Probability that a restart seed moves a unit from its nearest node to a
+/// uniformly chosen WSN neighbour of that node.
+constexpr double kJitterProbability = 0.3;
+
 /// One entry in the fixed candidate schedule.
 struct CandidateSpec {
   std::string label;
@@ -21,9 +25,7 @@ struct CandidateSpec {
 
 std::vector<CandidateSpec> make_schedule(const AssignmentSearchOptions& opts) {
   std::vector<CandidateSpec> specs;
-  if (opts.include_nearest) {
-    specs.push_back({"nearest", 0, /*nearest=*/true, /*jitter=*/false});
-  }
+  specs.push_back({"nearest", 0, /*nearest=*/true, /*jitter=*/false});
   for (int s = 0; s <= opts.max_balance_slack; ++s) {
     specs.push_back({"heuristic/slack=" + std::to_string(s), s,
                      /*nearest=*/false, /*jitter=*/false});
@@ -49,11 +51,7 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
   ZEIOT_CHECK_MSG(opts.max_balance_slack >= 0,
                   "max_balance_slack must be >= 0");
   ZEIOT_CHECK_MSG(opts.random_restarts >= 0, "random_restarts must be >= 0");
-  ZEIOT_CHECK_MSG(opts.jitter_probability >= 0.0 &&
-                      opts.jitter_probability <= 1.0,
-                  "jitter_probability must be in [0, 1]");
   const auto specs = make_schedule(opts);
-  ZEIOT_CHECK_MSG(!specs.empty(), "search has no candidates");
 
   // Shared read-only state, computed once: the geometric seed map (every
   // candidate starts from it) and the WSN routing tables (memoized in
@@ -64,10 +62,7 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
 
   struct Scored {
     Assignment assignment;
-    std::optional<CommCostReport> report;  // nullopt = abandoned/rejected
-    bool over_budget = false;
-    std::size_t peak_memory_bytes = 0;
-    std::size_t peak_nvm_bytes = 0;
+    std::optional<CommCostReport> report;  // nullopt = abandoned
   };
   std::vector<std::optional<Scored>> scored(specs.size());
 
@@ -100,7 +95,7 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
                   par::substream(base_rng, static_cast<std::uint64_t>(i));
               for (NodeId& n : seed) {
                 const auto& nbrs = wsn.neighbors(n);
-                if (!nbrs.empty() && rng.bernoulli(opts.jitter_probability)) {
+                if (!nbrs.empty() && rng.bernoulli(kJitterProbability)) {
                   n = nbrs[static_cast<std::size_t>(rng.uniform_int(
                       0, static_cast<std::int64_t>(nbrs.size()) - 1))];
                 }
@@ -109,38 +104,13 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
             return assign_balanced_heuristic_from(graph, wsn, std::move(seed),
                                                   spec.slack);
           }();
-          // Memory feasibility comes BEFORE cost scoring: an over-budget
-          // candidate must never become the early-exit incumbent (that
-          // would let an undeployable assignment suppress deployable ones).
-          std::size_t peak_mem = 0;
-          std::size_t peak_nvm = 0;
-          if (opts.memory.enabled()) {
-            peak_mem = peak_node_memory(a, wsn.num_nodes(), opts.memory);
-            if (peak_mem > opts.memory.node_budget_bytes) {
-              scored[i].emplace(Scored{std::move(a), std::nullopt,
-                                       /*over_budget=*/true, peak_mem, 0});
-              return;
-            }
-          }
-          if (opts.memory.nvm_enabled()) {
-            peak_nvm = peak_node_checkpoint_bytes(graph, a, wsn.num_nodes(),
-                                                  opts.memory);
-            if (peak_nvm > opts.memory.nvm_budget_bytes) {
-              scored[i].emplace(Scored{std::move(a), std::nullopt,
-                                       /*over_budget=*/true, peak_mem,
-                                       peak_nvm});
-              return;
-            }
-          }
           // Score without obs: gauges are last-write-wins and would race;
           // the winner's numbers are published once below.  The dedup
           // scratch is reused across every candidate this worker scores.
           thread_local CommCostScratch scratch;
           auto r = compute_comm_cost_bounded(a, wsn, opts.cost_options,
                                              scratch, bound);
-          scored[i].emplace(
-              Scored{std::move(a), std::move(r), /*over_budget=*/false,
-                     peak_mem, peak_nvm});
+          scored[i].emplace(Scored{std::move(a), std::move(r)});
         },
         opts.pool, /*grain=*/1);
     for (std::size_t i = wave; i < wave_end; ++i) {
@@ -161,15 +131,6 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
   for (std::size_t i = 1; i < specs.size(); ++i) {
     if (cost_of(i) < cost_of(best)) best = i;
   }
-  if (!scored[best]->report.has_value() &&
-      (opts.memory.enabled() || opts.memory.nvm_enabled())) {
-    // No candidate fit: with a budget enabled, a scoreless portfolio can
-    // only mean every candidate blew a budget (aborts need a feasible
-    // incumbent to abort against).
-    throw Error("no assignment satisfies the per-node budgets (memory " +
-                std::to_string(opts.memory.node_budget_bytes) + " B, nvm " +
-                std::to_string(opts.memory.nvm_budget_bytes) + " B)");
-  }
   ZEIOT_CHECK_MSG(scored[best]->report.has_value(),
                   "search winner cannot be an aborted candidate");
 
@@ -180,25 +141,13 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
                              {}};
   res.candidates.reserve(specs.size());
   std::size_t aborted = 0;
-  std::size_t over_budget = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& rep = scored[i]->report;
     if (rep) {
       res.candidates.push_back({specs[i].label, rep->max_cost, rep->mean_cost,
-                                /*aborted=*/false, /*over_budget=*/false,
-                                scored[i]->peak_memory_bytes,
-                                scored[i]->peak_nvm_bytes});
-    } else if (scored[i]->over_budget) {
-      res.candidates.push_back({specs[i].label, kInf, kInf, /*aborted=*/false,
-                                /*over_budget=*/true,
-                                scored[i]->peak_memory_bytes,
-                                scored[i]->peak_nvm_bytes});
-      ++over_budget;
+                                /*aborted=*/false});
     } else {
-      res.candidates.push_back({specs[i].label, kInf, kInf, /*aborted=*/true,
-                                /*over_budget=*/false,
-                                scored[i]->peak_memory_bytes,
-                                scored[i]->peak_nvm_bytes});
+      res.candidates.push_back({specs[i].label, kInf, kInf, /*aborted=*/true});
       ++aborted;
     }
   }
@@ -210,18 +159,6 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
         .set(static_cast<double>(aborted));
     m.gauge("microdeep.search.best_index").set(static_cast<double>(best));
     m.gauge("microdeep.search.best_max_cost").set(res.best_max_cost);
-    if (opts.memory.enabled() || opts.memory.nvm_enabled()) {
-      m.gauge("microdeep.search.over_budget_candidates")
-          .set(static_cast<double>(over_budget));
-    }
-    if (opts.memory.enabled()) {
-      m.gauge("microdeep.search.best_peak_memory_bytes")
-          .set(static_cast<double>(scored[best]->peak_memory_bytes));
-    }
-    if (opts.memory.nvm_enabled()) {
-      m.gauge("microdeep.search.best_peak_nvm_bytes")
-          .set(static_cast<double>(scored[best]->peak_nvm_bytes));
-    }
     // Re-publish the winner's comm-cost gauges under the standard keys.
     compute_comm_cost(res.best, wsn, opts.cost_options, obs);
   }

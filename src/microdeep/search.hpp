@@ -1,7 +1,8 @@
 // Assignment search: evaluate a portfolio of unit-to-node assignments
 // (geometric, balance-and-drain at several slack levels, jittered random
 // restarts) and keep the one with the lowest peak per-node communication
-// cost — the quantity the paper's Fig. 10 minimizes.
+// cost — the quantity the paper's Fig. 10 minimizes.  A restart moves each
+// unit's seed node to a random WSN neighbour with probability 0.3.
 //
 // The search is deterministically parallel: candidates are generated in a
 // fixed order with per-candidate RNG substreams keyed by candidate index
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "microdeep/comm_cost.hpp"
-#include "microdeep/memory.hpp"
 
 namespace zeiot::par {
 class ThreadPool;
@@ -26,30 +26,15 @@ class ThreadPool;
 namespace zeiot::microdeep {
 
 struct AssignmentSearchOptions {
-  /// Evaluate the plain geometric (nearest) assignment as candidate 0.
-  bool include_nearest = true;
-  /// Balance-and-drain heuristic candidates at slack 0..max_balance_slack.
+  /// Candidate 0 is the plain geometric (nearest) assignment; then come
+  /// balance-and-drain heuristic candidates at slack 0..max_balance_slack.
   int max_balance_slack = 3;
   /// Jittered-seed heuristic restarts appended after the slack sweep.
   int random_restarts = 8;
-  /// Probability that a restart seed moves a unit from its nearest node to
-  /// a uniformly chosen WSN neighbour of that node.
-  double jitter_probability = 0.3;
   /// Base seed for restart substreams (candidate index keys the stream).
   std::uint64_t seed = 42;
   /// Cost model used to score candidates.
   CommCostOptions cost_options{};
-  /// Per-node memory budget (see microdeep/memory.hpp).  When enabled
-  /// (node_budget_bytes > 0), candidates whose peak per-node residency
-  /// exceeds the budget are rejected BEFORE cost scoring: they can never
-  /// become the incumbent or the winner, and their score reports
-  /// over_budget with +inf cost.  If every candidate violates the budget
-  /// the search throws zeiot::Error — an undeployable configuration is an
-  /// error, not a silently bad assignment.  The NVM budget
-  /// (nvm_budget_bytes > 0) gates identically on the worst-case per-node
-  /// checkpoint image (peak_node_checkpoint_bytes), for deployments that
-  /// run netexec with checkpointing enabled.
-  NodeMemoryModel memory{};
   /// Worker pool (null = par::global_pool(), honours ZEIOT_THREADS).
   par::ThreadPool* pool = nullptr;
   /// Abandon a candidate as soon as its running max per-node cost exceeds
@@ -69,14 +54,6 @@ struct AssignmentCandidateScore {
   /// True when early exit abandoned this candidate; max_cost/mean_cost are
   /// then +infinity (the candidate was already worse than the incumbent).
   bool aborted = false;
-  /// True when the candidate violated the per-node memory budget or the
-  /// per-node NVM checkpoint budget; costs are +infinity and
-  /// peak_memory_bytes / peak_nvm_bytes record the residencies.
-  bool over_budget = false;
-  /// Peak per-node residency in bytes (0 when the budget is disabled).
-  std::size_t peak_memory_bytes = 0;
-  /// Peak per-node checkpoint image in bytes (0 when NVM gating is off).
-  std::size_t peak_nvm_bytes = 0;
 };
 
 struct AssignmentSearchResult {

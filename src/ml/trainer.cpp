@@ -10,6 +10,10 @@ namespace zeiot::ml {
 
 namespace {
 
+/// Samples per data-parallel shard.  Fixed shard boundaries (not tied to
+/// the worker count) are what keep training reproducible.
+constexpr std::size_t kShardGrain = 8;
+
 /// Correct predictions of `net` over samples [lo, hi) of `data`, evaluated
 /// in fixed 64-sample batches.  Counts are integers, so the total is
 /// independent of how the range is split across workers.
@@ -66,11 +70,9 @@ TrainHistory Trainer::fit(const Dataset& train, const Dataset& val,
   ZEIOT_CHECK_MSG(!train.empty(), "cannot fit on an empty dataset");
   ZEIOT_CHECK_MSG(cfg.epochs > 0 && cfg.batch_size > 0,
                   "epochs and batch_size must be > 0");
-  ZEIOT_CHECK_MSG(cfg.shard_grain > 0, "shard_grain must be > 0");
   par::ThreadPool& pool =
       cfg.pool != nullptr ? *cfg.pool
                           : (pool_ != nullptr ? *pool_ : par::global_pool());
-  const auto grain = static_cast<std::size_t>(cfg.shard_grain);
 
   // Observability: virtual-time spans on the epoch axis + wall-time
   // profiler regions.  Shard spans are recorded on this thread during the
@@ -106,71 +108,54 @@ TrainHistory Trainer::fit(const Dataset& train, const Dataset& val,
       const std::size_t end = std::min(
           order.size(), start + static_cast<std::size_t>(cfg.batch_size));
       const std::size_t bn = end - start;
-      const auto shards = par::make_chunks(bn, grain);
-      if (shards.size() <= 1) {
-        // Serial whole-batch path.  A single-shard batch computes the same
-        // bits here as on a replica, so thread count still cannot matter.
+      const auto shards = par::make_chunks(bn, kShardGrain);
+      // Fixed shards, per-shard replicas, gradients reduced into the
+      // primary in shard order.
+      ensure_replicas(shards.size());
+      std::vector<double> shard_loss(shards.size(), 0.0);
+      std::vector<std::size_t> shard_correct(shards.size(), 0);
+      pool.run(shards.size(), [&](std::size_t s) {
+        Network& rep = replicas_[s];
+        rep.copy_param_values_from(net_);  // concurrent reads only
+        rep.zero_grads();
         const std::vector<std::size_t> idx(
-            order.begin() + static_cast<long>(start),
-            order.begin() + static_cast<long>(end));
+            order.begin() + static_cast<long>(start + shards[s].begin),
+            order.begin() + static_cast<long>(start + shards[s].end));
         auto [xb, yb] = train.batch(idx);
-        net_.zero_grads();
-        Tensor logits = net_.forward(xb, /*train=*/true);
-        const LossResult lr = softmax_cross_entropy(logits, yb);
-        loss_sum += lr.loss * static_cast<double>(bn);
-        correct += batch_correct(logits, yb);
-        net_.backward(lr.grad);
-      } else {
-        // Data-parallel path: fixed shards, per-shard replicas, gradients
-        // reduced into the primary in shard order.
-        ensure_replicas(shards.size());
-        std::vector<double> shard_loss(shards.size(), 0.0);
-        std::vector<std::size_t> shard_correct(shards.size(), 0);
-        pool.run(shards.size(), [&](std::size_t s) {
-          Network& rep = replicas_[s];
-          rep.copy_param_values_from(net_);  // concurrent reads only
-          rep.zero_grads();
-          const std::vector<std::size_t> idx(
-              order.begin() + static_cast<long>(start + shards[s].begin),
-              order.begin() + static_cast<long>(start + shards[s].end));
-          auto [xb, yb] = train.batch(idx);
-          Tensor logits = rep.forward(xb, /*train=*/true);
-          LossResult lr = softmax_cross_entropy(logits, yb);
-          shard_loss[s] = lr.loss;
-          shard_correct[s] = batch_correct(logits, yb);
-          // The shard loss gradient is normalized by the shard size;
-          // reweight so the summed shard gradients equal the batch-mean
-          // gradient: d(mean over batch) = sum_s (n_s / bn) d(mean over s).
-          lr.grad.scale_(static_cast<float>(shards[s].size()) /
-                         static_cast<float>(bn));
-          rep.backward(lr.grad);
-        });
-        net_.zero_grads();
-        // The batch occupies [epoch + start/n, epoch + end/n] on the
-        // virtual epoch axis; shard spans tile it evenly.
-        const double bt0 = static_cast<double>(epoch) +
-                           static_cast<double>(start) /
-                               static_cast<double>(order.size());
-        const double bt1 = static_cast<double>(epoch) +
-                           static_cast<double>(end) /
-                               static_cast<double>(order.size());
-        const double shard_w =
-            (bt1 - bt0) / static_cast<double>(shards.size());
-        const auto batch_idx = static_cast<std::uint32_t>(
-            start / static_cast<std::size_t>(cfg.batch_size));
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-          for (std::size_t p = 0; p < params.size(); ++p) {
-            params[p]->grad.add_(replica_params_[s][p]->grad);
-          }
-          loss_sum += shard_loss[s] * static_cast<double>(shards[s].size());
-          correct += shard_correct[s];
-          if (sp != nullptr) {
-            sp->add(obs::SpanKind::TrainShard,
-                    bt0 + static_cast<double>(s) * shard_w,
-                    bt0 + static_cast<double>(s + 1) * shard_w, epoch_span,
-                    0, static_cast<std::uint32_t>(s), batch_idx,
-                    shard_loss[s]);
-          }
+        Tensor logits = rep.forward(xb, /*train=*/true);
+        LossResult lr = softmax_cross_entropy(logits, yb);
+        shard_loss[s] = lr.loss;
+        shard_correct[s] = batch_correct(logits, yb);
+        // The shard loss gradient is normalized by the shard size;
+        // reweight so the summed shard gradients equal the batch-mean
+        // gradient: d(mean over batch) = sum_s (n_s / bn) d(mean over s).
+        lr.grad.scale_(static_cast<float>(shards[s].size()) /
+                       static_cast<float>(bn));
+        rep.backward(lr.grad);
+      });
+      net_.zero_grads();
+      // The batch occupies [epoch + start/n, epoch + end/n] on the
+      // virtual epoch axis; shard spans tile it evenly.
+      const double bt0 = static_cast<double>(epoch) +
+                         static_cast<double>(start) /
+                             static_cast<double>(order.size());
+      const double bt1 = static_cast<double>(epoch) +
+                         static_cast<double>(end) /
+                             static_cast<double>(order.size());
+      const double shard_w = (bt1 - bt0) / static_cast<double>(shards.size());
+      const auto batch_idx = static_cast<std::uint32_t>(
+          start / static_cast<std::size_t>(cfg.batch_size));
+      for (std::size_t s = 0; s < shards.size(); ++s) {
+        for (std::size_t p = 0; p < params.size(); ++p) {
+          params[p]->grad.add_(replica_params_[s][p]->grad);
+        }
+        loss_sum += shard_loss[s] * static_cast<double>(shards[s].size());
+        correct += shard_correct[s];
+        if (sp != nullptr) {
+          sp->add(obs::SpanKind::TrainShard,
+                  bt0 + static_cast<double>(s) * shard_w,
+                  bt0 + static_cast<double>(s + 1) * shard_w, epoch_span, 0,
+                  static_cast<std::uint32_t>(s), batch_idx, shard_loss[s]);
         }
       }
       if (grad_hook_) grad_hook_(params);

@@ -5,13 +5,11 @@
 // terms arriving stale/partial) without duplicating the training loop.
 //
 // Execution is data-parallel and deterministic: each mini-batch is split
-// into fixed-size shards (cfg.shard_grain samples, independent of the
-// worker count), every shard runs forward/backward on its own network
-// replica, and the shard gradients are summed into the primary network in
-// shard order before the optimizer step.  Results are therefore
-// bit-identical between ZEIOT_THREADS=1 and ZEIOT_THREADS=N.  A batch
-// that fits in one shard runs on the primary network directly, which
-// computes the same bits as a replica would.
+// into fixed 8-sample shards (independent of the worker count), every
+// shard runs forward/backward on its own network replica, and the shard
+// gradients are summed into the primary network in shard order before the
+// optimizer step.  Results are therefore bit-identical between
+// ZEIOT_THREADS=1 and ZEIOT_THREADS=N.
 #pragma once
 
 #include <functional>
@@ -41,10 +39,6 @@ struct TrainConfig {
   /// accuracy, or — when no validation set is supplied — lower epoch
   /// train loss.
   int patience = 0;
-  /// Samples per data-parallel shard.  Fixed shard boundaries (not tied to
-  /// the worker count) are what keep training reproducible; lower values
-  /// expose more parallelism, higher values amortize more per-shard work.
-  int shard_grain = 8;
   /// Worker pool for sharded execution (null = par::global_pool(), which
   /// honours ZEIOT_THREADS).
   par::ThreadPool* pool = nullptr;

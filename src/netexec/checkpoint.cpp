@@ -12,13 +12,7 @@ constexpr char kMagic[4] = {'Z', 'N', 'V', 'M'};
 constexpr std::uint16_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 20;   // magic + version + flags + 3*u32
 constexpr std::size_t kTrailerBytes = 8;   // FNV-1a 64 of everything before
-
-// The residency model in microdeep/memory.hpp sizes NVM budgets against
-// exactly this framing; keep the two in lockstep.
-static_assert(kHeaderBytes + kTrailerBytes ==
-              microdeep::kNvmImageOverheadBytes);
-static_assert(2 * sizeof(std::uint32_t) == microdeep::kNvmEntryOverheadBytes);
-static_assert(sizeof(float) == microdeep::kNvmBytesPerActivation);
+static_assert(kHeaderBytes + kTrailerBytes == kNvmImageOverheadBytes);
 
 template <typename T>
 void put(std::vector<std::uint8_t>& out, T v) {
@@ -40,8 +34,7 @@ T get(const std::uint8_t* data, std::size_t& off) {
 std::size_t checkpoint_image_bytes(const NodeCheckpointState& state) {
   std::size_t bytes = kHeaderBytes + kTrailerBytes;
   for (const CheckpointEntry& e : state.entries) {
-    bytes += microdeep::kNvmEntryOverheadBytes +
-             e.values.size() * sizeof(float);
+    bytes += kNvmEntryOverheadBytes + e.values.size() * kNvmBytesPerActivation;
   }
   return bytes;
 }

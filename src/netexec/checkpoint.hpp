@@ -13,8 +13,6 @@
 // bit-identically to the uninterrupted run.  Decoding is strict: any
 // truncation or bit flip fails the frame (length walk + FNV-1a trailer)
 // and the node falls back to a clean restart instead of consuming garbage.
-// The framing constants are shared with microdeep/memory.hpp so
-// search_assignment can bound the image size before deployment.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +20,15 @@
 #include <vector>
 
 #include "energy/device.hpp"
-#include "microdeep/memory.hpp"
 
 namespace zeiot::netexec {
+
+/// Image framing sizes (see above).  NVM always stores floats: even a
+/// deployment with quantized transport commits dequantized activations,
+/// so resume is bit-identical to the uninterrupted run.
+inline constexpr std::size_t kNvmImageOverheadBytes = 28;  // header + trailer
+inline constexpr std::size_t kNvmEntryOverheadBytes = 8;   // unit id + len
+inline constexpr std::size_t kNvmBytesPerActivation = 4;   // raw float bits
 
 /// Storage ceiling of every node's capacitor under the harvest model.
 inline constexpr double kCapacitorJ = 1e-3;
@@ -37,9 +41,6 @@ inline constexpr double kAdaptiveReserveJ = 50e-6;
 /// charges.
 struct CheckpointConfig {
   energy::CheckpointPolicy policy = energy::CheckpointPolicy::None;
-  /// Per-node NVM capacity; 0 = unchecked.  When set, the executor verifies
-  /// at construction that every node's worst-case image fits.
-  std::size_t nvm_budget_bytes = 0;
 
   bool enabled() const { return policy != energy::CheckpointPolicy::None; }
 };

@@ -122,22 +122,6 @@ NetworkExecutor::NetworkExecutor(ml::Network& net,
   }
   build_plans();
   scan_fault_windows();
-  // Worst-case NVM image per node under the shared framing (header +
-  // trailer, one entry per resident activation slot).  Computed through the
-  // residency model so search_assignment and the executor can never
-  // disagree about what fits.
-  nvm_bytes_ = microdeep::compute_node_checkpoint_bytes(
-      graph_, assignment_, wsn_.num_nodes(), microdeep::NodeMemoryModel{});
-  if (cfg_.checkpoint.enabled() && cfg_.checkpoint.nvm_budget_bytes > 0) {
-    for (NodeId n = 0; n < wsn_.num_nodes(); ++n) {
-      ZEIOT_CHECK_MSG(nvm_bytes_[n] <= cfg_.checkpoint.nvm_budget_bytes,
-                      "node " << n << " checkpoint image (" << nvm_bytes_[n]
-                              << " B) exceeds the NVM budget of "
-                              << cfg_.checkpoint.nvm_budget_bytes
-                              << " B; re-run search_assignment with "
-                                 "memory.nvm_budget_bytes set");
-    }
-  }
 }
 
 void NetworkExecutor::reset_memory() { memory_.clear(); }
@@ -255,8 +239,8 @@ void NetworkExecutor::build_plans() {
       double ckpt_j = 0.0;
       if (cfg_.checkpoint.enabled()) {
         const std::size_t bytes =
-            p.units[n].size() * (microdeep::kNvmEntryOverheadBytes +
-                                 out_ch * microdeep::kNvmBytesPerActivation);
+            p.units[n].size() *
+            (kNvmEntryOverheadBytes + out_ch * kNvmBytesPerActivation);
         ckpt_j = kCommitCosts.energy_j(bytes);
       }
       double tx_j = 0.0;
@@ -1022,18 +1006,18 @@ struct NetworkExecutor::Inference {
     NodeCheckpointState& state = nvm_state[n];
     // First-ever commit also writes the frame (header + trailer).
     std::size_t bytes =
-        nvm_image[n].empty() ? microdeep::kNvmImageOverheadBytes : 0;
+        nvm_image[n].empty() ? kNvmImageOverheadBytes : 0;
     for (const UnitId u : units_list) {
       auto it = std::lower_bound(
           state.entries.begin(), state.entries.end(), u,
           [](const CheckpointEntry& e, UnitId v) { return e.unit < v; });
       const std::size_t value_bytes =
-          acts[u].size() * microdeep::kNvmBytesPerActivation;
+          acts[u].size() * kNvmBytesPerActivation;
       if (it != state.entries.end() && it->unit == u) {
         it->values = acts[u];
         bytes += value_bytes;  // overwrite in place, entry header untouched
       } else {
-        bytes += microdeep::kNvmEntryOverheadBytes + value_bytes;
+        bytes += kNvmEntryOverheadBytes + value_bytes;
         state.entries.insert(it, CheckpointEntry{u, acts[u]});
       }
     }

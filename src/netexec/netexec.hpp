@@ -298,13 +298,6 @@ class NetworkExecutor {
 
   const NetExecConfig& config() const { return cfg_; }
 
-  /// Worst-case NVM checkpoint image per node (indexed by NodeId), as the
-  /// executor will produce it — by construction equal to
-  /// microdeep::compute_node_checkpoint_bytes for the same assignment.
-  const std::vector<std::size_t>& nvm_footprint_bytes() const {
-    return nvm_bytes_;
-  }
-
  private:
   /// One logical activation message: the producer unit's channel vector,
   /// routed src_node -> dst_node over BFS shortest paths.
@@ -369,7 +362,6 @@ class NetworkExecutor {
   std::vector<std::vector<Window>> brownouts_;   // merged, per node
   std::vector<std::vector<Window>> droughts_;    // per node
   double last_revival_ = 0.0;  // end of the latest brownout window
-  std::vector<std::size_t> nvm_bytes_;  // worst-case checkpoint image per node
   microdeep::ActTable memory_;  // last-known activations across run() calls
   std::uint64_t runs_ = 0;      // run() counter, keys per-inference substreams
 };

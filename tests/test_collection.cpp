@@ -169,6 +169,13 @@ struct CollectionParam {
   int channels;
 };
 
+// gtest (and ctest through gtest_discover_tests) names each case by its
+// printed parameter.  Without this, it would print the struct's bytes,
+// padding included, and the names would change from build to build.
+void PrintTo(const CollectionParam& p, std::ostream* os) {
+  *os << p.devices << "dev_" << p.period << "s_" << p.channels << "ch";
+}
+
 class CollectionSweep : public ::testing::TestWithParam<CollectionParam> {};
 
 TEST_P(CollectionSweep, FeasibleSchedulesAlwaysValidate) {

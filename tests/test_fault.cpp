@@ -1,6 +1,6 @@
 // zeiot::fault — plan generation, injector semantics, invariant checking,
-// and the injection points wired through the CSMA MAC, the backscatter
-// coexistence simulator and netexec.  Everything here is seeded: a failing
+// and the injection points wired through the backscatter coexistence
+// simulator and netexec.  Everything here is seeded: a failing
 // case names the exact plan digest needed to replay it.
 #include "fault/fault.hpp"
 
@@ -16,7 +16,6 @@
 #include "common/error.hpp"
 #include "fault/injector.hpp"
 #include "fault/invariants.hpp"
-#include "mac/csma.hpp"
 #include "netexec/netexec.hpp"
 #include "sim/simulator.hpp"
 
@@ -231,41 +230,6 @@ TEST(InvariantChecker, ForwardConservationTolerance) {
 }
 
 // -- Wired subsystems ------------------------------------------------------
-
-TEST(FaultWiring, CsmaDeadStationsNeverTransmit) {
-  mac::CsmaConfig cfg;
-  cfg.num_stations = 4;
-  cfg.seed = 3;
-  FaultInjector inj(FaultPlan({{0.0, FaultType::NodeDeath, kAllTargets}}));
-  const auto m = mac::simulate_csma(cfg, 20000, nullptr, &inj);
-  EXPECT_EQ(m.successes, 0u);
-  EXPECT_EQ(m.collisions, 0u);
-}
-
-TEST(FaultWiring, CsmaEmptyPlanMatchesNoInjector) {
-  mac::CsmaConfig cfg;
-  cfg.num_stations = 6;
-  cfg.seed = 5;
-  FaultInjector empty{FaultPlan{}};
-  const auto base = mac::simulate_csma(cfg, 30000);
-  const auto with = mac::simulate_csma(cfg, 30000, nullptr, &empty);
-  EXPECT_EQ(base.successes, with.successes);
-  EXPECT_EQ(base.collisions, with.collisions);
-  EXPECT_EQ(base.per_station_successes, with.per_station_successes);
-  EXPECT_EQ(with.fault_dropped, 0u);
-}
-
-TEST(FaultWiring, CsmaDropWindowForcesRetries) {
-  mac::CsmaConfig cfg;
-  cfg.num_stations = 2;
-  cfg.seed = 8;
-  FaultInjector inj(FaultPlan(
-      {{0.0, FaultType::MessageDrop, kAllTargets, 50000.0, 1.0}}));
-  const auto m = mac::simulate_csma(cfg, 30000, nullptr, &inj);
-  EXPECT_EQ(m.successes, 0u) << "every clean win is dropped in flight";
-  EXPECT_GT(m.fault_dropped, 0u);
-  EXPECT_GT(m.drops, 0u) << "retry limits must eventually discard frames";
-}
 
 // Room for a whole 15-20 s chaos run of coexistence: no record dropped.
 constexpr std::size_t kChaosRecordCapacity = 1 << 16;

@@ -1,6 +1,6 @@
 // Differential fleet-conformance suite (ctest label: fleet).
 //
-// Four properties pin zeiot::fleet's isolation and determinism contract:
+// Three properties pin zeiot::fleet's isolation and determinism contract:
 //  (1) Standalone identity — a 1-deployment fleet reproduces the
 //      standalone NetworkExecutor / CoexistenceSimulator run bit-for-bit,
 //      reconstructed here through the same pure template helpers.
@@ -11,8 +11,6 @@
 //      only on (fleet_seed, kind, cell_id, parameters): the same cell
 //      alone, inside a 1000-cell fleet, or in a reversed ordering yields
 //      the same digest.
-//  (4) Fault isolation — a fault plan injected into one deployment never
-//      perturbs any neighbor's digest.
 #include "fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -60,19 +58,6 @@ DeploymentSpec cell_spec(std::uint64_t cell_id, std::size_t devices = 4,
   return spec;
 }
 
-fault::FaultSpec small_fault(std::uint64_t seed) {
-  fault::FaultSpec spec;
-  spec.horizon_s = 0.5;
-  spec.num_targets = 4;
-  spec.node_death_rate = 4.0;
-  spec.mean_downtime_s = 0.1;
-  spec.drop_rate = 4.0;
-  spec.drop_window_s = 0.2;
-  spec.drop_probability = 0.8;
-  spec.seed = seed;
-  return spec;
-}
-
 /// Mixed fleet exercising all three templates in one run.
 std::vector<DeploymentSpec> mixed_specs() {
   std::vector<DeploymentSpec> specs;
@@ -85,8 +70,8 @@ std::vector<DeploymentSpec> mixed_specs() {
   return specs;
 }
 
-// Room for the whole record: a faulted lounge cell replays its samples
-// through run(), about 10k spans and instants per inference.
+// Room for the whole record: netexec records about 10k spans and instants
+// per inference.
 constexpr std::size_t kSlotRecordCapacity = 1 << 16;
 constexpr std::size_t kFleetRecordCapacity = 1 << 20;
 
@@ -294,85 +279,6 @@ TEST(FleetConformance, DeploymentDigestIndependentOfFleetSizeAndOrder) {
   for (std::size_t i = 0; i < big.size(); ++i) {
     ASSERT_EQ(rev.digest[i], full.digest[big.size() - 1 - i]) << "row " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// (4) Fault isolation.
-
-TEST(FleetConformance, BackscatterFaultNeverPerturbsNeighbors) {
-  std::vector<DeploymentSpec> clean;
-  for (std::uint64_t id = 0; id < 6; ++id) clean.push_back(cell_spec(id));
-  std::vector<DeploymentSpec> faulted = clean;
-  faulted[2].fault = small_fault(777);
-
-  const FleetRun a = run_fleet(clean, 4);
-  const FleetRun b = run_fleet(faulted, 4);
-  ASSERT_EQ(a.result.digest.size(), b.result.digest.size());
-  for (std::size_t i = 0; i < a.result.digest.size(); ++i) {
-    if (i == 2) {
-      EXPECT_NE(a.result.digest[i], b.result.digest[i])
-          << "fault plan had no observable effect";
-    } else {
-      EXPECT_EQ(a.result.digest[i], b.result.digest[i]) << "neighbor " << i;
-    }
-  }
-}
-
-TEST(FleetConformance, InferenceFaultNeverPerturbsNeighbors) {
-  std::vector<DeploymentSpec> clean = {lounge_spec(0), lounge_spec(1),
-                                       cell_spec(0)};
-  std::vector<DeploymentSpec> faulted = clean;
-  fault::FaultSpec spec = small_fault(31);
-  spec.num_targets = 50;  // the lounge WSN's node count
-  spec.node_death_rate = 8.0;
-  faulted[1].fault = spec;
-
-  const FleetRun a = run_fleet(clean, 4);
-  const FleetRun b = run_fleet(faulted, 4);
-  ASSERT_EQ(a.result.digest.size(), 3u);
-  EXPECT_EQ(a.result.digest[0], b.result.digest[0]);
-  EXPECT_EQ(a.result.digest[2], b.result.digest[2]);
-  // Row 1 switched from the evaluate() path to the sequential faulted
-  // run() path, so its digest must move.
-  EXPECT_NE(a.result.digest[1], b.result.digest[1]);
-}
-
-TEST(FleetConformance, CheckpointedBrownoutWavesIdenticalAcrossThreadCounts) {
-  // One lounge cell brown-outs mid-round while running with per-unit NVM
-  // checkpoints: its executor suspends and resumes inside its own
-  // simulation.  The whole fleet must stay bit-identical across worker
-  // counts, the neighbors must not move, and the checkpoint policy must be
-  // observable — the same fault plan under CheckpointPolicy::None ignores
-  // the supply windows entirely, so the faulted row's digest differs.
-  fault::FaultSpec f;
-  f.horizon_s = 0.02;  // inside the few-ms inference rounds
-  f.num_targets = 50;  // the lounge WSN's node count
-  f.brownout_rate = 3.0;
-  f.brownout_s = 0.05;
-  f.seed = 91;
-  ASSERT_GT(fault::generate_plan(f).count(fault::FaultType::Brownout), 0u)
-      << "seed 91 must draw at least one brownout window";
-
-  // The merged metrics JSON is byte-identical across worker counts too.
-  std::vector<DeploymentSpec> specs = {lounge_spec(0), lounge_spec(1),
-                                       ir_spec(0)};
-  specs[1].fault = f;
-  specs[1].checkpoint = energy::CheckpointPolicy::EveryUnit;
-
-  const FleetRun one = run_fleet(specs, 1);
-  const FleetRun four = run_fleet(specs, 4);
-  expect_results_bitwise_equal(one.result, four.result);
-  EXPECT_EQ(one.metrics_json, four.metrics_json);
-  EXPECT_EQ(one.span_digest, four.span_digest);
-
-  std::vector<DeploymentSpec> volatile_specs = specs;
-  volatile_specs[1].checkpoint = energy::CheckpointPolicy::None;
-  const FleetRun none = run_fleet(volatile_specs, 4);
-  ASSERT_EQ(none.result.digest.size(), 3u);
-  EXPECT_EQ(one.result.digest[0], none.result.digest[0]) << "neighbor 0";
-  EXPECT_EQ(one.result.digest[2], none.result.digest[2]) << "neighbor 2";
-  EXPECT_NE(one.result.digest[1], none.result.digest[1])
-      << "checkpointing changed nothing observable for the faulted cell";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 // Harvest-aware intermittent execution in netexec: NVM checkpoint codec
 // (round-trip + adversarial corruption), brownout suspend/resume with
-// bit-identical completion, harvest-driven deferral determinism, NVM
-// budget enforcement in both search_assignment and the executor, and the
+// bit-identical completion, harvest-driven deferral determinism, and the
 // checkpoint energy-accounting contract shared with energy/intermittent_task.
 //
 // Everything here is seeded; a failing property case names the seed needed
@@ -17,8 +16,6 @@
 #include "common/error.hpp"
 #include "energy/intermittent_task.hpp"
 #include "fault/injector.hpp"
-#include "microdeep/memory.hpp"
-#include "microdeep/search.hpp"
 #include "netexec/checkpoint.hpp"
 #include "netexec/netexec.hpp"
 #include "par/thread_pool.hpp"
@@ -283,56 +280,6 @@ TEST(IntermittentExec, TruncationAndCorruptionFallBackClean) {
     EXPECT_EQ(rec.plans_done, 0u) << "bit " << bit;
     EXPECT_TRUE(rec.entries.empty()) << "bit " << bit;
   }
-}
-
-// -- NVM budget ------------------------------------------------------------
-
-TEST(IntermittentExec, NvmBudgetBindsInSearch) {
-  Scenario sc;
-  microdeep::AssignmentSearchOptions opts;
-  opts.random_restarts = 2;
-
-  // 16 B is below the bare image framing (28 B): every candidate is over
-  // budget, and an undeployable portfolio is an error, not a bad winner.
-  opts.memory.nvm_budget_bytes = 16;
-  EXPECT_THROW(microdeep::search_assignment(sc.graph, sc.wsn, opts), Error);
-
-  opts.memory.nvm_budget_bytes = std::size_t{1} << 20;
-  const auto res = microdeep::search_assignment(sc.graph, sc.wsn, opts);
-  const auto& win = res.candidates[res.best_index];
-  EXPECT_FALSE(win.over_budget);
-  EXPECT_GT(win.peak_nvm_bytes, 0u);
-  EXPECT_LE(win.peak_nvm_bytes, opts.memory.nvm_budget_bytes);
-  // The reported peak is the memory model recomputed on the winner.
-  EXPECT_EQ(win.peak_nvm_bytes,
-            microdeep::peak_node_checkpoint_bytes(sc.graph, res.best,
-                                                  sc.wsn.num_nodes(),
-                                                  opts.memory));
-}
-
-TEST(IntermittentExec, NvmBudgetBindsInExecutorAndFootprintMatches) {
-  Scenario sc;
-  const auto fp = microdeep::compute_node_checkpoint_bytes(
-      sc.graph, sc.assignment, sc.wsn.num_nodes(),
-      microdeep::NodeMemoryModel{});
-  ASSERT_EQ(fp.size(), sc.wsn.num_nodes());
-  const std::size_t peak = *std::max_element(fp.begin(), fp.end());
-  ASSERT_GT(peak, 0u);
-
-  netexec::NetExecConfig cfg;
-  cfg.checkpoint.policy = energy::CheckpointPolicy::EveryUnit;
-
-  // One byte short of the worst-case image: constructing the executor must
-  // reject the deployment up front, not fail at the first commit.
-  cfg.checkpoint.nvm_budget_bytes = peak - 1;
-  EXPECT_THROW(netexec::NetworkExecutor(sc.net, sc.graph, sc.assignment,
-                                        sc.wsn, cfg),
-               Error);
-
-  cfg.checkpoint.nvm_budget_bytes = peak;
-  netexec::NetworkExecutor exec(sc.net, sc.graph, sc.assignment, sc.wsn, cfg);
-  EXPECT_EQ(exec.nvm_footprint_bytes(), fp)
-      << "executor footprint must equal the planning-time memory model";
 }
 
 // -- Energy accounting -----------------------------------------------------

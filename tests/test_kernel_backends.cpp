@@ -12,9 +12,8 @@
 //     that are bit-identical under every backend;
 //   * 64-byte alignment regression — Tensor, AlignedVector, Workspace
 //     carvings (the AVX2 tile loads rely on it for aligned-ish streams);
-//   * per-node memory model + budget-constrained assignment search — the
-//     budget demonstrably binds (excludes the unconstrained winner) and an
-//     undeployable budget throws;
+//   * per-node memory model — an int8 deployment needs strictly less peak
+//     residency than a float one;
 //   * netexec quantized transport — single-node deployments are bit-exact
 //     vs float transport, distributed ones pay strictly less airtime
 //     energy, and act_scales validation rejects malformed configs.
@@ -31,7 +30,6 @@
 #include "common/error.hpp"
 #include "microdeep/memory.hpp"
 #include "microdeep/quant.hpp"
-#include "microdeep/search.hpp"
 #include "ml/dataset.hpp"
 #include "ml/kernels/aligned.hpp"
 #include "ml/kernels/gemm.hpp"
@@ -438,20 +436,18 @@ TEST(UnitActivationScales, IdenticalAcrossBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-node memory model + budget-constrained search.
+// Per-node memory model.
 
-struct SearchScenario {
+struct MemoryScenario {
   ml::Network net;
   UnitGraph graph;
   WsnTopology wsn;
 };
 
-SearchScenario make_search_scenario(std::uint64_t seed) {
+MemoryScenario make_memory_scenario(std::uint64_t seed) {
   Rng rng(seed);
-  // A deliberately dense-heavy net: the 32 Dense units each carry 27
-  // weight rows, so candidates that concentrate them (nearest/centralized
-  // seeds) peak much higher than balanced ones — real spread for the
-  // budget to bind against.
+  // A deliberately dense-heavy net: each of the 32 Dense units carries a
+  // 27-weight row, so weights and activations both weigh in the residency.
   ml::Network net;
   net.emplace<ml::Conv2D>(1, 3, 3, 1, rng);
   net.emplace<ml::ReLU>();
@@ -466,11 +462,10 @@ SearchScenario make_search_scenario(std::uint64_t seed) {
 }
 
 TEST(MemoryModel, Int8DeploymentNeedsStrictlyLessPeakMemory) {
-  SearchScenario s = make_search_scenario(41);
+  MemoryScenario s = make_memory_scenario(41);
   const Assignment a = microdeep::assign_nearest(s.graph, s.wsn);
-  const auto m_float =
-      microdeep::make_node_memory_model(s.net, s.graph, 4, 4, 0);
-  const auto m_int8 = microdeep::make_node_memory_model(s.net, s.graph, 1, 1, 0);
+  const auto m_float = microdeep::make_node_memory_model(s.net, s.graph, 4, 4);
+  const auto m_int8 = microdeep::make_node_memory_model(s.net, s.graph, 1, 1);
   const auto per_node =
       microdeep::compute_node_memory(a, s.wsn.num_nodes(), m_float);
   ASSERT_EQ(per_node.size(), s.wsn.num_nodes());
@@ -484,62 +479,6 @@ TEST(MemoryModel, Int8DeploymentNeedsStrictlyLessPeakMemory) {
   // int8 charges 1/4 per weight and activation byte but keeps the 4-byte
   // bias/requant rows, so the ratio lands strictly between 1/4 and 1.
   EXPECT_GT(pi * 4, pf / 2);
-}
-
-TEST(MemoryModel, DisabledBudgetRecordsNothing) {
-  SearchScenario s = make_search_scenario(42);
-  const auto res = microdeep::search_assignment(s.graph, s.wsn);
-  ASSERT_FALSE(res.candidates.empty());
-  for (const auto& c : res.candidates) {
-    EXPECT_FALSE(c.over_budget) << c.label;
-    EXPECT_EQ(c.peak_memory_bytes, 0u) << c.label;
-  }
-}
-
-TEST(MemoryModel, BudgetBindsTheSearch) {
-  SearchScenario s = make_search_scenario(43);
-
-  // Pass 1: effectively-unconstrained budget, to observe every candidate's
-  // peak residency and the unconstrained winner.
-  microdeep::AssignmentSearchOptions opts;
-  opts.early_exit = false;  // keep every candidate's true cost comparable
-  opts.memory = microdeep::make_node_memory_model(
-      s.net, s.graph, 4, 4, std::size_t{1} << 40);
-  const auto unconstrained = microdeep::search_assignment(s.graph, s.wsn, opts);
-  const std::size_t winner_peak = microdeep::peak_node_memory(
-      unconstrained.best, s.wsn.num_nodes(), opts.memory);
-  std::size_t min_peak = SIZE_MAX, max_peak = 0;
-  for (const auto& c : unconstrained.candidates) {
-    ASSERT_GT(c.peak_memory_bytes, 0u) << c.label;
-    min_peak = std::min(min_peak, c.peak_memory_bytes);
-    max_peak = std::max(max_peak, c.peak_memory_bytes);
-  }
-  // The scenario must have real memory spread for the budget to be able to
-  // bind; the centralized-ish and balanced candidates differ a lot here.
-  ASSERT_LT(min_peak, winner_peak);
-
-  // Pass 2: budget set strictly below the unconstrained winner's peak.
-  // The winner is now infeasible, so the budget must visibly bind: the
-  // constrained winner fits, at least one candidate is rejected, and the
-  // constrained cost cannot beat the unconstrained one.
-  opts.memory.node_budget_bytes = winner_peak - 1;
-  const auto constrained = microdeep::search_assignment(s.graph, s.wsn, opts);
-  const std::size_t constrained_peak = microdeep::peak_node_memory(
-      constrained.best, s.wsn.num_nodes(), opts.memory);
-  EXPECT_LE(constrained_peak, opts.memory.node_budget_bytes);
-  EXPECT_GE(constrained.best_max_cost, unconstrained.best_max_cost);
-  std::size_t rejected = 0;
-  for (const auto& c : constrained.candidates) {
-    if (c.over_budget) {
-      ++rejected;
-      EXPECT_GT(c.peak_memory_bytes, opts.memory.node_budget_bytes) << c.label;
-    }
-  }
-  EXPECT_GE(rejected, 1u);
-
-  // Pass 3: a budget nothing can satisfy is an error, not a bad answer.
-  opts.memory.node_budget_bytes = 1;
-  EXPECT_THROW(microdeep::search_assignment(s.graph, s.wsn, opts), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ void expect_pinned(fleet::InferenceTemplate& tmpl, std::uint64_t seed,
     for (const Arm& arm : kArms) {
       for (const bool faulted : {false, true}) {
         netexec::NetExecConfig cfg =
-            fleet::deployment_netexec_config(seed, nullptr, arm.policy);
+            fleet::deployment_netexec_config(seed, nullptr);
+        cfg.checkpoint.policy = arm.policy;
         if (arm.harvest_initial_j > 0.0) {
           cfg.harvest.enabled = true;
           cfg.harvest.initial_j = arm.harvest_initial_j;
@@ -261,8 +262,8 @@ void expect_order_pinned(fleet::InferenceTemplate& tmpl, std::uint64_t seed,
     const OrderCase& c = cases[i];
     obs::Observability obs;
     obs.enable_spans(1 << 18);
-    netexec::NetExecConfig cfg =
-        fleet::deployment_netexec_config(seed, &obs, c.policy);
+    netexec::NetExecConfig cfg = fleet::deployment_netexec_config(seed, &obs);
+    cfg.checkpoint.policy = c.policy;
     if (c.centralized) cfg.layer_deadline_s = 5.0;
     if (c.fixed_hop) cfg.channel.fixed_hop_latency_s = cfg.unit_compute_s;
     fault::FaultInjector inj{fault::FaultPlan(c.faults)};
@@ -285,8 +286,7 @@ TEST(NetexecPinned, HarvestReportsTheOverdrawOfReceiving) {
   // capacitor runs dry, receiving keeps drawing from it, and the shortfall
   // shows up as rx overdraw.  The total is the sum over activities.
   auto tmpl = fleet::make_lounge_template();
-  netexec::NetExecConfig cfg = fleet::deployment_netexec_config(
-      11, nullptr, energy::CheckpointPolicy::None);
+  netexec::NetExecConfig cfg = fleet::deployment_netexec_config(11, nullptr);
   cfg.harvest.enabled = true;
   cfg.harvest.initial_j = 60e-6;
   fault::FaultInjector inj(brownout_and_drought());

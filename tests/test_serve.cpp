@@ -53,7 +53,6 @@ RouteSet& shared_routes() {
 /// cache misses stay cheap so suites can afford many of them.
 ServeConfig test_config(obs::Observability* obs = nullptr) {
   ServeConfig cfg;
-  cfg.search.include_nearest = true;
   cfg.search.max_balance_slack = 0;
   cfg.search.random_restarts = 0;
   cfg.obs = obs;
