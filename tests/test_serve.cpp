@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
 
@@ -249,6 +250,32 @@ TEST(Determinism, ReportDigestIdenticalAcrossThreadCountsAndReruns) {
   other.seed = 8;
   const auto reqs2 = generate_workload(other, routes);
   EXPECT_NE(d1, Server(&routes, cfg).run(reqs2).digest());
+}
+
+// bench_a9_serve --smoke's run, pinned: its route sizes, its 4,000-request
+// trace at workload seed 7 and the default server.  Every response field
+// feeds the digest, so a change to routing, batching, admission, planning
+// or labels moves it.
+TEST(ServePinned, BenchA9SmokeReportIsPinned) {
+  RouteSetConfig rcfg;
+  rcfg.e3_train_trips_per_level = 6;
+  rcfg.e3_scenarios = 12;
+  rcfg.e4_train_rounds_per_count = 6;
+  rcfg.e4_measurements = 24;
+  const auto routes = make_routes(rcfg);
+  WorkloadConfig w;
+  w.num_requests = 4000;
+  w.seed = 7;
+  const auto reqs = generate_workload(w, *routes);
+  const ServeReport rep = Server(routes.get(), ServeConfig{}).run(reqs);
+
+  EXPECT_EQ(rep.digest(), 7985712391137564271ULL);
+  EXPECT_EQ(rep.served, 3936u);
+  EXPECT_EQ(rep.shed, 64u);
+  EXPECT_EQ(rep.rejected, 0u);
+  EXPECT_EQ(rep.plan_hits, 195u);
+  EXPECT_EQ(rep.plan_misses, 6u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rep.horizon_s), 4594003615305811291ULL);
 }
 
 TEST(PlanCacheServing, HitsMissesAndEvictionsUnderLru) {
