@@ -1,8 +1,8 @@
 // FNV-1a 64, the one hash behind every behavioural digest (span record,
-// fault plan, topology, serve report, fleet rows) and the NVM image
-// trailer.  Words are mixed byte by byte, least significant first, and
-// doubles by their raw bits, so a digest is a pure function of the values
-// on any host and any one-bit difference shows.
+// fault plan, serve report, fleet rows) and the NVM image trailer.  Words
+// are mixed byte by byte, least significant first, and doubles by their
+// raw bits, so a digest is a pure function of the values on any host and
+// any one-bit difference shows.
 #pragma once
 
 #include <cstddef>

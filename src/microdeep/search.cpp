@@ -18,6 +18,9 @@ constexpr double kJitterProbability = 0.3;
 /// Base seed for restart substreams (candidate index keys the stream).
 constexpr std::uint64_t kSearchSeed = 42;
 
+/// Largest balance slack of the heuristic sweep (slack 0..kMaxBalanceSlack).
+constexpr int kMaxBalanceSlack = 3;
+
 /// One entry in the fixed candidate schedule.
 struct CandidateSpec {
   std::string label;
@@ -29,15 +32,14 @@ struct CandidateSpec {
 std::vector<CandidateSpec> make_schedule(const AssignmentSearchOptions& opts) {
   std::vector<CandidateSpec> specs;
   specs.push_back({"nearest", 0, /*nearest=*/true, /*jitter=*/false});
-  for (int s = 0; s <= opts.max_balance_slack; ++s) {
+  for (int s = 0; s <= kMaxBalanceSlack; ++s) {
     specs.push_back({"heuristic/slack=" + std::to_string(s), s,
                      /*nearest=*/false, /*jitter=*/false});
   }
   for (int r = 0; r < opts.random_restarts; ++r) {
     // Restarts cycle through the slack levels so the jittered seeds explore
     // the same knob range as the deterministic sweep.
-    const int s = opts.max_balance_slack > 0 ? r % (opts.max_balance_slack + 1)
-                                             : 0;
+    const int s = r % (kMaxBalanceSlack + 1);
     specs.push_back({"restart/" + std::to_string(r) +
                          "/slack=" + std::to_string(s),
                      s, /*nearest=*/false, /*jitter=*/true});
@@ -51,8 +53,6 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
                                          const WsnTopology& wsn,
                                          const AssignmentSearchOptions& opts,
                                          obs::Observability* obs) {
-  ZEIOT_CHECK_MSG(opts.max_balance_slack >= 0,
-                  "max_balance_slack must be >= 0");
   ZEIOT_CHECK_MSG(opts.random_restarts >= 0, "random_restarts must be >= 0");
   const auto specs = make_schedule(opts);
 

@@ -27,9 +27,8 @@ namespace zeiot::microdeep {
 
 struct AssignmentSearchOptions {
   /// Candidate 0 is the plain geometric (nearest) assignment; then come
-  /// balance-and-drain heuristic candidates at slack 0..max_balance_slack.
-  int max_balance_slack = 3;
-  /// Jittered-seed heuristic restarts appended after the slack sweep.
+  /// balance-and-drain heuristic candidates at slack 0..3, and then these
+  /// jittered-seed heuristic restarts.
   int random_restarts = 8;
   /// Worker pool (null = par::global_pool(), honours ZEIOT_THREADS).
   par::ThreadPool* pool = nullptr;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <queue>
 
-#include "common/hash.hpp"
-
 namespace zeiot::microdeep {
 
 WsnTopology::WsnTopology(std::vector<Point2D> positions, Rect area,
@@ -181,21 +179,6 @@ NodeId WsnTopology::next_hop(NodeId from, NodeId to) const {
   ZEIOT_CHECK(from < positions_.size() && to < positions_.size());
   ZEIOT_CHECK_MSG(from != to, "next_hop requires from != to");
   return next_hop_[to][from];
-}
-
-std::uint64_t WsnTopology::digest() const {
-  Fnv1a h;
-  h.mix(static_cast<std::uint64_t>(positions_.size()));
-  for (const Point2D& p : positions_) {
-    h.mix_bits(p.x);
-    h.mix_bits(p.y);
-  }
-  h.mix_bits(area_.x0);
-  h.mix_bits(area_.y0);
-  h.mix_bits(area_.x1);
-  h.mix_bits(area_.y1);
-  h.mix_bits(comm_radius_);
-  return h.value();
 }
 
 double WsnTopology::mean_degree() const {

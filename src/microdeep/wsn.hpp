@@ -58,15 +58,6 @@ class WsnTopology {
   /// Mean node degree.
   double mean_degree() const;
 
-  /// Canonical structural digest: FNV-1a over the node count, the exact
-  /// bit patterns of every node position (in NodeId order), the area
-  /// rectangle and the communication radius.  Two topologies digest equal
-  /// iff they are bitwise-identical deployments, so a topology rebuilt
-  /// from the same seed/parameters keys the same cache entry — the plan
-  /// cache contract of zeiot::serve.  Links and routing tables are pure
-  /// functions of the digested inputs and need no mixing of their own.
-  std::uint64_t digest() const;
-
  private:
   void build_links();
   void build_routing();

@@ -32,20 +32,20 @@ constexpr std::uint64_t kE4Key = 0x5E10E104;
 constexpr std::uint64_t kE5TrainKey = 0x5E10E105;
 constexpr std::uint64_t kE5PoolKey = 0x5E10E106;
 constexpr int kE5KnnK = 3;
+/// E5: CSI frames captured per position for the train and request pools
+/// (the pools use different capture seeds).
+constexpr int kE5FramesPerPosition = 4;
 
 /// Jittered deployments of one CNN route: structurally distinct topologies
-/// over the same area/grid, each a distinct plan-cache key.  Variant
-/// topologies are pure functions of (kRouteSeed, key, variant index), so a
-/// topology rebuilt elsewhere from the same inputs digests identically —
-/// what makes cached plans portable.
+/// over the same area/grid, pure functions of (kRouteSeed, key, variant
+/// index).
 std::vector<microdeep::WsnTopology> make_variants(Rect area, int cols,
-                                                  int rows, std::size_t count,
+                                                  int rows,
                                                   std::uint64_t key) {
-  ZEIOT_CHECK_MSG(count >= 1, "CNN route needs >= 1 topology variant");
   std::vector<microdeep::WsnTopology> vars;
-  vars.reserve(count);
+  vars.reserve(kCnnVariants);
   const Rng base(kRouteSeed);
-  for (std::size_t v = 0; v < count; ++v) {
+  for (std::size_t v = 0; v < kCnnVariants; ++v) {
     Rng rng = par::substream(base, key + v);
     vars.push_back(microdeep::WsnTopology::jittered_grid(area, cols, rows, rng));
   }
@@ -53,10 +53,9 @@ std::vector<microdeep::WsnTopology> make_variants(Rect area, int cols,
 }
 
 CnnRoute make_cnn_route(const fleet::InferenceTemplate& tmpl, Rect area,
-                        int cols, int rows, std::size_t num_variants,
-                        std::uint64_t key) {
+                        int cols, int rows, std::uint64_t key) {
   return CnnRoute(tmpl.net.clone(), tmpl.shape, tmpl.data,
-                  make_variants(area, cols, rows, num_variants, key));
+                  make_variants(area, cols, rows, key));
 }
 
 /// Packs one congestion level per car into a single label (base-3 digits,
@@ -77,11 +76,9 @@ int pack_congestion(const std::vector<sensing::rssi::Congestion>& levels) {
 RouteSet::RouteSet(const RouteSetConfig& c)
     : cfg(c),
       e1(make_cnn_route(*fleet::make_lounge_template(),
-                        Rect{0.0, 0.0, 50.0, 34.0}, 10, 5, c.e1_variants,
-                        kE1VariantKey)),
+                        Rect{0.0, 0.0, 50.0, 34.0}, 10, 5, kE1VariantKey)),
       e2(make_cnn_route(*fleet::make_ir_array_template(),
-                        Rect{0.0, 0.0, 5.0, 5.0}, 10, 10, c.e2_variants,
-                        kE2VariantKey)),
+                        Rect{0.0, 0.0, 5.0, 5.0}, 10, 10, kE2VariantKey)),
       e4_estimator(e4_cfg) {
   if (cfg.pool != nullptr) {
     e1.net.set_pool(cfg.pool);
@@ -134,7 +131,7 @@ RouteSet::RouteSet(const RouteSetConfig& c)
     const sensing::csi::Pattern pattern{sensing::csi::Behavior::Static,
                                         sensing::csi::AntennaConfig::Divergent};
     sensing::csi::LocalizationConfig cap;
-    cap.frames_per_position = cfg.e5_frames_per_position;
+    cap.frames_per_position = kE5FramesPerPosition;
     cap.seed = par::substream(base, kE5TrainKey)();
     const auto train = sensing::csi::capture_localization_dataset(env, pattern, cap);
     e5_std.fit(train.x);

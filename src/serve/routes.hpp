@@ -15,15 +15,11 @@
 // Construction follows the fleet-template pattern: everything immutable —
 // trained estimators, CNN weights, unit graphs, topology variants, request
 // sample pools — is built ONCE from fixed seeds and shared by every
-// request.  The RouteSet is non-copyable and lives behind a unique_ptr so
-// internal pointers (none today, but the unit graphs are bind targets for
-// cached plans) keep stable addresses.
+// request.  The RouteSet is non-copyable and lives behind a unique_ptr.
 //
-// The CNN routes carry topology VARIANTS: a request names which of the
-// route's deployments it targets, and the server resolves that deployment's
-// unit-assignment plan through the LRU PlanCache keyed by
-// WsnTopology::digest().  Digests are precomputed here so the request hot
-// path never re-hashes a topology.
+// Each CNN route carries kCnnVariants topology VARIANTS: a request names
+// which of the route's deployments it targets, and the server plans each
+// deployment on its first dispatch.
 #pragma once
 
 #include <array>
@@ -55,11 +51,10 @@ inline constexpr std::size_t kNumRoutes = 5;
 /// Stable lowercase name used in metrics labels and reports.
 const char* route_name(Route r);
 
+/// Topology variants per CNN route (distinct jittered deployments).
+inline constexpr std::size_t kCnnVariants = 3;
+
 struct RouteSetConfig {
-  /// Topology variants per CNN route (distinct jittered deployments, each
-  /// a distinct plan-cache key).
-  std::size_t e1_variants = 3;
-  std::size_t e2_variants = 3;
   /// E3: training trips per congestion level and precomputed request
   /// scenarios.
   int e3_train_trips_per_level = 12;
@@ -67,9 +62,6 @@ struct RouteSetConfig {
   /// E4: training rounds per people count and precomputed request rounds.
   int e4_train_rounds_per_count = 10;
   std::size_t e4_measurements = 48;
-  /// E5: CSI frames captured per position for the train and request pools
-  /// (>= 4 each; the pools use different capture seeds).
-  int e5_frames_per_position = 4;
   /// Worker pool for batched CNN forwards (null = par::global_pool()).
   par::ThreadPool* pool = nullptr;
 };
@@ -82,10 +74,7 @@ struct CnnRoute {
         shape(std::move(s)),
         graph(microdeep::UnitGraph::build(net, shape)),
         pool(std::move(p)),
-        variants(std::move(vars)) {
-    variant_digests.reserve(variants.size());
-    for (const auto& w : variants) variant_digests.push_back(w.digest());
-  }
+        variants(std::move(vars)) {}
 
   ml::Network net;  // fixed-seed feasible CNN (untrained: serving exercises
                     // the execution path, not the accuracy claims)
@@ -93,7 +82,6 @@ struct CnnRoute {
   microdeep::UnitGraph graph;
   ml::Dataset pool;  // request sample pool (fixed-seed datagen)
   std::vector<microdeep::WsnTopology> variants;
-  std::vector<std::uint64_t> variant_digests;  // digest per variant
 };
 
 /// Immutable shared context of all five routes.

@@ -10,7 +10,7 @@ namespace zeiot::serve {
 
 namespace {
 
-/// Virtual cost of a plan-cache miss: the assignment search.
+/// Virtual cost of planning a deployment: the assignment search.
 constexpr double kPlanBuildS = 2e-2;
 /// Latency SLO; serve.slo.violations{route} counts served requests over.
 constexpr double kSloS = 5e-3;
@@ -68,7 +68,12 @@ ServeReport Server::run(const std::vector<Request>& arrivals) {
   rep.responses.resize(arrivals.size());
 
   TokenBucket bucket(cfg_.admission_rate_per_s, cfg_.admission_burst);
-  PlanCache cache(cfg_.plan_cache_capacity);
+  // One flag per (CNN route, variant): whether a dispatch has planned that
+  // deployment yet.
+  std::array<std::vector<bool>, kNumRoutes> planned;
+  for (std::size_t r = 0; r < kNumRoutes; ++r) {
+    planned[r].assign(routes_->num_variants(static_cast<Route>(r)), false);
+  }
   std::array<std::deque<std::size_t>, kNumRoutes> queues;
   std::size_t queued = 0;
   double engine_free = 0.0;
@@ -183,13 +188,13 @@ ServeReport Server::run(const std::vector<Request>& arrivals) {
     // Form the batch: the head-of-line prefix of the route's queue — for
     // CNN routes restricted to the head's deployment variant, since one
     // batched forward runs under one unit-assignment plan.
-    const bool planned = routes_->uses_plans(route);
+    const bool cnn = routes_->uses_plans(route);
     const std::uint32_t variant = arrivals[queues[ri].front()].variant;
     batch.clear();
     samples.clear();
     while (!queues[ri].empty() && batch.size() < kMaxBatch) {
       const std::size_t idx = queues[ri].front();
-      if (planned && arrivals[idx].variant != variant) break;
+      if (cnn && arrivals[idx].variant != variant) break;
       queues[ri].pop_front();
       --queued;
       batch.push_back(idx);
@@ -197,30 +202,26 @@ ServeReport Server::run(const std::vector<Request>& arrivals) {
     }
     if (obs != nullptr) g_depth->set(static_cast<double>(queued));
 
-    // Resolve the deployment's plan through the LRU cache; a miss runs the
-    // real assignment search and charges the virtual build penalty.
+    // The first dispatch against a deployment plans it: it runs the real
+    // assignment search and charges the virtual build penalty.
     bool plan_hit = false;
     double service_s =
         kBatchOverheadS + static_cast<double>(batch.size()) * kPerItemS;
-    if (planned) {
+    if (cnn) {
       const CnnRoute& c = routes_->cnn(route);
-      ZEIOT_CHECK_MSG(variant < c.variant_digests.size(),
+      ZEIOT_CHECK_MSG(variant < c.variants.size(),
                       "variant " << variant << " out of range on "
                                  << route_name(route));
-      const std::uint64_t key = c.variant_digests[variant];
-      const auto ensured = cache.ensure(key, [&] {
-        const auto search = microdeep::search_assignment(
-            c.graph, c.variants[variant], cfg_.search, obs);
-        CachedPlan plan;
-        plan.topology_digest = key;
-        plan.unit_to_node = search.best.unit_map();
-        plan.max_cost = search.best_max_cost;
-        plan.mean_cost = search.best_mean_cost;
-        plan.candidates = search.candidates.size();
-        return plan;
-      });
-      plan_hit = ensured.hit;
-      if (!plan_hit) service_s += kPlanBuildS;
+      plan_hit = planned[ri][variant];
+      if (plan_hit) {
+        ++rep.plan_hits;
+      } else {
+        microdeep::search_assignment(c.graph, c.variants[variant],
+                                     cfg_.search, obs);
+        planned[ri][variant] = true;
+        ++rep.plan_misses;
+        service_s += kPlanBuildS;
+      }
     }
 
     const double completion_t = dispatch_t + service_s;
@@ -265,17 +266,16 @@ ServeReport Server::run(const std::vector<Request>& arrivals) {
     rep.horizon_s = completion_t;
   }
 
-  rep.plan_hits = cache.hits();
-  rep.plan_misses = cache.misses();
-  rep.plan_evictions = cache.evictions();
   if (obs != nullptr) {
     auto& m = obs->metrics();
-    m.counter("serve.plan_cache.hits").inc(static_cast<double>(cache.hits()));
+    const std::uint64_t lookups = rep.plan_hits + rep.plan_misses;
+    m.counter("serve.plan_cache.hits").inc(static_cast<double>(rep.plan_hits));
     m.counter("serve.plan_cache.misses")
-        .inc(static_cast<double>(cache.misses()));
-    m.counter("serve.plan_cache.evictions")
-        .inc(static_cast<double>(cache.evictions()));
-    m.gauge("serve.plan_cache.hit_rate").set(cache.hit_rate());
+        .inc(static_cast<double>(rep.plan_misses));
+    m.gauge("serve.plan_cache.hit_rate")
+        .set(lookups == 0 ? 0.0
+                          : static_cast<double>(rep.plan_hits) /
+                                static_cast<double>(lookups));
     for (std::size_t r = 0; r < kNumRoutes; ++r) {
       const Route route = static_cast<Route>(r);
       const std::string prefix = std::string("serve.slo.") + route_name(route);

@@ -13,10 +13,10 @@
 //    fixed service-time model, so queueing results never depend on wall
 //    clocks, machine speed, or ZEIOT_THREADS — only real *labels* come
 //    from real compute, which is itself worker-count independent;
-//  * an LRU plan cache — CNN dispatches resolve the deployment's
-//    unit-assignment plan through PlanCache keyed by WsnTopology::digest();
-//    a miss runs the real assignment search and charges a virtual
-//    plan-build penalty, a hit is a hash lookup (plan_cache.hpp);
+//  * per-deployment planning — the first CNN dispatch against a topology
+//    variant runs the real assignment search and charges a virtual
+//    plan-build penalty, as the paper plans a deployment once (Sec. IV.C);
+//    every later dispatch against that variant reuses the plan;
 //  * admission control — a token bucket polices the offered rate (typed
 //    Shed) and a bounded queue applies backpressure (typed Rejected),
 //    with the invariant served + shed + rejected == offered.
@@ -36,7 +36,6 @@
 #include "microdeep/search.hpp"
 #include "obs/obs.hpp"
 #include "serve/admission.hpp"
-#include "serve/plan_cache.hpp"
 #include "serve/routes.hpp"
 
 namespace zeiot::serve {
@@ -71,14 +70,15 @@ struct Response {
   double latency_s = 0.0;
   /// Dispatch sequence number of the serving batch (Served only).
   std::uint32_t batch_seq = 0;
-  /// CNN routes: whether the plan cache hit at this request's dispatch.
+  /// CNN routes: whether the deployment was already planned at this
+  /// request's dispatch.
   bool plan_hit = false;
 };
 
 /// Virtual service-time model of a batched execution, the same on every
 /// route: a batch of at most kMaxBatch requests takes
 /// service_s = kBatchOverheadS + batch_size * kPerItemS
-///           (+ a plan-build penalty when the dispatch missed the plan cache).
+///           (+ a plan-build penalty on the first dispatch of a deployment).
 inline constexpr std::size_t kMaxBatch = 32;
 inline constexpr double kBatchOverheadS = 2e-5;
 inline constexpr double kPerItemS = 2e-6;
@@ -89,9 +89,8 @@ struct ServeConfig {
   double admission_burst = 512.0;
   /// Bound on requests queued (all routes together).
   std::size_t queue_capacity = 4096;
-  std::size_t plan_cache_capacity = 8;
-  /// Assignment search used to fill plan-cache misses.  Kept small by
-  /// default: the cache makes misses rare, not cheap.
+  /// Assignment search run on the first dispatch of each deployment.  Kept
+  /// small by default: it runs once per variant, but it is not cheap.
   microdeep::AssignmentSearchOptions search = make_default_search();
   obs::Observability* obs = nullptr;
 
@@ -110,9 +109,10 @@ struct ServeReport {
   std::uint64_t shed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t batches = 0;
+  /// CNN dispatches against an already planned deployment, and first
+  /// dispatches that planned one.
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
-  std::uint64_t plan_evictions = 0;
   /// Peak queue depth observed (never exceeds queue_capacity).
   std::size_t peak_queue_depth = 0;
   /// Virtual completion time of the last batch.

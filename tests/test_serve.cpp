@@ -6,10 +6,9 @@
 //    properties of the ISSUE);
 //  * determinism — the full response stream (ServeReport::digest()) is
 //    bit-identical across reruns and across worker counts (1 vs 4);
-//  * plan-cache safety — a cached unit-assignment plan rebound to a
-//    topology REBUILT from the same seed/parameters reproduces the fresh
-//    search bit-for-bit (no dangling node-index assumptions), and the LRU
-//    hit/miss/eviction bookkeeping is exact;
+//  * planning — the first dispatch against each CNN deployment plans it,
+//    and every later dispatch against it reuses the plan;
+//  * pinning — bench_a9 --smoke's report digest and counts are recorded;
 //  * spans — every ServeRequest root is tiled exactly by its ServeQueue +
 //    ServeService children (the netexec phase-tiling convention);
 //  * labels — every served label is the one its route's own model gives
@@ -23,8 +22,6 @@
 #include <map>
 #include <memory>
 
-#include "microdeep/comm_cost.hpp"
-#include "microdeep/search.hpp"
 #include "par/thread_pool.hpp"
 #include "serve/workload.hpp"
 
@@ -34,27 +31,24 @@ namespace {
 /// Shared route set: built once per test binary (training the five
 /// pipelines dominates suite runtime otherwise).  Sized down from the
 /// serving defaults but structurally complete — every route has a pool,
-/// the CNN routes have two deployments each.
+/// the CNN routes have kCnnVariants deployments each.
 RouteSet& shared_routes() {
   static std::unique_ptr<RouteSet> routes = [] {
     RouteSetConfig cfg;
-    cfg.e1_variants = 2;
-    cfg.e2_variants = 2;
     cfg.e3_train_trips_per_level = 6;
     cfg.e3_scenarios = 8;
     cfg.e4_train_rounds_per_count = 6;
     cfg.e4_measurements = 16;
-    cfg.e5_frames_per_position = 4;
     return make_routes(cfg);
   }();
   return *routes;
 }
 
-/// Server config with a minimal plan search (nearest + one heuristic):
-/// cache misses stay cheap so suites can afford many of them.
+/// Server config with a plan search without random restarts (nearest and
+/// the four heuristic slacks): planning stays cheap so suites can afford
+/// many servers.
 ServeConfig test_config(obs::Observability* obs = nullptr) {
   ServeConfig cfg;
-  cfg.search.max_balance_slack = 0;
   cfg.search.random_restarts = 0;
   cfg.obs = obs;
   return cfg;
@@ -65,102 +59,6 @@ WorkloadConfig test_workload(std::size_t n = 600) {
   w.num_requests = n;
   w.mean_rate_per_s = 120000.0;
   return w;
-}
-
-TEST(TopologyDigest, StableAcrossRebuildDistinctAcrossSeeds) {
-  const Rect area{0.0, 0.0, 10.0, 10.0};
-  Rng a(77);
-  Rng b(77);
-  Rng c(78);
-  const auto t1 = microdeep::WsnTopology::jittered_grid(area, 4, 4, a);
-  const auto t2 = microdeep::WsnTopology::jittered_grid(area, 4, 4, b);
-  const auto t3 = microdeep::WsnTopology::jittered_grid(area, 4, 4, c);
-  EXPECT_EQ(t1.digest(), t2.digest());
-  EXPECT_NE(t1.digest(), t3.digest());
-  // Structural inputs are digested too, not just positions.
-  const auto g1 = microdeep::WsnTopology::grid(area, 4, 4);
-  const auto g2 = microdeep::WsnTopology::grid(Rect{0.0, 0.0, 10.0, 12.0}, 4, 4);
-  EXPECT_NE(g1.digest(), g2.digest());
-}
-
-TEST(PlanCacheLru, HitMissEvictExactBookkeeping) {
-  PlanCache cache(2);
-  const auto build = [](std::uint64_t key) {
-    return [key] {
-      CachedPlan p;
-      p.topology_digest = key;
-      p.max_cost = static_cast<double>(key);
-      return p;
-    };
-  };
-  EXPECT_FALSE(cache.ensure(1, build(1)).hit);
-  EXPECT_FALSE(cache.ensure(2, build(2)).hit);
-  EXPECT_TRUE(cache.ensure(1, build(1)).hit);   // 1 now MRU
-  EXPECT_FALSE(cache.ensure(3, build(3)).hit);  // evicts 2 (LRU)
-  EXPECT_EQ(cache.find(2), nullptr);
-  ASSERT_NE(cache.find(1), nullptr);
-  ASSERT_NE(cache.find(3), nullptr);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.25);
-}
-
-ml::Network rebind_cnn(std::uint64_t seed) {
-  Rng rng(seed);
-  ml::Network net;
-  net.emplace<ml::Conv2D>(1, 3, 3, 1, rng);
-  net.emplace<ml::ReLU>();
-  net.emplace<ml::MaxPool2D>(2);
-  net.emplace<ml::Flatten>();
-  net.emplace<ml::Dense>(3 * 3 * 3, 4, rng);
-  net.emplace<ml::ReLU>();
-  net.emplace<ml::Dense>(4, 2, rng);
-  return net;
-}
-
-// Satellite 3 of the ISSUE: a cached plan must be independent of the
-// objects the search ran against.  Search against one topology/graph, let
-// BOTH die, rebuild structurally identical ones from the same seeds, bind
-// the cached map — and get the fresh search result bit for bit.
-TEST(PlanCacheSafety, CachedPlanRebindsToRebuiltTopologyBitwise) {
-  const Rect area{0.0, 0.0, 10.0, 10.0};
-  const std::vector<int> shape{1, 6, 6};
-  microdeep::AssignmentSearchOptions opts;
-  opts.random_restarts = 2;
-
-  CachedPlan plan;
-  {
-    const ml::Network net1 = rebind_cnn(11);
-    const auto graph1 = microdeep::UnitGraph::build(net1, shape);
-    Rng trng(77);
-    const auto topo1 = microdeep::WsnTopology::jittered_grid(area, 4, 4, trng);
-    const auto s1 = microdeep::search_assignment(graph1, topo1, opts);
-    plan.topology_digest = topo1.digest();
-    plan.unit_to_node = s1.best.unit_map();
-    plan.max_cost = s1.best_max_cost;
-    plan.mean_cost = s1.best_mean_cost;
-    plan.candidates = s1.candidates.size();
-  }  // search-time network, graph and topology destroyed here
-
-  const ml::Network net2 = rebind_cnn(11);
-  const auto graph2 = microdeep::UnitGraph::build(net2, shape);
-  Rng trng(77);
-  const auto topo2 = microdeep::WsnTopology::jittered_grid(area, 4, 4, trng);
-  ASSERT_EQ(topo2.digest(), plan.topology_digest);
-
-  const microdeep::Assignment bound = plan.bind(graph2);
-  const auto s2 = microdeep::search_assignment(graph2, topo2, opts);
-  EXPECT_EQ(bound.unit_map(), s2.best.unit_map());
-
-  // Re-scoring the bound plan on the rebuilt topology reproduces the
-  // cached scores exactly (EXPECT_EQ on doubles = bitwise here).
-  const auto cost = microdeep::compute_comm_cost(bound, topo2);
-  EXPECT_EQ(cost.max_cost, plan.max_cost);
-  EXPECT_EQ(cost.mean_cost, plan.mean_cost);
-  EXPECT_EQ(s2.best_max_cost, plan.max_cost);
-  EXPECT_EQ(s2.candidates.size(), plan.candidates);
 }
 
 TEST(Workload, SortedDenseAndInBounds) {
@@ -278,33 +176,30 @@ TEST(ServePinned, BenchA9SmokeReportIsPinned) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(rep.horizon_s), 4594003615305811291ULL);
 }
 
-TEST(PlanCacheServing, HitsMissesAndEvictionsUnderLru) {
+TEST(PlanCacheServing, FirstDispatchPerVariantMissesLaterOnesHit) {
   RouteSet& routes = shared_routes();
-  // CNN-only traffic so every batch resolves a plan.
+  // CNN-only traffic so every batch needs a plan.
   WorkloadConfig w = test_workload(200);
   w.route_mix = {1.0, 0.0, 0.0, 0.0, 0.0};
   const auto reqs = generate_workload(w, routes);
+  const ServeReport rep = Server(&routes, test_config()).run(reqs);
+  EXPECT_EQ(rep.plan_misses, routes.num_variants(Route::E1Temperature));
+  EXPECT_EQ(rep.plan_hits + rep.plan_misses, rep.batches);
+  EXPECT_GT(rep.plan_hits, 0u);
 
-  {
-    // Capacity covers both E1 deployments: exactly one miss per variant,
-    // everything else hits.
-    ServeConfig cfg = test_config();
-    cfg.plan_cache_capacity = 8;
-    const ServeReport rep = Server(&routes, cfg).run(reqs);
-    EXPECT_EQ(rep.plan_misses, routes.num_variants(Route::E1Temperature));
-    EXPECT_EQ(rep.plan_evictions, 0u);
-    EXPECT_EQ(rep.plan_hits + rep.plan_misses, rep.batches);
-    EXPECT_GT(rep.plan_hits, 0u);
+  // The batch that planned a deployment is the first one against it.
+  std::map<std::uint32_t, std::uint32_t> first_batch;  // variant -> seq
+  for (const Response& r : rep.responses) {
+    if (r.outcome != Outcome::Served) continue;
+    const auto [it, fresh] =
+        first_batch.emplace(reqs[r.id].variant, r.batch_seq);
+    if (!fresh) it->second = std::min(it->second, r.batch_seq);
   }
-  {
-    // Capacity 1 with two alternating deployments: every variant switch
-    // evicts and re-searches.
-    ServeConfig cfg = test_config();
-    cfg.plan_cache_capacity = 1;
-    const ServeReport rep = Server(&routes, cfg).run(reqs);
-    EXPECT_GT(rep.plan_evictions, 0u);
-    EXPECT_EQ(rep.plan_misses, rep.plan_evictions + 1);
-    EXPECT_EQ(rep.plan_hits + rep.plan_misses, rep.batches);
+  EXPECT_EQ(first_batch.size(), routes.num_variants(Route::E1Temperature));
+  for (const Response& r : rep.responses) {
+    if (r.outcome != Outcome::Served) continue;
+    EXPECT_EQ(r.plan_hit, r.batch_seq != first_batch[reqs[r.id].variant])
+        << "request " << r.id;
   }
 }
 
