@@ -27,8 +27,7 @@ int main() {
 
   // (i/ii) posture.
   {
-    rfid::TagArrayConfig cfg;
-    rfid::PostureRecognizer rec(cfg);
+    rfid::PostureRecognizer rec;
     Rng rng(1);
     rec.train(50, rng);
     const auto cm = rec.evaluate(40, rng);
@@ -40,7 +39,6 @@ int main() {
 
   // (iii) intrusion / trajectory.
   {
-    rfid::TrajectoryConfig cfg;
     Rng rng(2);
     int correct = 0;
     const int trials = 60;
@@ -50,8 +48,7 @@ int main() {
       const double speed = rng.uniform(0.5, 2.0);
       const double y = rng.uniform(-0.4, 0.4);
       const auto track = rfid::simulate_track(
-          cfg, {inward ? -3.0 : 3.0, y},
-          {inward ? speed : -speed, 0.0}, 8.0, rng);
+          {inward ? -3.0 : 3.0, y}, {inward ? speed : -speed, 0.0}, 8.0, rng);
       const auto ev = rfid::detect_crossing(track);
       const bool got = ev.direction == (inward
                                             ? rfid::CrossingDirection::Inward
@@ -89,13 +86,12 @@ int main() {
 
   // (v) slope vibration.
   {
-    passive::VibrationTagConfig cfg;
     Rng rng(4);
     double max_rel_err = 0.0;
     for (double f : {1.0, 3.0, 8.0, 15.0}) {
-      const auto w = passive::vibration_waveform(cfg, f, 10.0, rng);
+      const auto w = passive::vibration_waveform(f, 10.0, rng);
       max_rel_err = std::max(
-          max_rel_err, std::abs(passive::estimate_vibration_hz(cfg, w) - f) / f);
+          max_rel_err, std::abs(passive::estimate_vibration_hz(w) - f) / f);
     }
     t.add_row({"(v) slope wind/ground vibration", "spring-switch flicker",
                "max " + Table::pct(max_rel_err) + " frequency error, 1-15 Hz"});

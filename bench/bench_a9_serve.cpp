@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
 
   std::cout << "routes built in " << Table::num(build_s, 2) << " s; offering "
             << arrivals.size() << " requests at mean "
-            << Table::num(wcfg.mean_rate_per_s / 1e3, 0)
+            << Table::num(serve::kMeanRatePerS / 1e3, 0)
             << "k req/s (diurnal x burst modulated), admission "
             << Table::num(scfg.admission_rate_per_s / 1e3, 0)
             << "k req/s, queue bound " << scfg.queue_capacity << "\n";

@@ -16,10 +16,9 @@ using namespace zeiot::sensing::rssi;
 int main(int argc, char** argv) {
   const auto args = bench::parse_bench_args(argc, argv);
   std::cout << "=== E4: 802.15.4 RSSI people counting (Sec. IV.B) ===\n";
-  RoomConfig cfg;  // 10 nodes, 0..10 people
-  Rng rng(7 + args.seed);
+  Rng rng(7 + args.seed);  // 10 nodes, 0..10 people
   const auto res = evaluate_room_pipeline(
-      cfg, /*train_rounds=*/args.smoke ? 20 : 100,
+      /*train_rounds=*/args.smoke ? 20 : 100,
       /*eval_rounds=*/args.smoke ? 8 : 30, rng);
 
   Table t({"metric", "measured", "paper"});

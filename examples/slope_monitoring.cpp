@@ -35,15 +35,13 @@ int main() {
             << " of the slope harvests >= 0.5 uW\n";
 
   // 2. Reader feasibility: full-duplex AP decoding range vs tag spacing.
-  phy::FullDuplexAp reader;
-  const double range = phy::backscatter_range_m(reader, model, 5.0);
+  const double range = phy::backscatter_range_m(model, 5.0);
   std::cout << "full-duplex reader decodes tags up to "
             << Table::num(range, 1) << " m (5 dB SINR threshold, "
-            << reader.total_sic_db() << " dB SIC)\n\n";
+            << phy::kTotalSicDb << " dB SIC)\n\n";
 
   // 3. Vibration sensing: three tags on the slope, one over a trembling
   //    section (7 Hz ground oscillation picks up before a slide).
-  sensing::passive::VibrationTagConfig vib;
   Rng rng(3);
   Table t({"tag", "true ground motion", "estimated frequency", "alert"});
   struct Site {
@@ -53,8 +51,8 @@ int main() {
   for (const Site& site : {Site{"upper slope", 0.8}, Site{"mid slope", 7.2},
                            Site{"toe", 1.1}}) {
     const auto waveform =
-        sensing::passive::vibration_waveform(vib, site.freq_hz, 8.0, rng);
-    const double est = sensing::passive::estimate_vibration_hz(vib, waveform);
+        sensing::passive::vibration_waveform(site.freq_hz, 8.0, rng);
+    const double est = sensing::passive::estimate_vibration_hz(waveform);
     t.add_row({site.name, Table::num(site.freq_hz, 1) + " Hz",
                Table::num(est, 1) + " Hz", est > 4.0 ? "TREMBLING" : "ok"});
   }

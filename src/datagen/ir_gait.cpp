@@ -60,9 +60,9 @@ IrStream generate_ir_stream(const IrGaitConfig& cfg, int subject, bool fall,
 
   if (fall) {
     st.fall_start = static_cast<int>(
-        rng.uniform_int(cfg.window_frames,
+        rng.uniform_int(kIrWindowFrames,
                         kIrFramesPerStream - kFallDurationFrames -
-                            cfg.window_frames / 2));
+                            kIrWindowFrames / 2));
   }
   // Confounder: a crouch/sit-down pause in some normal passages.  It looks
   // like the onset of a fall (the blob lowers and widens) but recovers.
@@ -70,7 +70,7 @@ IrStream generate_ir_stream(const IrGaitConfig& cfg, int subject, bool fall,
   constexpr int kCrouchFrames = 12;
   if (!fall && rng.bernoulli(kCrouchProb)) {
     crouch_start = static_cast<int>(rng.uniform_int(
-        cfg.window_frames, kIrFramesPerStream - kCrouchFrames - 1));
+        kIrWindowFrames, kIrFramesPerStream - kCrouchFrames - 1));
   }
 
   for (int f = 0; f < kIrFramesPerStream; ++f) {
@@ -115,8 +115,6 @@ IrStream generate_ir_stream(const IrGaitConfig& cfg, int subject, bool fall,
 ml::Dataset generate_ir_dataset(const IrGaitConfig& cfg) {
   ZEIOT_CHECK_MSG(cfg.fall_streams <= cfg.num_streams,
                   "more fall streams than streams");
-  ZEIOT_CHECK_MSG(cfg.window_frames < kIrFramesPerStream,
-                  "window must fit in a stream");
   Rng rng(cfg.seed);
   ml::Dataset ds;
 
@@ -125,29 +123,29 @@ ml::Dataset generate_ir_dataset(const IrGaitConfig& cfg) {
     const bool fall = s < cfg.fall_streams;
     const IrStream st = generate_ir_stream(cfg, subject, fall, rng);
 
-    const int num_windows = kIrFramesPerStream - cfg.window_frames + 1;
+    const int num_windows = kIrFramesPerStream - kIrWindowFrames + 1;
     for (int w = 0; w < num_windows; ++w) {
       // Label: does the window overlap the fall (transition or lying)?
       int label = 0;
       if (st.fall_start >= 0) {
         const int overlap =
-            std::max(0, std::min(w + cfg.window_frames,
+            std::max(0, std::min(w + kIrWindowFrames,
                                  kIrFramesPerStream) -
                             std::max(w, st.fall_start));
         if (overlap >= kFallOverlapFrames) label = 1;
       }
       if (rng.bernoulli(kLabelNoise)) label = 1 - label;
 
-      ml::Tensor window({cfg.window_frames, kIrGrid, kIrGrid});
-      for (int f = 0; f < cfg.window_frames; ++f) {
+      ml::Tensor window({kIrWindowFrames, kIrGrid, kIrGrid});
+      for (int f = 0; f < kIrWindowFrames; ++f) {
         const ml::Tensor& fr = st.frames[static_cast<std::size_t>(w + f)];
         std::copy(fr.data(), fr.data() + fr.size(),
                   window.data() + static_cast<std::size_t>(f) * fr.size());
       }
       if (cfg.mirror_augment) {
         // Horizontal mirror (the same passage walked the other way).
-        ml::Tensor mirrored({cfg.window_frames, kIrGrid, kIrGrid});
-        for (int f = 0; f < cfg.window_frames; ++f) {
+        ml::Tensor mirrored({kIrWindowFrames, kIrGrid, kIrGrid});
+        for (int f = 0; f < kIrWindowFrames; ++f) {
           for (int y = 0; y < kIrGrid; ++y) {
             for (int xx = 0; xx < kIrGrid; ++xx) {
               mirrored.at({f, y, xx}) =

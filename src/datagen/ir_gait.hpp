@@ -19,13 +19,14 @@
 namespace zeiot::datagen {
 
 /// The testbed: a kIrGrid x kIrGrid sensor array recording
-/// kIrFramesPerStream-frame streams.  The subjects' gait, falls and
-/// crouches and the label noise are fixed in ir_gait.cpp.
+/// kIrFramesPerStream-frame streams, cut into kIrWindowFrames-frame
+/// windows.  The subjects' gait, falls and crouches and the label noise
+/// are fixed in ir_gait.cpp.
 inline constexpr int kIrGrid = 10;
 inline constexpr int kIrFramesPerStream = 66;
+inline constexpr int kIrWindowFrames = 10;  // 2 s at 5 fps
 
 struct IrGaitConfig {
-  int window_frames = 10;   // 2 s at 5 fps
   int num_streams = 55;
   /// Streams containing a fall event.
   int fall_streams = 28;
@@ -50,7 +51,7 @@ IrStream generate_ir_stream(const IrGaitConfig& cfg, int subject, bool fall,
                             Rng& rng);
 
 /// Slides windows over all streams and stacks frames as channels:
-/// samples of shape (window_frames, kIrGrid, kIrGrid); label 1 = fall
+/// samples of shape (kIrWindowFrames, kIrGrid, kIrGrid); label 1 = fall
 /// window.
 ml::Dataset generate_ir_dataset(const IrGaitConfig& cfg);
 

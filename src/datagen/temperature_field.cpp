@@ -24,6 +24,8 @@ constexpr double kSensorNoiseC = 0.25;
 // Label noise: fraction of labels flipped (measurement/annotation
 // ambiguity); caps the best achievable accuracy.
 constexpr double kLabelNoise = 0.015;
+// Seed of the dataset's random stream.
+constexpr std::uint64_t kDatasetSeed = 2016;
 
 /// Mean temperature of the `k`x`k` region with top-left (y, x).
 double region_mean(const ml::Tensor& map, int y, int x, int k) {
@@ -106,7 +108,7 @@ TemperatureSample generate_temperature_sample(int t, Rng& rng) {
 
 ml::Dataset generate_temperature_dataset(const TemperatureFieldConfig& cfg) {
   ZEIOT_CHECK_MSG(cfg.num_samples > 0, "need samples");
-  Rng rng(cfg.seed);
+  Rng rng(kDatasetSeed);
   ml::Dataset ds;
   for (int t = 0; t < cfg.num_samples; ++t) {
     TemperatureSample s = generate_temperature_sample(t, rng);

@@ -16,11 +16,10 @@
 namespace zeiot::datagen {
 
 /// The lounge's field model (grid, season, comfort band, occupancy heat,
-/// sensor and label noise) is fixed in temperature_field.cpp; a dataset
-/// varies only in its length and seed.
+/// sensor and label noise) and the dataset's seed are fixed in
+/// temperature_field.cpp; a dataset varies only in its length.
 struct TemperatureFieldConfig {
   int num_samples = 2961;
-  std::uint64_t seed = 2016;
 };
 
 struct TemperatureSample {

@@ -4,6 +4,13 @@
 
 namespace zeiot::energy {
 
+namespace {
+
+/// Wall-clock granularity of the execution loop.
+constexpr double kTickS = 0.01;
+
+}  // namespace
+
 std::vector<Task> default_context_chain() {
   return {
       {"sense", 20e-6, 0.02},
@@ -18,14 +25,10 @@ ChainStats run_chain(IntermittentDevice& device,
                      const std::vector<Task>& chain,
                      const IntermittentRunConfig& cfg, double start_time_s) {
   ZEIOT_CHECK_MSG(!chain.empty(), "empty task chain");
-  ZEIOT_CHECK_MSG(cfg.tick_s > 0.0, "tick must be > 0");
   ZEIOT_CHECK_MSG(cfg.chain_timeout_s > 0.0, "timeout must be > 0");
   ZEIOT_CHECK_MSG(cfg.policy != CheckpointPolicy::EnergyAdaptive,
                   "run_chain has no capacitor reserve for EnergyAdaptive "
                   "checkpointing; use None or EveryUnit");
-  ZEIOT_CHECK_MSG(cfg.checkpoint.base_j >= 0.0 &&
-                      cfg.checkpoint.write_j_per_byte >= 0.0,
-                  "checkpoint energy must be >= 0");
 
   ChainStats st;
   std::size_t next_task = 0;        // first not-yet-durable task
@@ -53,7 +56,7 @@ ChainStats run_chain(IntermittentDevice& device,
         volatile_done = 0;
       }
       was_on = false;
-      t += cfg.tick_s;
+      t += kTickS;
       continue;
     }
     was_on = true;
@@ -67,7 +70,7 @@ ChainStats run_chain(IntermittentDevice& device,
       if (cfg.policy == CheckpointPolicy::EveryUnit) {
         // Commit to non-volatile memory; failure to afford the commit
         // leaves the task volatile (it may be lost to the next brown-out).
-        const double commit_j = cfg.checkpoint.energy_j(task.state_bytes);
+        const double commit_j = kCheckpointCosts.energy_j(task.state_bytes);
         if (device.try_spend("checkpoint", commit_j,
                              1.0)) {  // energy = power*1s = the commit cost
           st.checkpoint_energy_j += commit_j;
@@ -84,7 +87,7 @@ ChainStats run_chain(IntermittentDevice& device,
       t += task.duration_s;
     } else {
       // Not enough charge yet; wait for harvest.
-      t += cfg.tick_s;
+      t += kTickS;
     }
   }
 

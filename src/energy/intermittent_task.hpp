@@ -35,16 +35,13 @@ struct Task {
 /// The standard context-recognition chain of the paper's devices.
 std::vector<Task> default_context_chain();
 
+/// One commit of task `t` charges `kCheckpointCosts.energy_j(t.state_bytes)`,
+/// the NVM price netexec charges too, so both intermittent paths price a
+/// checkpointed byte identically.  The execution loop waits in 10 ms ticks.
 struct IntermittentRunConfig {
   /// None restarts the chain from task 0 on any brown-out; EveryUnit
   /// commits progress after every task.  EnergyAdaptive is rejected.
   CheckpointPolicy policy = CheckpointPolicy::EveryUnit;
-  /// NVM commit cost model; one commit of task `t` charges
-  /// `checkpoint.energy_j(t.state_bytes)`.  Shared with netexec so both
-  /// intermittent paths price a checkpointed byte identically.
-  CheckpointCosts checkpoint = kCheckpointCosts;
-  /// Wall-clock granularity of the execution loop.
-  double tick_s = 0.01;
   /// Give up after this much wall-clock time per chain.
   double chain_timeout_s = 600.0;
 };

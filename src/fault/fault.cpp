@@ -64,17 +64,7 @@ enum : std::uint64_t {
   kStreamDeath = 1,
   kStreamDrop,
   kStreamCorrupt,
-  kStreamDelay,
-  kStreamBrownout,
-  kStreamDrought,
 };
-
-// Window shapes of the fault classes whose rate is the only knob.
-constexpr double kDelayWindowS = 5.0;
-constexpr double kDelayS = 10e-3;
-constexpr double kBrownoutS = 2.0;
-constexpr double kDroughtS = 10.0;
-constexpr double kDroughtScale = 0.0;
 
 void generate_windows(Rng rng, const FaultSpec& spec, double rate,
                       FaultType type, double window_s, double magnitude,
@@ -107,9 +97,6 @@ FaultPlan generate_plan(const FaultSpec& spec) {
   Rng death_rng = root.split(kStreamDeath);
   Rng drop_rng = root.split(kStreamDrop);
   Rng corrupt_rng = root.split(kStreamCorrupt);
-  Rng delay_rng = root.split(kStreamDelay);
-  Rng brownout_rng = root.split(kStreamBrownout);
-  Rng drought_rng = root.split(kStreamDrought);
   std::vector<FaultEvent> events;
 
   // Node deaths (paired with revivals when downtime is finite).
@@ -145,12 +132,6 @@ FaultPlan generate_plan(const FaultSpec& spec) {
   generate_windows(corrupt_rng, spec, spec.corrupt_rate,
                    FaultType::MessageCorrupt, spec.corrupt_window_s,
                    spec.corrupt_probability, events);
-  generate_windows(delay_rng, spec, spec.delay_rate, FaultType::MessageDelay,
-                   kDelayWindowS, kDelayS, events);
-  generate_windows(brownout_rng, spec, spec.brownout_rate,
-                   FaultType::Brownout, kBrownoutS, 1.0, events);
-  generate_windows(drought_rng, spec, spec.drought_rate,
-                   FaultType::HarvestDrought, kDroughtS, kDroughtScale, events);
 
   return FaultPlan(std::move(events));
 }

@@ -64,7 +64,9 @@ struct FaultEvent {
 /// Generator spec: expected event counts over the horizon per fault class,
 /// all scaled by `intensity` (the chaos-sweep knob).  Every class draws
 /// from its own SplitMix-derived substream, so changing one rate never
-/// shifts another class's schedule.
+/// shifts another class's schedule.  The generator draws node deaths and
+/// revivals, drop windows and corrupt windows; delay, brownout and drought
+/// events are built by hand (FaultPlan's constructor).
 struct FaultSpec {
   double horizon_s = 60.0;
   /// Targets are drawn uniformly from [0, num_targets).
@@ -84,15 +86,6 @@ struct FaultSpec {
   double corrupt_rate = 0.0;
   double corrupt_window_s = 5.0;
   double corrupt_probability = 0.5;
-
-  /// Delay windows last 5 s and hold each message 10 ms.
-  double delay_rate = 0.0;
-
-  /// Brownouts last 2 s.
-  double brownout_rate = 0.0;
-
-  /// Harvest droughts last 10 s and cut the harvest to zero.
-  double drought_rate = 0.0;
 
   std::uint64_t seed = 1;
 };

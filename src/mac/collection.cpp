@@ -12,6 +12,11 @@ namespace zeiot::mac {
 
 namespace {
 
+/// Uplink rate per channel (shared by all devices on it).
+constexpr double kChannelRateBps = 250e3;
+/// Per-transmission overhead (preamble, turnaround, guard).
+constexpr double kTxOverheadS = 1.0e-3;
+
 /// Periods on a 1 ms grid for exact hyperperiod arithmetic.
 std::int64_t period_ms(double period_s) {
   return static_cast<std::int64_t>(std::llround(period_s * 1e3));
@@ -26,8 +31,6 @@ void check_inputs(const std::vector<DeviceRequirement>& devices,
                   const CollectionConfig& cfg) {
   ZEIOT_CHECK_MSG(!devices.empty(), "no devices to schedule");
   ZEIOT_CHECK_MSG(cfg.num_channels >= 1, "need at least one channel");
-  ZEIOT_CHECK_MSG(cfg.channel_rate_bps > 0.0, "channel rate must be > 0");
-  ZEIOT_CHECK_MSG(cfg.overhead_s >= 0.0, "overhead must be >= 0");
   ZEIOT_CHECK_MSG(cfg.interference_range_m >= 0.0, "range must be >= 0");
   ZEIOT_CHECK_MSG(cfg.recovery_slots >= 0, "recovery slots must be >= 0");
   for (std::size_t i = 0; i < devices.size(); ++i) {
@@ -73,10 +76,9 @@ double earliest_fit(const std::vector<Booking>& channel_bookings,
 
 }  // namespace
 
-double transmission_duration_s(const CollectionConfig& cfg,
-                               std::size_t payload_bytes) {
-  return cfg.overhead_s +
-         static_cast<double>(payload_bytes) * 8.0 / cfg.channel_rate_bps;
+double transmission_duration_s(std::size_t payload_bytes) {
+  return kTxOverheadS +
+         static_cast<double>(payload_bytes) * 8.0 / kChannelRateBps;
 }
 
 double hyperperiod_s(const std::vector<DeviceRequirement>& devices) {
@@ -153,7 +155,7 @@ CollectionSchedule synthesize_schedule(
 
   for (const Release& r : releases) {
     const double dur =
-        transmission_duration_s(cfg, devices[r.dev_index].payload_bytes);
+        transmission_duration_s(devices[r.dev_index].payload_bytes);
     const double done = place(r, dur, /*recovery=*/false, r.release);
     if (done < 0.0) {
       s.feasible = false;
@@ -221,7 +223,7 @@ std::string validate_schedule(const CollectionSchedule& schedule,
     const auto* da = find_device(a.device);
     if (da == nullptr) return "entry references unknown device";
     if (a.duration_s + 1e-12 <
-        transmission_duration_s(cfg, da->payload_bytes)) {
+        transmission_duration_s(da->payload_bytes)) {
       return "entry shorter than its payload requires";
     }
     for (std::size_t j = i + 1; j < schedule.entries.size(); ++j) {

@@ -37,12 +37,10 @@ struct DeviceRequirement {
   std::size_t payload_bytes = 16;
 };
 
+/// Every channel carries 250 kb/s, shared by the devices on it, and every
+/// transmission pays 1 ms of overhead (preamble, turnaround, guard).
 struct CollectionConfig {
   int num_channels = 1;
-  /// Uplink rate per channel (shared by all devices on it).
-  double channel_rate_bps = 250e3;
-  /// Per-transmission overhead (preamble, turnaround, guard).
-  double overhead_s = 1.0e-3;
   /// Devices closer than this interfere and must be separated in time on
   /// the same channel; farther apart they can reuse it.
   double interference_range_m = 50.0;
@@ -89,9 +87,8 @@ std::string validate_schedule(const CollectionSchedule& schedule,
                               const std::vector<DeviceRequirement>& devices,
                               const CollectionConfig& cfg);
 
-/// Duration of one transmission of `payload_bytes` under `cfg`.
-double transmission_duration_s(const CollectionConfig& cfg,
-                               std::size_t payload_bytes);
+/// Duration of one transmission of `payload_bytes`.
+double transmission_duration_s(std::size_t payload_bytes);
 
 /// Least common multiple of the device periods on a millisecond grid —
 /// the natural schedule horizon.

@@ -21,8 +21,14 @@ double CsmaMetrics::jain_fairness() const {
 
 namespace {
 
+/// Initial contention window (slots), doubling per retry up to kCwMax.
+constexpr long kCwMin = 16;
 /// Upper bound of the contention window (slots).
 constexpr long kCwMax = 1024;
+/// Frame duration in slots (data + SIFS + ACK).
+constexpr int kFrameSlots = 40;
+/// Retry limit before a frame is dropped.
+constexpr int kMaxRetries = 7;
 
 struct Station {
   bool has_frame = false;
@@ -31,8 +37,8 @@ struct Station {
   std::size_t enqueued_at = 0;  // slot index when the frame arrived
 };
 
-int draw_backoff(Rng& rng, const CsmaConfig& cfg, int retries) {
-  long cw = cfg.cw_min;
+int draw_backoff(Rng& rng, int retries) {
+  long cw = kCwMin;
   for (int r = 0; r < retries; ++r) {
     cw = std::min<long>(cw * 2, kCwMax);
   }
@@ -44,10 +50,6 @@ int draw_backoff(Rng& rng, const CsmaConfig& cfg, int retries) {
 CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
                           obs::Observability* obs) {
   ZEIOT_CHECK_MSG(cfg.num_stations >= 1, "need stations");
-  ZEIOT_CHECK_MSG(cfg.cw_min >= 2 && kCwMax >= cfg.cw_min,
-                  "invalid contention window");
-  ZEIOT_CHECK_MSG(cfg.frame_slots >= 1, "frame must occupy slots");
-  ZEIOT_CHECK_MSG(cfg.max_retries >= 0, "retry limit must be >= 0");
   ZEIOT_CHECK_MSG(cfg.arrival_per_slot >= 0.0 && cfg.arrival_per_slot <= 1.0,
                   "arrival probability in [0,1]");
 
@@ -61,7 +63,7 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
   for (auto& st : stations) {
     if (cfg.saturated) {
       st.has_frame = true;
-      st.backoff = draw_backoff(rng, cfg, 0);
+      st.backoff = draw_backoff(rng, 0);
     }
   }
 
@@ -73,7 +75,7 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
         if (!st.has_frame && rng.bernoulli(cfg.arrival_per_slot)) {
           st.has_frame = true;
           st.retries = 0;
-          st.backoff = draw_backoff(rng, cfg, 0);
+          st.backoff = draw_backoff(rng, 0);
           st.enqueued_at = slot;
         }
       }
@@ -99,59 +101,36 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
     ++tx_opportunities;
     // The medium is busy for frame_slots regardless of outcome; other
     // stations freeze their counters (standard DCF behaviour).
-    const double round_t0 = static_cast<double>(slot);
-    slot += static_cast<std::size_t>(cfg.frame_slots);
-    bool round_success = false;
+    slot += static_cast<std::size_t>(kFrameSlots);
 
     if (ready.size() == 1) {
       Station& st = stations[ready.front()];
-      round_success = true;
       ++m.successes;
       ++m.per_station_successes[ready.front()];
-      if (obs != nullptr) {
-        obs->spans().instant(obs::SpanKind::PacketTx,
-                             static_cast<double>(slot),
-                             static_cast<std::uint32_t>(ready.front()));
-      }
       delay_sum += static_cast<double>(slot - st.enqueued_at);
       st.has_frame = cfg.saturated;
       st.retries = 0;
-      st.backoff = draw_backoff(rng, cfg, 0);
+      st.backoff = draw_backoff(rng, 0);
       st.enqueued_at = slot;
     } else {
       ++m.collisions;
-      if (obs != nullptr) {
-        obs->spans().instant(obs::SpanKind::PacketCollision,
-                             static_cast<double>(slot),
-                             static_cast<std::uint32_t>(ready.size()));
-      }
       for (std::size_t i : ready) {
         Station& st = stations[i];
         ++st.retries;
-        if (st.retries > cfg.max_retries) {
+        if (st.retries > kMaxRetries) {
           ++m.drops;
           st.has_frame = cfg.saturated;
           st.retries = 0;
           st.enqueued_at = slot;
         }
-        st.backoff = draw_backoff(rng, cfg, st.retries);
+        st.backoff = draw_backoff(rng, st.retries);
       }
-    }
-
-    // One CsmaRound span per contention round (virtual slot axis):
-    // a = contenders, b = 1 on a clean win.  Gated on the span layer so
-    // the default metrics-only path stays span-free.
-    if (obs != nullptr && obs->spans_enabled()) {
-      obs->spans().add(obs::SpanKind::CsmaRound, round_t0,
-                       round_t0 + static_cast<double>(cfg.frame_slots), 0, 0,
-                       static_cast<std::uint32_t>(ready.size()),
-                       round_success ? 1u : 0u, 0.0);
     }
   }
 
   m.slots_simulated = slot;
   m.throughput = static_cast<double>(m.successes) *
-                 static_cast<double>(cfg.frame_slots) /
+                 static_cast<double>(kFrameSlots) /
                  static_cast<double>(slot);
   m.collision_probability =
       tx_opportunities == 0

@@ -16,14 +16,11 @@
 
 namespace zeiot::mac {
 
+/// A station's contention window starts at 16 slots and doubles per retry
+/// up to 1024; a frame (data + SIFS + ACK) occupies 40 slots and is dropped
+/// after its seventh retry.
 struct CsmaConfig {
   std::size_t num_stations = 10;
-  /// Initial contention window (slots), doubling per retry up to 1024.
-  int cw_min = 16;
-  /// Retry limit before a frame is dropped.
-  int max_retries = 7;
-  /// Frame duration in slots (data + SIFS + ACK).
-  int frame_slots = 40;
   /// Saturated stations always have a frame; otherwise per-slot arrival
   /// probability per station.
   bool saturated = true;
@@ -53,8 +50,6 @@ struct CsmaMetrics {
 ///   mac.csma.successes / mac.csma.collisions / mac.csma.drops /
 ///   mac.csma.tx_opportunities   (counters)
 ///   mac.csma.throughput / mac.csma.collision_probability  (gauges)
-/// plus PacketTx / PacketCollision instant spans at t = slot index (a =
-/// winning station or collider count) when the context records spans.
 CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
                           obs::Observability* obs = nullptr);
 

@@ -21,7 +21,6 @@ const char* span_kind_name(SpanKind kind) {
     case SpanKind::PhaseRetry: return "phase_retry";
     case SpanKind::PhaseIdle: return "phase_idle";
     case SpanKind::SimStep: return "sim_step";
-    case SpanKind::CsmaRound: return "csma_round";
     case SpanKind::ServeRequest: return "serve_request";
     case SpanKind::ServeQueue: return "serve_queue";
     case SpanKind::ServeService: return "serve_service";

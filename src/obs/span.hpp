@@ -56,12 +56,10 @@ enum class SpanKind : std::uint8_t {
   PhaseIdle,
   // Simulator kernel (one span per distinct event timestamp).
   SimStep,
-  // MAC.
-  CsmaRound,      // one contention round (a = ready stations, b = success)
   // Serving front-end request path (zeiot::serve).  One root per served
   // request on the virtual arrival clock, tiled exactly by its two phase
   // children: queue wait (admission -> batch dispatch) + batch service
-  // (dispatch -> completion) == request latency.  Ordinals 13-15 belonged
+  // (dispatch -> completion) == request latency.  Ordinals 12-15 belonged
   // to kinds that are gone; they stay unused because kind ordinals feed
   // span digests and the golden traces.
   ServeRequest = 16,  // root: one served request (a = route, b = batch seq)

@@ -11,31 +11,24 @@
 
 namespace zeiot::phy {
 
-struct FullDuplexAp {
-  double tx_power_dbm = 20.0;     // 100 mW carrier
-  /// SIC chain, in dB of suppression.
-  double antenna_isolation_db = 40.0;
-  double analog_cancellation_db = 30.0;
-  double digital_cancellation_db = 40.0;
+/// The AP's carrier: 20 dBm (100 mW).
+inline constexpr double kApTxPowerDbm = 20.0;
+/// Total self-interference suppression of the AP's SIC chain: 40 dB of
+/// antenna isolation, 30 dB of analog and 40 dB of digital cancellation.
+inline constexpr double kTotalSicDb = 40.0 + 30.0 + 40.0;
+/// Residual self-interference power at the receiver input (dBm).
+inline constexpr double kResidualSiDbm = kApTxPowerDbm - kTotalSicDb;
 
-  /// Total self-interference suppression.
-  double total_sic_db() const;
-  /// Residual self-interference power at the receiver input (dBm).
-  double residual_si_dbm() const;
-};
-
-/// SINR (dB) of a backscatter uplink at a full-duplex AP: the tag at
+/// SINR (dB) of a backscatter uplink at the full-duplex AP: the tag at
 /// `d_tag_m` reflects the AP's own carrier (monostatic dyadic channel),
 /// competing against the residual self-interference plus thermal noise.
-double backscatter_sinr_db(const FullDuplexAp& ap,
-                           const radio::LogDistance& model, double d_tag_m,
+double backscatter_sinr_db(const radio::LogDistance& model, double d_tag_m,
                            double reflection_loss_db = 6.0);
 
 /// Largest tag distance at which the uplink SINR stays at or above
 /// `required_sinr_db` (binary search over [0.1, max_search_m]; returns 0
 /// if even the closest range fails).
-double backscatter_range_m(const FullDuplexAp& ap,
-                           const radio::LogDistance& model,
+double backscatter_range_m(const radio::LogDistance& model,
                            double required_sinr_db,
                            double reflection_loss_db = 6.0,
                            double max_search_m = 100.0);

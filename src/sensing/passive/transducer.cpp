@@ -112,34 +112,34 @@ HydrogelTag::Calibration HydrogelTag::calibrate(double lo_c, double hi_c,
 
 namespace {
 
-// RSSI the reader sees with the switch closed and open.
+// RSSI the reader sees with the switch closed and open, and its noise.
 constexpr double kClosedRssiDbm = -55.0;
 constexpr double kOpenRssiDbm = -70.0;
+constexpr double kNoiseDb = 1.5;
 
 }  // namespace
 
-std::vector<double> vibration_waveform(const VibrationTagConfig& cfg,
-                                       double freq_hz, double duration_s,
+std::vector<double> vibration_waveform(double freq_hz, double duration_s,
                                        Rng& rng) {
   ZEIOT_CHECK_MSG(freq_hz > 0.0, "frequency must be > 0");
   ZEIOT_CHECK_MSG(duration_s > 0.0, "duration must be > 0");
-  ZEIOT_CHECK_MSG(freq_hz < cfg.sample_rate_hz / 2.0,
+  ZEIOT_CHECK_MSG(freq_hz < kVibrationSampleRateHz / 2.0,
                   "frequency above Nyquist for the tag's sample rate");
   std::vector<double> out;
-  const auto n = static_cast<std::size_t>(duration_s * cfg.sample_rate_hz);
+  const auto n =
+      static_cast<std::size_t>(duration_s * kVibrationSampleRateHz);
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i) / cfg.sample_rate_hz;
+    const double t = static_cast<double>(i) / kVibrationSampleRateHz;
     // The switch closes on the positive half of the oscillation.
     const bool closed = std::sin(2.0 * M_PI * freq_hz * t) > 0.0;
     out.push_back((closed ? kClosedRssiDbm : kOpenRssiDbm) +
-                  rng.normal(0.0, cfg.noise_db));
+                  rng.normal(0.0, kNoiseDb));
   }
   return out;
 }
 
-double estimate_vibration_hz(const VibrationTagConfig& cfg,
-                             const std::vector<double>& rssi_dbm) {
+double estimate_vibration_hz(const std::vector<double>& rssi_dbm) {
   ZEIOT_CHECK_MSG(rssi_dbm.size() >= 8, "waveform too short");
   // De-mean, apply hysteresis thresholding (a third of the swing), and
   // count rising edges.
@@ -158,7 +158,7 @@ double estimate_vibration_hz(const VibrationTagConfig& cfg,
     }
   }
   const double duration =
-      static_cast<double>(rssi_dbm.size()) / cfg.sample_rate_hz;
+      static_cast<double>(rssi_dbm.size()) / kVibrationSampleRateHz;
   return static_cast<double>(rising) / duration;
 }
 

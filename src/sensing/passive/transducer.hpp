@@ -105,21 +105,17 @@ class HydrogelTag {
 // ------------------------------------------------------------- vibration --
 
 /// Spring-mass backscatter switch: toggles at the structure's oscillation
-/// between -55 dBm (closed) and -70 dBm (open).
-struct VibrationTagConfig {
-  double sample_rate_hz = 200.0;
-  double noise_db = 1.5;
-};
+/// between -55 dBm (closed) and -70 dBm (open); the reader samples its
+/// RSSI at kVibrationSampleRateHz with 1.5 dB of noise.
+inline constexpr double kVibrationSampleRateHz = 200.0;
 
 /// Synthesises the observed RSSI waveform of a structure vibrating at
 /// `freq_hz` for `duration_s`.
-std::vector<double> vibration_waveform(const VibrationTagConfig& cfg,
-                                       double freq_hz, double duration_s,
+std::vector<double> vibration_waveform(double freq_hz, double duration_s,
                                        Rng& rng);
 
 /// Estimates the vibration frequency from an observed waveform by counting
 /// threshold crossings of the de-meaned signal.
-double estimate_vibration_hz(const VibrationTagConfig& cfg,
-                             const std::vector<double>& rssi_dbm);
+double estimate_vibration_hz(const std::vector<double>& rssi_dbm);
 
 }  // namespace zeiot::sensing::passive

@@ -107,14 +107,14 @@ std::vector<ChildId> Sociogram::isolated(double fraction) const {
 }
 
 PlaygroundTruth simulate_playground(const PlaygroundConfig& cfg) {
-  // Mean dwell per zone visit, and the seed of the simulated day.
+  // Mean dwell per zone visit, the seed of the simulated day, and the
+  // probability a child follows its group's current zone (vs wandering).
   constexpr double kDwellMeanS = 600.0;
   constexpr std::uint64_t kPlaygroundSeed = 99;
+  constexpr double kCohesion = 0.8;
   ZEIOT_CHECK_MSG(cfg.num_children >= 4, "need children");
   ZEIOT_CHECK_MSG(cfg.num_groups >= 1, "need groups");
   ZEIOT_CHECK_MSG(cfg.loners < cfg.num_children, "too many loners");
-  ZEIOT_CHECK_MSG(cfg.cohesion >= 0.0 && cfg.cohesion <= 1.0,
-                  "cohesion in [0,1]");
   Rng rng(kPlaygroundSeed);
   PlaygroundTruth truth;
   truth.group_of_child.resize(cfg.num_children);
@@ -131,7 +131,7 @@ PlaygroundTruth simulate_playground(const PlaygroundConfig& cfg) {
   }
 
   // Each group hops between the busy zones (0..kPlaygroundZones-2); children
-  // follow with `cohesion`.  Loners avoid the crowd: they prefer the
+  // follow with kCohesion.  Loners avoid the crowd: they prefer the
   // quiet zone (the last one) and otherwise wander.
   const auto busy_zones = static_cast<std::int64_t>(kPlaygroundZones) - 1;
   std::vector<ZoneId> group_zone(cfg.num_groups);
@@ -146,7 +146,7 @@ PlaygroundTruth simulate_playground(const PlaygroundConfig& cfg) {
     for (std::size_t c = 0; c < cfg.num_children; ++c) {
       ZoneId z;
       if (c < grouped) {
-        z = rng.bernoulli(cfg.cohesion)
+        z = rng.bernoulli(kCohesion)
                 ? group_zone[static_cast<std::size_t>(truth.group_of_child[c])]
                 : static_cast<ZoneId>(rng.uniform_int(0, busy_zones - 1));
       } else {

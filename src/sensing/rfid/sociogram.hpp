@@ -60,14 +60,14 @@ struct PlaygroundTruth {
 
 /// The playground: kPlaygroundZones play zones (the last a quiet corner)
 /// over a kPlaygroundDayS-second day, visited for 10 minutes on average.
+/// A grouped child follows its group's zone with probability 0.8 and
+/// otherwise wanders.
 inline constexpr std::size_t kPlaygroundZones = 6;
 inline constexpr double kPlaygroundDayS = 4.0 * 3600.0;
 
 struct PlaygroundConfig {
   std::size_t num_children = 24;
   std::size_t num_groups = 4;
-  /// Probability a child follows its group's current zone (vs wandering).
-  double cohesion = 0.8;
   /// Children that play alone regardless of group.
   std::size_t loners = 2;
 };

@@ -15,6 +15,8 @@ constexpr double kCarrierHz = 920e6;  // UHF RFID
 // RSSI-derived coarse range error (metres std dev) — sets the
 // disambiguation bin for the phase refinement.
 constexpr double kCoarseRangeSigmaM = 0.12;
+// Phase measurement noise (radians std dev).
+constexpr double kPhaseNoiseRad = 0.1;
 // Subject placement jitter inside the cell.
 constexpr Rect kFloor{0.5, 0.5, 3.5, 3.5};
 
@@ -97,7 +99,7 @@ double TagReading::phase(int a, int j) const {
   return phase_rad[static_cast<std::size_t>(a * joints + j)];
 }
 
-TagReading read_tags(const TagArrayConfig& cfg, Posture p, Rng& rng) {
+TagReading read_tags(Posture p, Rng& rng) {
   const Point2D base{rng.uniform(kFloor.x0, kFloor.x1),
                      rng.uniform(kFloor.y0, kFloor.y1)};
   const double scale = rng.uniform(1.55, 1.85);
@@ -114,7 +116,7 @@ TagReading read_tags(const TagArrayConfig& cfg, Posture p, Rng& rng) {
           std::max(0.05, d + rng.normal(0.0, kCoarseRangeSigmaM)));
       // Backscatter phase: round trip of 2d, i.e. 4*pi*d/lambda, wrapped.
       double ph = std::fmod(4.0 * M_PI * d / lambda +
-                                rng.normal(0.0, cfg.phase_noise_rad),
+                                rng.normal(0.0, kPhaseNoiseRad),
                             2.0 * M_PI);
       if (ph < 0.0) ph += 2.0 * M_PI;
       r.phase_rad.push_back(ph);
@@ -215,16 +217,13 @@ std::vector<double> skeleton_features(const std::vector<Point3D>& joints) {
           head.z,                leg_straightness};
 }
 
-PostureRecognizer::PostureRecognizer(TagArrayConfig cfg)
-    : cfg_(std::move(cfg)) {}
-
 void PostureRecognizer::train(int samples_per_posture, Rng& rng) {
   ZEIOT_CHECK_MSG(samples_per_posture > 0, "need training samples");
   ml::FeatureMatrix x;
   ml::LabelVector y;
   for (int p = 0; p < kNumPostures; ++p) {
     for (int s = 0; s < samples_per_posture; ++s) {
-      const auto reading = read_tags(cfg_, static_cast<Posture>(p), rng);
+      const auto reading = read_tags(static_cast<Posture>(p), rng);
       x.push_back(skeleton_features(reconstruct_skeleton(reading)));
       y.push_back(p);
     }
@@ -245,7 +244,7 @@ ConfusionMatrix PostureRecognizer::evaluate(int samples_per_posture,
   ConfusionMatrix cm(kNumPostures);
   for (int p = 0; p < kNumPostures; ++p) {
     for (int s = 0; s < samples_per_posture; ++s) {
-      const auto reading = read_tags(cfg_, static_cast<Posture>(p), rng);
+      const auto reading = read_tags(static_cast<Posture>(p), rng);
       cm.add(static_cast<std::size_t>(p),
              static_cast<std::size_t>(classify(reading)));
     }

@@ -43,11 +43,8 @@ std::string posture_name(Posture p);
 
 /// The reader: four ceiling antennas over a 4 x 4 m cell at the UHF RFID
 /// carrier, with the subject placed anywhere in its central 3 x 3 m.  The
-/// geometry and the coarse-range error are fixed in tag_array.cpp.
-struct TagArrayConfig {
-  /// Phase measurement noise (radians std dev).
-  double phase_noise_rad = 0.1;
-};
+/// geometry, the coarse-range error and the phase noise are fixed in
+/// tag_array.cpp.
 
 /// Ground-truth tag positions for a subject at `base` in posture `p`
 /// (body scale ~1.7 m, small per-sample articulation noise).
@@ -67,7 +64,7 @@ struct TagReading {
 };
 
 /// Simulates a reading of a subject in posture `p`.
-TagReading read_tags(const TagArrayConfig& cfg, Posture p, Rng& rng);
+TagReading read_tags(Posture p, Rng& rng);
 
 /// Phase-refined range estimate: picks the phase-consistent range nearest
 /// the coarse estimate (resolves the lambda/2 ambiguity of backscatter
@@ -89,8 +86,6 @@ std::vector<double> skeleton_features(const std::vector<Point3D>& joints);
 /// readings and classifies new ones.
 class PostureRecognizer {
  public:
-  explicit PostureRecognizer(TagArrayConfig cfg);
-
   void train(int samples_per_posture, Rng& rng);
   Posture classify(const TagReading& reading) const;
 
@@ -98,7 +93,6 @@ class PostureRecognizer {
   ConfusionMatrix evaluate(int samples_per_posture, Rng& rng) const;
 
  private:
-  TagArrayConfig cfg_;
   ml::GaussianNaiveBayes nb_;
   bool trained_ = false;
 };

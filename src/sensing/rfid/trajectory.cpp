@@ -10,13 +10,15 @@ namespace zeiot::sensing::rfid {
 
 namespace {
 
-// Reader antennas straddling the boundary, the carrier, the sampling rate
-// and the phase noise (radians std dev) of each read.
+// Reader antennas straddling the boundary, the carrier, the sampling rate,
+// the phase noise (radians std dev) of each read and the read range beyond
+// which a sample is missed.
 constexpr Point2D kAntennaA{-0.6, 0.0};
 constexpr Point2D kAntennaB{0.6, 0.0};
 constexpr double kCarrierHz = 920e6;
 constexpr double kSampleRateHz = 40.0;
 constexpr double kPhaseNoiseRad = 0.08;
+constexpr double kReadRangeM = 6.0;
 
 double wrapped_phase(double distance_m, double lambda, double noise) {
   double ph = std::fmod(4.0 * M_PI * distance_m / lambda + noise, 2.0 * M_PI);
@@ -26,8 +28,8 @@ double wrapped_phase(double distance_m, double lambda, double noise) {
 
 }  // namespace
 
-PhaseTrack simulate_track(const TrajectoryConfig& cfg, Point2D start,
-                          Point2D velocity, double duration_s, Rng& rng) {
+PhaseTrack simulate_track(Point2D start, Point2D velocity, double duration_s,
+                          Rng& rng) {
   ZEIOT_CHECK_MSG(duration_s > 0.0, "duration must be > 0");
   const double lambda = wavelength_m(kCarrierHz);
   const double dt = 1.0 / kSampleRateHz;
@@ -38,11 +40,11 @@ PhaseTrack simulate_track(const TrajectoryConfig& cfg, Point2D start,
     const double da = distance(p, kAntennaA);
     const double db = distance(p, kAntennaB);
     tr.phase_a_rad.push_back(
-        da <= cfg.read_range_m
+        da <= kReadRangeM
             ? wrapped_phase(da, lambda, rng.normal(0.0, kPhaseNoiseRad))
             : std::numeric_limits<double>::quiet_NaN());
     tr.phase_b_rad.push_back(
-        db <= cfg.read_range_m
+        db <= kReadRangeM
             ? wrapped_phase(db, lambda, rng.normal(0.0, kPhaseNoiseRad))
             : std::numeric_limits<double>::quiet_NaN());
   }

@@ -21,11 +21,8 @@ namespace zeiot::sensing::rfid {
 /// Two reader antennas straddle the monitored boundary (the line x = 0)
 /// at x = -0.6 and +0.6 m: the order in which the tag passes its closest
 /// approach to each antenna reveals the crossing direction.  Both sample
-/// the UHF RFID carrier's phase at 40 Hz (fixed in trajectory.cpp).
-struct TrajectoryConfig {
-  /// Maximum read range; samples beyond it are missed.
-  double read_range_m = 6.0;
-};
+/// the UHF RFID carrier's phase at 40 Hz and miss a tag more than 6 m
+/// away (fixed in trajectory.cpp).
 
 /// A time series of wrapped phase samples from both antennas.
 struct PhaseTrack {
@@ -36,8 +33,8 @@ struct PhaseTrack {
 
 /// Simulates a tag moving from `start` with constant `velocity` (m/s) for
 /// `duration_s`.
-PhaseTrack simulate_track(const TrajectoryConfig& cfg, Point2D start,
-                          Point2D velocity, double duration_s, Rng& rng);
+PhaseTrack simulate_track(Point2D start, Point2D velocity, double duration_s,
+                          Rng& rng);
 
 /// Unwraps a wrapped phase series (ignores NaN gaps).
 std::vector<double> unwrap_phase(const std::vector<double>& wrapped);

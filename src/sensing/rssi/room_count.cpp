@@ -116,8 +116,7 @@ RoomMeasurement measure_room(int people, Rng& rng) {
   return m;
 }
 
-RoomCountEstimator::RoomCountEstimator(RoomConfig cfg)
-    : cfg_(cfg), baseline_(empty_baseline()) {}
+RoomCountEstimator::RoomCountEstimator() : baseline_(empty_baseline()) {}
 
 std::vector<double> RoomCountEstimator::features(
     const RoomMeasurement& m) const {
@@ -163,7 +162,7 @@ void RoomCountEstimator::train(int rounds_per_count, Rng& rng) {
   ZEIOT_CHECK_MSG(rounds_per_count > 0, "need training rounds");
   ml::FeatureMatrix x;
   ml::LabelVector y;
-  for (int c = 0; c <= cfg_.max_people; ++c) {
+  for (int c = 0; c <= kMaxPeople; ++c) {
     for (int r = 0; r < rounds_per_count; ++r) {
       x.push_back(features(measure_room(c, rng)));
       y.push_back(c);
@@ -178,14 +177,13 @@ int RoomCountEstimator::estimate(const RoomMeasurement& m) const {
   return nb_.predict(features(m));
 }
 
-RoomEvalResult evaluate_room_pipeline(const RoomConfig& cfg,
-                                      int train_rounds_per_count,
+RoomEvalResult evaluate_room_pipeline(int train_rounds_per_count,
                                       int eval_rounds_per_count, Rng& rng) {
-  RoomCountEstimator est(cfg);
+  RoomCountEstimator est;
   est.train(train_rounds_per_count, rng);
   RoomEvalResult res;
-  res.confusion = ConfusionMatrix(static_cast<std::size_t>(cfg.max_people + 1));
-  for (int c = 0; c <= cfg.max_people; ++c) {
+  res.confusion = ConfusionMatrix(static_cast<std::size_t>(kMaxPeople + 1));
+  for (int c = 0; c <= kMaxPeople; ++c) {
     for (int r = 0; r < eval_rounds_per_count; ++r) {
       const auto m = measure_room(c, rng);
       const int pred = est.estimate(m);

@@ -21,14 +21,12 @@
 namespace zeiot::sensing::rssi {
 
 /// The testbed: a laboratory room with kRoomNodes 802.15.4 nodes around
-/// its perimeter.  The radio and body model is fixed in room_count.cpp.
+/// its perimeter, holding 0..kMaxPeople people (the occupancies the
+/// estimator learns and is evaluated on).  The radio and body model is
+/// fixed in room_count.cpp.
 inline constexpr Rect kRoom{0.0, 0.0, 7.0, 5.0};
 inline constexpr int kRoomNodes = 10;
-
-struct RoomConfig {
-  /// Occupancies the estimator learns and is evaluated on: 0..max_people.
-  int max_people = 10;
-};
+inline constexpr int kMaxPeople = 10;
 
 /// One synchronized measurement round.
 struct RoomMeasurement {
@@ -51,7 +49,7 @@ std::vector<double> empty_baseline();
 /// mean/max surrounding power).
 class RoomCountEstimator {
  public:
-  explicit RoomCountEstimator(RoomConfig cfg);
+  RoomCountEstimator();
 
   void train(int rounds_per_count, Rng& rng);
   int estimate(const RoomMeasurement& m) const;
@@ -60,7 +58,6 @@ class RoomCountEstimator {
   std::vector<double> features(const RoomMeasurement& m) const;
 
  private:
-  RoomConfig cfg_;
   std::vector<double> baseline_;
   ml::GaussianNaiveBayes nb_;
   bool trained_ = false;
@@ -74,8 +71,7 @@ struct RoomEvalResult {
 };
 
 /// End-to-end: train, then evaluate on `eval_rounds` rounds per count.
-RoomEvalResult evaluate_room_pipeline(const RoomConfig& cfg,
-                                      int train_rounds_per_count,
+RoomEvalResult evaluate_room_pipeline(int train_rounds_per_count,
                                       int eval_rounds_per_count, Rng& rng);
 
 }  // namespace zeiot::sensing::rssi

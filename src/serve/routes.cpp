@@ -78,8 +78,7 @@ RouteSet::RouteSet(const RouteSetConfig& c)
       e1(make_cnn_route(*fleet::make_lounge_template(),
                         Rect{0.0, 0.0, 50.0, 34.0}, 10, 5, kE1VariantKey)),
       e2(make_cnn_route(*fleet::make_ir_array_template(),
-                        Rect{0.0, 0.0, 5.0, 5.0}, 10, 10, kE2VariantKey)),
-      e4_estimator(e4_cfg) {
+                        Rect{0.0, 0.0, 5.0, 5.0}, 10, 10, kE2VariantKey)) {
   if (cfg.pool != nullptr) {
     e1.net.set_pool(cfg.pool);
     e2.net.set_pool(cfg.pool);
@@ -110,14 +109,15 @@ RouteSet::RouteSet(const RouteSetConfig& c)
   }
 
   // E4: train the count likelihoods, then precompute measurement rounds
-  // cycling through every occupancy 0..max_people.
+  // cycling through every occupancy 0..kMaxPeople.
   {
     ZEIOT_CHECK_MSG(cfg.e4_measurements >= 1, "E4 needs >= 1 measurement");
     Rng rng = par::substream(base, kE4Key);
     e4_estimator.train(cfg.e4_train_rounds_per_count, rng);
     e4_measurements.reserve(cfg.e4_measurements);
     for (std::size_t m = 0; m < cfg.e4_measurements; ++m) {
-      const int people = static_cast<int>(m) % (e4_cfg.max_people + 1);
+      const int people =
+          static_cast<int>(m) % (sensing::rssi::kMaxPeople + 1);
       e4_measurements.push_back(
           sensing::rssi::measure_room(people, rng));
     }

@@ -98,7 +98,6 @@ struct RouteSet {
   std::vector<std::vector<sensing::rssi::PositionEstimate>> e3_positions;
 
   // E4: trained count estimator + precomputed measurement rounds.
-  sensing::rssi::RoomConfig e4_cfg;
   sensing::rssi::RoomCountEstimator e4_estimator;
   std::vector<sensing::rssi::RoomMeasurement> e4_measurements;
 

@@ -22,7 +22,6 @@ constexpr double kBurstSpeedup = 6.0;
 
 std::vector<Request> generate_workload(const WorkloadConfig& cfg,
                                        const RouteSet& routes) {
-  ZEIOT_CHECK_MSG(cfg.mean_rate_per_s > 0.0, "mean rate must be positive");
   double mix_total = 0.0;
   for (const double w : cfg.route_mix) {
     ZEIOT_CHECK_MSG(w >= 0.0, "route mix weights must be >= 0");
@@ -39,7 +38,7 @@ std::vector<Request> generate_workload(const WorkloadConfig& cfg,
     // Instantaneous rate at the current time: diurnal sinusoid, scaled up
     // while a burst is active.
     double rate =
-        cfg.mean_rate_per_s *
+        kMeanRatePerS *
         (1.0 + kDiurnalAmplitude *
                    std::sin(2.0 * M_PI * t / kDiurnalPeriodS));
     if (burst_left > 0) {

@@ -21,10 +21,11 @@
 
 namespace zeiot::serve {
 
+/// Mean arrival rate of the unmodulated process.
+inline constexpr double kMeanRatePerS = 120000.0;
+
 struct WorkloadConfig {
   std::size_t num_requests = 20000;
-  /// Mean arrival rate of the unmodulated process.
-  double mean_rate_per_s = 120000.0;
   /// Route mix (normalized internally).  Defaults favour the cheap
   /// NB routes, with the CNN and kNN routes as a costly minority.
   std::array<double, kNumRoutes> route_mix{0.04, 0.04, 0.24, 0.58, 0.10};

@@ -22,10 +22,7 @@ std::vector<DeviceRequirement> grid_devices(std::size_t n, double period_s,
 }
 
 TEST(Collection, TransmissionDuration) {
-  CollectionConfig cfg;
-  cfg.channel_rate_bps = 250e3;
-  cfg.overhead_s = 1e-3;
-  EXPECT_NEAR(transmission_duration_s(cfg, 250), 1e-3 + 8e-3, 1e-9);
+  EXPECT_NEAR(transmission_duration_s(250), 1e-3 + 8e-3, 1e-9);
 }
 
 TEST(Collection, HyperperiodLcm) {

@@ -47,13 +47,14 @@ TEST(TemperatureField, DeterministicBySeed) {
 }
 
 TEST(TemperatureField, SeedChangesData) {
-  auto cfg2 = small_temp();
-  cfg2.seed = 9999;
-  const auto a = generate_temperature_dataset(small_temp());
-  const auto b = generate_temperature_dataset(cfg2);
+  // The dataset's seed (2016) against another one.
+  Rng rng_a(2016);
+  Rng rng_b(9999);
+  const auto a = generate_temperature_sample(0, rng_a);
+  const auto b = generate_temperature_sample(0, rng_b);
   bool differ = false;
-  for (std::size_t j = 0; j < a.x(0).size() && !differ; ++j) {
-    if (a.x(0)[j] != b.x(0)[j]) differ = true;
+  for (std::size_t j = 0; j < a.map.size() && !differ; ++j) {
+    if (a.map[j] != b.map[j]) differ = true;
   }
   EXPECT_TRUE(differ);
 }
@@ -90,7 +91,7 @@ TEST(IrGait, StreamShape) {
   const auto st = generate_ir_stream(cfg, 0, true, rng);
   EXPECT_EQ(st.frames.size(), 66u);
   EXPECT_EQ(st.frames[0].shape(), (std::vector<int>{1, 10, 10}));
-  EXPECT_GE(st.fall_start, cfg.window_frames);
+  EXPECT_GE(st.fall_start, kIrWindowFrames);
 }
 
 TEST(IrGait, NormalStreamHasNoFall) {
@@ -158,7 +159,7 @@ TEST(IrGait, DatasetSizeMatchesWindows) {
   const auto cfg = small_ir();
   const auto ds = generate_ir_dataset(cfg);
   const std::size_t windows_per_stream =
-      static_cast<std::size_t>(kIrFramesPerStream - cfg.window_frames + 1);
+      static_cast<std::size_t>(kIrFramesPerStream - kIrWindowFrames + 1);
   EXPECT_EQ(ds.size(), windows_per_stream * 6u);
   EXPECT_EQ(ds.sample_shape(), (std::vector<int>{10, 10, 10}));
 }
@@ -201,9 +202,6 @@ TEST(IrGait, DeterministicBySeed) {
 TEST(IrGait, RejectsBadConfig) {
   auto cfg = small_ir();
   cfg.fall_streams = 100;
-  EXPECT_THROW(generate_ir_dataset(cfg), Error);
-  cfg = small_ir();
-  cfg.window_frames = 100;
   EXPECT_THROW(generate_ir_dataset(cfg), Error);
 }
 

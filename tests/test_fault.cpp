@@ -30,9 +30,6 @@ FaultSpec busy_spec(std::uint64_t seed = 9) {
   s.mean_downtime_s = 20.0;
   s.drop_rate = 4.0;
   s.corrupt_rate = 3.0;
-  s.delay_rate = 2.0;
-  s.brownout_rate = 2.0;
-  s.drought_rate = 2.0;
   s.seed = seed;
   return s;
 }

@@ -322,7 +322,6 @@ TEST(IntermittentExec, RunChainSharesNetexecCheckpointCostModel) {
       energy::Capacitor(100e-6, 5.0, 4.5), energy::HysteresisSwitch(3.0, 2.0));
   energy::IntermittentRunConfig cfg;
   cfg.policy = energy::CheckpointPolicy::EveryUnit;
-  cfg.checkpoint = costs;
   const auto st = energy::run_chain(dev, chain, cfg, 0.0);
   ASSERT_TRUE(st.completed);
   ASSERT_EQ(st.power_failures, 0u);

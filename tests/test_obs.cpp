@@ -297,7 +297,7 @@ TEST(SpanRecorder, DigestIsStableAndSensitive) {
 TEST(SpanKind, OrdinalsAndExportNamesArePinned) {
   // Kind ordinals feed span digests (and through them both goldens), and
   // the names are the export vocabulary: an enum edit must move neither,
-  // including for kinds no golden happens to contain.  13-15 are the
+  // including for kinds no golden happens to contain.  12-15 are the
   // retired slots of kinds that no longer exist.
   struct Row {
     SpanKind kind;
@@ -317,7 +317,6 @@ TEST(SpanKind, OrdinalsAndExportNamesArePinned) {
       {SpanKind::PhaseRetry, 9, "phase_retry"},
       {SpanKind::PhaseIdle, 10, "phase_idle"},
       {SpanKind::SimStep, 11, "sim_step"},
-      {SpanKind::CsmaRound, 12, "csma_round"},
       {SpanKind::ServeRequest, 16, "serve_request"},
       {SpanKind::ServeQueue, 17, "serve_queue"},
       {SpanKind::ServeService, 18, "serve_service"},

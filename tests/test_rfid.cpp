@@ -28,9 +28,8 @@ TEST(TagArray, PosturesHaveDistinctGeometry) {
 }
 
 TEST(TagArray, ReadingShape) {
-  TagArrayConfig cfg;
   Rng rng(2);
-  const auto r = read_tags(cfg, Posture::Standing, rng);
+  const auto r = read_tags(Posture::Standing, rng);
   EXPECT_EQ(r.antennas, 4);
   EXPECT_EQ(r.joints, kNumJoints);
   EXPECT_EQ(r.phase_rad.size(), static_cast<std::size_t>(4 * kNumJoints));
@@ -62,11 +61,9 @@ TEST(TagArray, TrilaterationRecoversPosition) {
 }
 
 TEST(TagArray, SkeletonReconstructionAccurate) {
-  TagArrayConfig cfg;
-  cfg.phase_noise_rad = 0.05;
   Rng rng(3);
   // Render a known subject and reconstruct it.
-  const auto r = read_tags(cfg, Posture::Standing, rng);
+  const auto r = read_tags(Posture::Standing, rng);
   const auto joints = reconstruct_skeleton(r);
   ASSERT_EQ(joints.size(), static_cast<std::size_t>(kNumJoints));
   // Head must be clearly above the ankle in a standing reconstruction.
@@ -75,12 +72,11 @@ TEST(TagArray, SkeletonReconstructionAccurate) {
 }
 
 TEST(TagArray, FeaturesDiscriminateStandingFromLying) {
-  TagArrayConfig cfg;
   Rng rng(4);
   const auto fs = skeleton_features(
-      reconstruct_skeleton(read_tags(cfg, Posture::Standing, rng)));
+      reconstruct_skeleton(read_tags(Posture::Standing, rng)));
   const auto fl = skeleton_features(
-      reconstruct_skeleton(read_tags(cfg, Posture::Lying, rng)));
+      reconstruct_skeleton(read_tags(Posture::Lying, rng)));
   // Torso verticality collapses when lying.
   EXPECT_GT(fs[0], fl[0] + 0.3);
   // Vertical extent collapses too.
@@ -88,8 +84,7 @@ TEST(TagArray, FeaturesDiscriminateStandingFromLying) {
 }
 
 TEST(TagArray, PostureRecognizerAccuracy) {
-  TagArrayConfig cfg;
-  PostureRecognizer rec(cfg);
+  PostureRecognizer rec;
   Rng rng(5);
   rec.train(40, rng);
   const auto cm = rec.evaluate(25, rng);
@@ -97,10 +92,9 @@ TEST(TagArray, PostureRecognizerAccuracy) {
 }
 
 TEST(TagArray, RecognizerRequiresTraining) {
-  TagArrayConfig cfg;
-  PostureRecognizer rec(cfg);
+  PostureRecognizer rec;
   Rng rng(6);
-  const auto r = read_tags(cfg, Posture::Standing, rng);
+  const auto r = read_tags(Posture::Standing, rng);
   EXPECT_THROW(rec.classify(r), Error);
 }
 
@@ -121,37 +115,32 @@ TEST(Trajectory, UnwrapRecoversMonotonePhase) {
 }
 
 TEST(Trajectory, DetectsInwardCrossing) {
-  TrajectoryConfig cfg;
   Rng rng(9);
-  const auto track = simulate_track(cfg, {-3.0, 0.3}, {1.2, 0.0}, 5.0, rng);
+  const auto track = simulate_track({-3.0, 0.3}, {1.2, 0.0}, 5.0, rng);
   const auto ev = detect_crossing(track);
   EXPECT_EQ(ev.direction, CrossingDirection::Inward);
   EXPECT_NEAR(ev.speed_mps, 1.2, 0.3);
 }
 
 TEST(Trajectory, DetectsOutwardCrossing) {
-  TrajectoryConfig cfg;
   Rng rng(10);
-  const auto track = simulate_track(cfg, {3.0, -0.3}, {-0.9, 0.0}, 7.0, rng);
+  const auto track = simulate_track({3.0, -0.3}, {-0.9, 0.0}, 7.0, rng);
   const auto ev = detect_crossing(track);
   EXPECT_EQ(ev.direction, CrossingDirection::Outward);
   EXPECT_NEAR(ev.speed_mps, 0.9, 0.25);
 }
 
 TEST(Trajectory, NoCrossingWhenTagStaysOutside) {
-  TrajectoryConfig cfg;
   Rng rng(11);
   // Parallel to the boundary, far away: never crosses.
-  const auto track = simulate_track(cfg, {-5.0, 3.0}, {0.0, 0.5}, 5.0, rng);
+  const auto track = simulate_track({-5.0, 3.0}, {0.0, 0.5}, 5.0, rng);
   const auto ev = detect_crossing(track);
   EXPECT_EQ(ev.direction, CrossingDirection::None);
 }
 
 TEST(Trajectory, MissedReadsBeyondRange) {
-  TrajectoryConfig cfg;
-  cfg.read_range_m = 2.0;
   Rng rng(12);
-  const auto track = simulate_track(cfg, {10.0, 0.0}, {0.1, 0.0}, 2.0, rng);
+  const auto track = simulate_track({10.0, 0.0}, {0.1, 0.0}, 2.0, rng);
   for (double ph : track.phase_a_rad) EXPECT_TRUE(std::isnan(ph));
 }
 
@@ -194,7 +183,6 @@ TEST(Sociogram, CommunitiesRecoverPlantedGroups) {
 TEST(Sociogram, IsolatedChildrenSurface) {
   PlaygroundConfig cfg;
   cfg.loners = 2;
-  cfg.cohesion = 0.95;
   const auto truth = simulate_playground(cfg);
   Sociogram g(cfg.num_children);
   g.accumulate(truth.sightings);

@@ -109,12 +109,6 @@ TEST(TrainEstimator, RequiresTraining) {
 
 // ------------------------------------------------------------- Room count --
 
-RoomConfig fast_room() {
-  RoomConfig cfg;
-  cfg.max_people = 6;
-  return cfg;
-}
-
 TEST(RoomSim, MeasurementShapes) {
   Rng rng(10);
   const auto m = measure_room(3, rng);
@@ -151,7 +145,7 @@ TEST(RoomSim, MorePeopleMoreSurroundingPower) {
 }
 
 TEST(RoomEstimator, FeaturesHaveFixedArity) {
-  RoomCountEstimator est(fast_room());
+  RoomCountEstimator est;
   Rng rng(13);
   const auto f = est.features(measure_room(2, rng));
   EXPECT_EQ(f.size(), 8u);
@@ -160,14 +154,14 @@ TEST(RoomEstimator, FeaturesHaveFixedArity) {
 TEST(RoomPipeline, ErrorsBoundedLikePaper) {
   // Paper: ~79% exact accuracy with errors up to two people.
   Rng rng(14);
-  const auto res = evaluate_room_pipeline(fast_room(), 30, 10, rng);
+  const auto res = evaluate_room_pipeline(30, 10, rng);
   EXPECT_GT(res.exact_accuracy, 0.45);
   EXPECT_GT(res.within_two_accuracy, 0.9);
   EXPECT_LT(res.mean_absolute_error, 1.5);
 }
 
 TEST(RoomEstimator, RequiresTraining) {
-  RoomCountEstimator est(fast_room());
+  RoomCountEstimator est;
   Rng rng(15);
   EXPECT_THROW(est.estimate(measure_room(1, rng)), Error);
 }
@@ -219,7 +213,6 @@ TEST(Choco, RejectsBadInputs) {
 
 TEST(Choco, RoundCoversGridDeployment) {
   // A perimeter deployment like the room simulator's must flood fully.
-  RoomConfig cfg;
   std::vector<Point2D> nodes;
   for (int i = 0; i < 8; ++i) {
     nodes.push_back({static_cast<double>(i), 0.0});

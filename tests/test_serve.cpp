@@ -57,7 +57,6 @@ ServeConfig test_config(obs::Observability* obs = nullptr) {
 WorkloadConfig test_workload(std::size_t n = 600) {
   WorkloadConfig w;
   w.num_requests = n;
-  w.mean_rate_per_s = 120000.0;
   return w;
 }
 
@@ -229,8 +228,9 @@ TEST(ServiceModel, UncontendedLatencyMatchesRouteParams) {
 
 TEST(Batching, SaturatedEngineCoalescesUpToMaxBatch) {
   RouteSet& routes = shared_routes();
+  // The workload's mean rate is beyond what the engine serves one request
+  // at a time (1 / (kBatchOverheadS + kPerItemS) ~ 45k batches/s).
   WorkloadConfig w = test_workload(600);
-  w.mean_rate_per_s = 5e6;  // far beyond the virtual service capacity
   w.route_mix = {0.0, 0.0, 0.0, 1.0, 0.0};
   const auto reqs = generate_workload(w, routes);
   ServeConfig cfg = test_config();
