@@ -222,8 +222,7 @@ std::string validate_schedule(const CollectionSchedule& schedule,
     const auto& a = schedule.entries[i];
     const auto* da = find_device(a.device);
     if (da == nullptr) return "entry references unknown device";
-    if (a.duration_s + 1e-12 <
-        transmission_duration_s(da->payload_bytes)) {
+    if (a.duration_s + 1e-12 < transmission_duration_s(da->payload_bytes)) {
       return "entry shorter than its payload requires";
     }
     for (std::size_t j = i + 1; j < schedule.entries.size(); ++j) {

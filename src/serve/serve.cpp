@@ -70,10 +70,7 @@ ServeReport Server::run(const std::vector<Request>& arrivals) {
   TokenBucket bucket(cfg_.admission_rate_per_s, cfg_.admission_burst);
   // One flag per (CNN route, variant): whether a dispatch has planned that
   // deployment yet.
-  std::array<std::vector<bool>, kNumRoutes> planned;
-  for (std::size_t r = 0; r < kNumRoutes; ++r) {
-    planned[r].assign(routes_->num_variants(static_cast<Route>(r)), false);
-  }
+  std::array<std::array<bool, kCnnVariants>, kNumRoutes> planned{};
   std::array<std::deque<std::size_t>, kNumRoutes> queues;
   std::size_t queued = 0;
   double engine_free = 0.0;
