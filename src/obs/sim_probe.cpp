@@ -6,18 +6,11 @@ SimulatorProbe::SimulatorProbe(Observability& obs)
     : obs_(obs),
       scheduled_(obs.metrics().counter("sim.events.scheduled")),
       executed_(obs.metrics().counter("sim.events.executed")),
-      cancelled_(obs.metrics().counter("sim.events.cancelled")),
       queue_depth_(obs.metrics().gauge("sim.queue.depth")) {}
 
 void SimulatorProbe::on_scheduled(sim::Time t, std::uint64_t id) {
   scheduled_.inc();
   obs_.spans().instant(SpanKind::EventScheduled, t,
-                       static_cast<std::uint32_t>(id));
-}
-
-void SimulatorProbe::on_cancelled(sim::Time now, std::uint64_t id) {
-  cancelled_.inc();
-  obs_.spans().instant(SpanKind::EventCancelled, now,
                        static_cast<std::uint32_t>(id));
 }
 

@@ -28,7 +28,6 @@ const char* span_kind_name(SpanKind kind) {
     case SpanKind::PhaseCheckpoint: return "phase_checkpoint";
     case SpanKind::EventScheduled: return "event_scheduled";
     case SpanKind::EventFired: return "event_fired";
-    case SpanKind::EventCancelled: return "event_cancelled";
     case SpanKind::PacketTx: return "packet_tx";
     case SpanKind::PacketRx: return "packet_rx";
     case SpanKind::PacketCollision: return "packet_collision";

@@ -59,9 +59,9 @@ enum class SpanKind : std::uint8_t {
   // Serving front-end request path (zeiot::serve).  One root per served
   // request on the virtual arrival clock, tiled exactly by its two phase
   // children: queue wait (admission -> batch dispatch) + batch service
-  // (dispatch -> completion) == request latency.  Ordinals 12-15 belonged
-  // to kinds that are gone; they stay unused because kind ordinals feed
-  // span digests and the golden traces.
+  // (dispatch -> completion) == request latency.  Ordinals 12-15 and 23
+  // belonged to kinds that are gone; they stay unused because kind
+  // ordinals feed span digests and the golden traces.
   ServeRequest = 16,  // root: one served request (a = route, b = batch seq)
   ServeQueue,     // admission-to-dispatch wait (a = route)
   ServeService,   // batched execution window (a = route, b = batch size)
@@ -74,9 +74,8 @@ enum class SpanKind : std::uint8_t {
   // Simulator kernel (a = low 32 bits of the event sequence id).
   EventScheduled,
   EventFired,
-  EventCancelled,
   // MAC / channel.
-  PacketTx,         // a = sender, b = next hop (netexec: value = airtime)
+  PacketTx = 24,    // a = sender, b = next hop (netexec: value = airtime)
   PacketRx,         // a = receiving node, b = the frame's destination
   PacketCollision,  // a = number of colliding senders
   // Backscatter MAC (a = device).

@@ -1,9 +1,11 @@
 // Discrete-event simulation kernel.
 //
-// All protocol simulations in the library (backscatter MAC coexistence,
-// WSN data collection, energy harvesting) run on this kernel: a priority
-// queue of timestamped callbacks with deterministic FIFO tie-breaking so a
-// given seed always reproduces the same trajectory.
+// The backscatter coexistence simulator, netexec and the bench reports'
+// calibration probe run on this kernel: a priority queue of timestamped
+// callbacks with deterministic FIFO tie-breaking, so a given seed always
+// reproduces the same trajectory.  WSN collection and the energy models do
+// not use it.  No scheduled event is dropped: each one runs once, in
+// (time, position) order.
 #pragma once
 
 #include <cstdint>
@@ -17,23 +19,6 @@ namespace zeiot::sim {
 
 /// Simulation time in seconds.
 using Time = double;
-
-/// Opaque handle for cancelling a scheduled event: the event's slot in the
-/// simulator and that slot's generation when the event was scheduled.  A
-/// slot's generation changes whenever its event runs or is cancelled, so a
-/// handle to an event that is gone is stale and cancels nothing, even once
-/// the slot holds a newer event.  Generations are 32-bit and skip 0, so a
-/// stale handle could match again only after 2^32 - 1 reuses of one slot.
-class EventHandle {
- public:
-  EventHandle() = default;
-
- private:
-  friend class Simulator;
-  EventHandle(std::uint32_t slot, std::uint32_t gen) : slot_(slot), gen_(gen) {}
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;  // 0 = null handle
-};
 
 /// A tie-break position among events at equal times, reserved by
 /// Simulator::reserve(): the sequence id an event scheduled at that moment
@@ -55,22 +40,18 @@ class Position {
   std::uint64_t seq_ = 0;  // 0 = null position
 };
 
-/// Optional observer of simulator internals (scheduling, execution,
-/// cancellation, queue depth): the kernel's one observation seam.  The
-/// default implementations are no-ops, so observers override only what
-/// they need.  `zeiot::obs::SimulatorProbe` adapts this interface onto the
-/// metrics / tracing layer; with no observer installed the kernel pays only
-/// a null pointer test per event.  The kernel reads no clock: callbacks
-/// are not timed.
+/// Optional observer of simulator internals (scheduling, execution, queue
+/// depth): the kernel's one observation seam.  The default implementations
+/// are no-ops, so observers override only what they need.
+/// `zeiot::obs::SimulatorProbe` adapts this interface onto the metrics /
+/// tracing layer; with no observer installed the kernel pays only a null
+/// pointer test per event.  The kernel reads no clock: callbacks are not
+/// timed.
 class SimObserver {
  public:
   virtual ~SimObserver() = default;
   /// An event was scheduled for absolute time `t` with sequence id `id`.
   virtual void on_scheduled(Time t, std::uint64_t id) { (void)t; (void)id; }
-  /// A live event was cancelled at simulation time `now`.
-  virtual void on_cancelled(Time now, std::uint64_t id) {
-    (void)now; (void)id;
-  }
   /// An event's callback ran at simulation time `t`.  `queue_depth` is the
   /// number of events still pending after this one.
   virtual void on_executed(Time t, std::uint64_t id, std::size_t queue_depth) {
@@ -98,10 +79,10 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `cb` to run `delay` seconds from now (delay >= 0).
-  EventHandle schedule(Time delay, Callback cb);
+  void schedule(Time delay, Callback cb);
 
   /// Schedules `cb` at absolute time `t` (t >= now()).
-  EventHandle schedule_at(Time t, Callback cb);
+  void schedule_at(Time t, Callback cb);
 
   // Position primitives.  Events run in (time, position) order, and each
   // ordinary schedule takes the next position in turn (the FIFO
@@ -129,43 +110,39 @@ class Simulator {
   /// already holds a pending event (each position runs at most one event
   /// at a time, so equal (time, position) pairs can never tie), or when
   /// (t, pos) orders at or before the running event.
-  EventHandle schedule_at(Time t, Position pos, Callback cb);
+  void schedule_at(Time t, Position pos, Callback cb);
 
   /// True when a pending event orders strictly before (t, pos), i.e. would
-  /// run before an event at (t, pos).  Cancelled events do not count.
-  bool has_pending_before(Time t, Position pos);
-
-  /// Cancels a previously scheduled event in O(1).  Returns false if the
-  /// event already ran, was already cancelled, or the handle is null.
-  bool cancel(EventHandle h);
+  /// run before an event at (t, pos).
+  bool has_pending_before(Time t, Position pos) const {
+    if (heap_.empty()) return false;
+    const Entry& top = heap_.top();
+    return top.time < t || (top.time == t && top.seq < pos.seq_);
+  }
 
   /// Runs events until the queue is empty or `limit` events have fired.
   /// Returns the number of events executed.
   std::size_t run(std::size_t limit = SIZE_MAX);
 
-  /// Number of events currently pending (scheduled, not yet run/cancelled).
-  std::size_t pending() const { return pending_; }
+  /// Number of events currently pending (scheduled, not yet run).
+  std::size_t pending() const { return heap_.size(); }
 
   /// Installs (or clears, with nullptr) the observer.  The observer must
   /// outlive the simulator or be cleared first; it is notified of every
-  /// schedule/cancel/execute from the moment it is set.
+  /// schedule and execution from the moment it is set.
   void set_observer(SimObserver* observer) { observer_ = observer; }
   SimObserver* observer() const { return observer_; }
 
  private:
   // An event is a 24-byte heap entry, ordered on (time, seq), that names
-  // the slot holding its callback.  A slot is retired, its generation
-  // bumped and its index put back on free_slots_, when its event runs or
-  // is cancelled.  Cancellation is lazy: the entry stays in the heap and
-  // is dropped when it surfaces, because its generation no longer matches
-  // its slot's.  Slots are reused, so a simulator allocates callback
-  // storage only up to its peak number of pending events.  Never hold a
-  // Slot& across a push: slots_ may reallocate.
+  // the slot holding its callback.  A slot is retired, its index put back
+  // on free_slots_, when its event runs.  Slots are reused, so a simulator
+  // allocates callback storage only up to its peak number of pending
+  // events.  Never hold a Slot& across a push: slots_ may reallocate.
   struct Entry {
     Time time;
     std::uint64_t seq;  // FIFO tie-break; the observer's event id
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -175,18 +152,12 @@ class Simulator {
   };
   struct Slot {
     Callback cb;
-    std::uint64_t seq = 0;
-    std::uint32_t gen = 1;     // never 0, the null handle's generation
-    bool positioned = false;   // scheduled at a reserved Position
+    bool positioned = false;  // scheduled at a reserved Position
   };
 
-  EventHandle push(Time t, std::uint64_t seq, Callback cb, bool positioned);
-  /// Frees slot i for reuse and makes its handles stale.  Its callback must
-  /// already be moved out.
-  void retire(std::uint32_t i);
-  /// Pops the earliest event; returns true if its callback ran (false for
-  /// lazily-cancelled events surfacing from the heap).
-  bool pop_and_run();
+  void push(Time t, std::uint64_t seq, Callback cb, bool positioned);
+  /// Runs the earliest event.
+  void pop_and_run();
 
   Time now_ = 0.0;
   std::uint64_t now_seq_ = 0;  // position of the running (or last run) event
@@ -194,9 +165,8 @@ class Simulator {
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t pending_ = 0;
   // Reserved positions that hold a pending event: only schedule_at(t,
-  // Position, cb) checks and fills it, and only retiring a positioned
+  // Position, cb) checks and fills it, and only running a positioned
   // event empties it.  A flat list searched linearly: it holds one entry
   // per pending position-scheduled event (netexec: at most one per node),
   // and once grown it never allocates again.

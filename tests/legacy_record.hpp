@@ -25,8 +25,9 @@
 
 namespace zeiot::legacy {
 
-/// The old trace vocabulary's ordinals (ordinal 10, energy_harvest, was
-/// never recorded and has no instant kind).
+/// The old trace vocabulary's ordinals.  Ordinals 2 (event_cancelled) and
+/// 10 (energy_harvest) appear in no pinned record and have no instant
+/// kind.
 struct LegacyType {
   obs::SpanKind kind;
   std::uint64_t ordinal;
@@ -34,7 +35,6 @@ struct LegacyType {
 inline constexpr LegacyType kLegacyTypes[] = {
     {obs::SpanKind::EventScheduled, 0},
     {obs::SpanKind::EventFired, 1},
-    {obs::SpanKind::EventCancelled, 2},
     {obs::SpanKind::PacketTx, 3},
     {obs::SpanKind::PacketRx, 4},
     {obs::SpanKind::PacketCollision, 5},

@@ -74,34 +74,6 @@ TEST(Simulator, ScheduleAtRejectsPast) {
   EXPECT_THROW(sim.schedule_at(4.0, [] {}), Error);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  bool ran = false;
-  const auto h = sim.schedule(1.0, [&] { ran = true; });
-  EXPECT_TRUE(sim.cancel(h));
-  sim.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(Simulator, CancelTwiceReturnsFalse) {
-  Simulator sim;
-  const auto h = sim.schedule(1.0, [] {});
-  EXPECT_TRUE(sim.cancel(h));
-  EXPECT_FALSE(sim.cancel(h));
-}
-
-TEST(Simulator, CancelAfterRunReturnsFalse) {
-  Simulator sim;
-  const auto h = sim.schedule(1.0, [] {});
-  sim.run();
-  EXPECT_FALSE(sim.cancel(h));
-}
-
-TEST(Simulator, CancelNullHandleReturnsFalse) {
-  Simulator sim;
-  EXPECT_FALSE(sim.cancel(EventHandle{}));
-}
-
 TEST(Simulator, RunWithLimit) {
   Simulator sim;
   int fired = 0;
@@ -109,15 +81,6 @@ TEST(Simulator, RunWithLimit) {
   EXPECT_EQ(sim.run(3), 3u);
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(sim.pending(), 7u);
-}
-
-TEST(Simulator, PendingTracksCancellation) {
-  Simulator sim;
-  const auto h = sim.schedule(1.0, [] {});
-  sim.schedule(2.0, [] {});
-  EXPECT_EQ(sim.pending(), 2u);
-  sim.cancel(h);
-  EXPECT_EQ(sim.pending(), 1u);
 }
 
 TEST(Simulator, ThrowingCallbackPropagatesAndLeavesTheRestRunnable) {
@@ -136,29 +99,12 @@ TEST(Simulator, ThrowingCallbackPropagatesAndLeavesTheRestRunnable) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-TEST(Simulator, StaleHandleCannotCancelTheSlotsNextEvent) {
-  // A's slot is free once A has run, so B takes it; A's handle names the
-  // slot at A's generation and must not reach B.
-  Simulator sim;
-  const EventHandle a = sim.schedule(1.0, [] {});
-  EXPECT_EQ(sim.run(), 1u);
-  bool b_ran = false;
-  const EventHandle b = sim.schedule(1.0, [&] { b_ran = true; });
-  EXPECT_FALSE(sim.cancel(a));
-  EXPECT_EQ(sim.pending(), 1u);
-  EXPECT_EQ(sim.run(), 1u);
-  EXPECT_TRUE(b_ran);
-  EXPECT_FALSE(sim.cancel(b));
-}
-
 // A plain model of the kernel's contract: events in a vector sorted on
-// (t, seq), a cancelled one marked dead where it lies, and the same
-// sequence-id bookkeeping as the kernel.
+// (t, seq), and the same sequence-id bookkeeping as the kernel.
 struct RefEvent {
   double t;
   std::uint64_t seq;
   int label;
-  bool live;
 };
 
 struct RefKernel {
@@ -171,48 +117,29 @@ struct RefKernel {
     return a.t < b.t || (a.t == b.t && a.seq < b.seq);
   }
   void add(double t, std::uint64_t seq, int label) {
-    const RefEvent e{t, seq, label, true};
+    const RefEvent e{t, seq, label};
     events.insert(std::upper_bound(events.begin(), events.end(), e, before),
                   e);
   }
-  bool cancel(int label) {
-    for (RefEvent& e : events) {
-      if (e.label == label && e.live) {
-        e.live = false;
-        return true;
-      }
-    }
-    return false;
-  }
   bool held(std::uint64_t seq) const {
-    return std::any_of(events.begin(), events.end(), [&](const RefEvent& e) {
-      return e.live && e.seq == seq;
-    });
+    return std::any_of(events.begin(), events.end(),
+                       [&](const RefEvent& e) { return e.seq == seq; });
   }
-  std::size_t pending() const {
-    return static_cast<std::size_t>(
-        std::count_if(events.begin(), events.end(),
-                      [](const RefEvent& e) { return e.live; }));
-  }
+  std::size_t pending() const { return events.size(); }
   bool has_pending_before(double t, std::uint64_t seq) const {
-    const RefEvent probe{t, seq, 0, true};
-    return std::any_of(events.begin(), events.end(), [&](const RefEvent& e) {
-      return e.live && before(e, probe);
-    });
+    const RefEvent probe{t, seq, 0};
+    return std::any_of(events.begin(), events.end(),
+                       [&](const RefEvent& e) { return before(e, probe); });
   }
-  /// Removes the earliest live event into `out`, as the kernel runs it;
-  /// false when there is none.
+  /// Removes the earliest event into `out`, as the kernel runs it; false
+  /// when there is none.
   bool pop(RefEvent& out) {
-    while (!events.empty()) {
-      const RefEvent e = events.front();
-      events.erase(events.begin());
-      if (!e.live) continue;
-      now = e.t;
-      now_seq = e.seq;
-      out = e;
-      return true;
-    }
-    return false;
+    if (events.empty()) return false;
+    out = events.front();
+    events.erase(events.begin());
+    now = out.t;
+    now_seq = out.seq;
+    return true;
   }
 };
 
@@ -221,7 +148,8 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
   // so ties are common.  Positions come from single and block
   // reservations.  Some events schedule a child when they run, which
   // reuses slots freed in the same run.  Each answer, the execution order
-  // and pending() must equal the reference's.
+  // and pending() must equal the reference's, and every scheduled event
+  // runs.
   constexpr int kChild = 1000000;  // a child's label: its parent's + this
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE(seed);
@@ -230,26 +158,23 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
     RefKernel ref;
     std::vector<int> ran;                // labels as the kernel runs them
     std::vector<int> want;               // labels as the reference runs them
-    std::vector<EventHandle> handles;    // every handle the kernel issued
-    std::vector<int> handle_labels;      // the event each handle names
     std::vector<double> child_delay;     // by label; < 0: no child
     std::vector<std::pair<Position, std::uint64_t>> reserved;
     const auto tick = [&](int max_q) {
       return 0.25 * static_cast<double>(rng.uniform_int(0, max_q));
     };
-    // A uniform index into [lo, n).
-    const auto pick = [&](std::size_t lo, std::size_t n) {
-      return static_cast<std::size_t>(rng.uniform_int(
-          static_cast<std::int64_t>(lo), static_cast<std::int64_t>(n) - 1));
+    // A uniform index into [0, n).
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
     };
     const auto make_cb = [&](int label) -> Simulator::Callback {
       return [&, label] {
         ran.push_back(label);
         if (child_delay[static_cast<std::size_t>(label)] < 0.0) return;
         const int child = label + kChild;
-        handles.push_back(
-            sim.schedule(child_delay[static_cast<std::size_t>(label)],
-                         [&ran, child] { ran.push_back(child); }));
+        sim.schedule(child_delay[static_cast<std::size_t>(label)],
+                     [&ran, child] { ran.push_back(child); });
       };
     };
     const auto new_label = [&] {
@@ -267,7 +192,6 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
         const double d = child_delay[static_cast<std::size_t>(e.label)];
         if (d < 0.0) continue;
         ref.add(ref.now + d, ref.next_seq++, e.label + kChild);
-        handle_labels.push_back(e.label + kChild);
       }
       return n;
     };
@@ -276,10 +200,11 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
       if (kind < 30) {
         const int label = new_label();
         const double d = tick(8);
-        handles.push_back(kind < 15
-                              ? sim.schedule(d, make_cb(label))
-                              : sim.schedule_at(sim.now() + d, make_cb(label)));
-        handle_labels.push_back(label);
+        if (kind < 15) {
+          sim.schedule(d, make_cb(label));
+        } else {
+          sim.schedule_at(sim.now() + d, make_cb(label));
+        }
         ref.add(ref.now + d, ref.next_seq++, label);
       } else if (kind < 34) {
         reserved.emplace_back(sim.reserve(), ref.next_seq++);
@@ -291,31 +216,30 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
         }
       } else if (kind < 48) {
         if (reserved.empty()) continue;
-        const auto& [pos, seq] = reserved[pick(0, reserved.size())];
+        const auto& [pos, seq] = reserved[pick(reserved.size())];
         const double t = sim.now() + tick(8);
         const int label = new_label();
         const bool honoured =
             !(t == ref.now && seq <= ref.now_seq) && !ref.held(seq);
         if (honoured) {
-          handles.push_back(sim.schedule_at(t, pos, make_cb(label)));
-          handle_labels.push_back(label);
+          sim.schedule_at(t, pos, make_cb(label));
           ref.add(t, seq, label);
         } else {
           EXPECT_THROW(sim.schedule_at(t, pos, make_cb(label)), Error);
         }
       } else if (kind < 63) {
-        if (handles.empty()) {
-          EXPECT_FALSE(sim.cancel(EventHandle{}));
-          continue;
-        }
-        // Half the picks among the latest handles, which are mostly live.
-        const std::size_t n = handles.size();
-        const std::size_t i =
-            rng.bernoulli(0.5) ? pick(n > 8 ? n - 8 : 0, n) : pick(0, n);
-        ASSERT_EQ(sim.cancel(handles[i]), ref.cancel(handle_labels[i]));
+        // The queries the kernel answers from the heap alone: its size,
+        // and whether its top orders before a reserved position at a time
+        // anywhere up to 2 s out.
+        ASSERT_EQ(sim.pending(), ref.pending());
+        if (reserved.empty()) continue;
+        const auto& [pos, seq] = reserved[pick(reserved.size())];
+        const double t = sim.now() + tick(8);
+        ASSERT_EQ(sim.has_pending_before(t, pos),
+                  ref.has_pending_before(t, seq));
       } else if (kind < 73) {
         if (reserved.empty()) continue;
-        const auto& [pos, seq] = reserved[pick(0, reserved.size())];
+        const auto& [pos, seq] = reserved[pick(reserved.size())];
         const double t = sim.now() + tick(2);
         ASSERT_EQ(sim.has_pending_before(t, pos),
                   ref.has_pending_before(t, seq));
@@ -326,7 +250,6 @@ TEST(Simulator, MatchesAPlainReferenceUnderRandomOperations) {
       ASSERT_EQ(sim.pending(), ref.pending());
       ASSERT_EQ(sim.now(), ref.now);
       ASSERT_EQ(ran.size(), want.size());
-      ASSERT_EQ(handles.size(), handle_labels.size());
     }
     ASSERT_EQ(sim.run(), ref_run(SIZE_MAX));
     EXPECT_EQ(sim.pending(), 0u);
@@ -374,18 +297,6 @@ TEST(SimulatorPosition, HasPendingBeforeOrdersByTimeThenPosition) {
   EXPECT_TRUE(sim.has_pending_before(3.0, lower));    // later time
   sim.run();
   EXPECT_FALSE(sim.has_pending_before(3.0, higher));  // it ran
-}
-
-TEST(SimulatorPosition, CancelledEventsDoNotCount) {
-  Simulator sim;
-  const EventHandle h = sim.schedule_at(1.0, [] {});
-  sim.schedule_at(2.0, [] {});
-  const Position pos = sim.reserve();
-  EXPECT_TRUE(sim.cancel(h));
-  EXPECT_FALSE(sim.has_pending_before(1.5, pos));
-  EXPECT_TRUE(sim.has_pending_before(2.5, pos));
-  EXPECT_EQ(sim.pending(), 1u);
-  EXPECT_EQ(sim.run(), 1u);
 }
 
 TEST(SimulatorPosition, RejectsPositionsItCannotHonour) {
@@ -505,23 +416,20 @@ TEST(SimulatorPosition, BlockReservationIsThatManySingleReservations) {
 
 TEST(SimObserver, ExecutedCounterMatchesRunReturn) {
   // The observer's events_executed counter and run()'s return value are
-  // two independent tallies of the same thing; they must agree even when
-  // cancelled events surface from the heap mid-run.
+  // two independent tallies of the same thing; they must agree, and no
+  // scheduled event is dropped, events scheduled mid-run included.
   obs::Observability o;
   obs::SimulatorProbe probe(o);
   Simulator sim;
   sim.set_observer(&probe);
-  std::vector<EventHandle> handles;
   for (int i = 0; i < 50; ++i) {
-    handles.push_back(sim.schedule(static_cast<double>(i), [&sim] {
-      sim.schedule(0.5, [] {});
-    }));
+    sim.schedule(static_cast<double>(i), [&sim] { sim.schedule(0.5, [] {}); });
   }
-  for (std::size_t i = 0; i < handles.size(); i += 3) sim.cancel(handles[i]);
   const std::size_t executed = sim.run();
   EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.executed"),
                    static_cast<double>(executed));
-  EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.cancelled"), 17.0);
+  EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.scheduled"),
+                   o.metrics().counter_value("sim.events.executed"));
 }
 
 TEST(SimObserver, RunWithLimitMatchesObserver) {

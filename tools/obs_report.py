@@ -51,9 +51,9 @@ ALL_PHASE_KINDS = PHASE_KINDS + (PHASE_CHECKPOINT,)
 ENERGY_KINDS = ("sense", "node_compute", "hop_tx", "hop_retry_tx")
 
 # Point-event kinds, recorded only as instant spans (obs::SpanKind's last
-# fourteen values).
+# thirteen values).
 INSTANT_KINDS = (
-    "event_scheduled", "event_fired", "event_cancelled",
+    "event_scheduled", "event_fired",
     "packet_tx", "packet_rx", "packet_collision",
     "backscatter_window_open", "backscatter_window_close",
     "dummy_carrier_injected", "microdeep_hop",
