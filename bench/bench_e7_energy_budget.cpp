@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   std::cout << "\n--- " << sensing_hours
             << " h continuous sensing at 0.2 Hz (indoor light, "
                "10 uW peak) ---\n";
-  phy::BackscatterPhy bs_phy;
   constexpr double kActiveRadioOnS = 20e-3;
   Table t3({"radio", "reports due", "reports delivered", "delivery",
             "energy per report"});
@@ -109,8 +108,9 @@ int main(int argc, char** argv) {
         std::make_unique<energy::SolarHarvester>(10e-6, Rng(5 + args.seed)),
         energy::Capacitor(470e-6, 5.0), energy::HysteresisSwitch(3.0, 2.2));
     dev.set_observability(&obs, use_backscatter ? 0 : 1);
-    const double report_airtime =
-        use_backscatter ? bs_phy.frame_airtime_s(8) : kActiveRadioOnS;
+    const double report_airtime = use_backscatter
+                                      ? phy::backscatter_frame_airtime_s(8)
+                                      : kActiveRadioOnS;
     std::size_t due = 0, delivered = 0;
     for (int tick = 0; tick < sensing_hours * 60 * 12; ++tick) {  // every 5 s
       dev.advance(tick * 5.0);

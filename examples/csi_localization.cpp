@@ -15,11 +15,11 @@ using namespace zeiot;
 using namespace zeiot::sensing::csi;
 
 int main() {
-  phy::CsiEnvironment env;  // 8 m x 6 m room, 4-antenna AP, 3-stream client
-  std::cout << "room " << env.room.width() << " m x " << env.room.height()
-            << " m, AP at (" << env.ap.x << "," << env.ap.y
-            << "), client at (" << env.client.x << "," << env.client.y
-            << ")\n";
+  phy::CsiEnvironment env;  // 52 subcarriers, 4-antenna AP, 3-stream client
+  std::cout << "room " << phy::kCsiRoom.width() << " m x "
+            << phy::kCsiRoom.height() << " m, AP at (" << phy::kCsiAp.x << ","
+            << phy::kCsiAp.y << "), client at (" << phy::kCsiClient.x << ","
+            << phy::kCsiClient.y << ")\n";
 
   LocalizationConfig cfg;
   cfg.num_positions = 7;       // the paper's seven spots

@@ -3,24 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/error.hpp"
+
 namespace zeiot::backscatter {
-
-void CycleScheduler::register_device(const CycleRegistration& reg) {
-  ZEIOT_CHECK_MSG(reg.period_s > 0.0, "cycle period must be > 0");
-  ZEIOT_CHECK_MSG(reg.frame_bytes > 0, "frame size must be > 0");
-  for (const auto& r : registry_) {
-    ZEIOT_CHECK_MSG(r.device != reg.device,
-                    "device " << reg.device << " registered twice");
-  }
-  registry_.push_back(reg);
-}
-
-const CycleRegistration& CycleScheduler::registration(DeviceId id) const {
-  for (const auto& r : registry_) {
-    if (r.device == id) return r;
-  }
-  throw Error("unknown device id " + std::to_string(id));
-}
 
 void CycleScheduler::enqueue(PendingFrame frame) {
   ZEIOT_CHECK_MSG(frame.deadline > frame.ready_at,

@@ -1,8 +1,10 @@
-// Backscatter MAC protocol of ref [64] (paper Sec. IV.A): IoT devices
-// register their data-acquisition cycles with the access point; the AP
+// Backscatter MAC protocol of ref [64] (paper Sec. IV.A), the
+// cycle-registration MAC: IoT devices report on constant data-acquisition
+// cycles, and the AP takes each frame's deadline from its device's cycle
+// when the frame is queued (the start of the device's next cycle).  The AP
 // schedules which device may backscatter on which carrier packet, injecting
-// a dummy carrier packet when WLAN traffic alone cannot meet a device's
-// cycle deadline.  Exactly one device is granted per carrier, so granted
+// a dummy carrier packet when WLAN traffic alone cannot meet a frame's
+// deadline.  Exactly one device is granted per carrier, so granted
 // transmissions never collide.
 #pragma once
 
@@ -10,18 +12,9 @@
 #include <optional>
 #include <vector>
 
-#include "common/error.hpp"
-
 namespace zeiot::backscatter {
 
 using DeviceId = std::uint32_t;
-
-/// Registration entry: a device's constant communication cycle.
-struct CycleRegistration {
-  DeviceId device = 0;
-  double period_s = 1.0;       // data produced once per period
-  std::size_t frame_bytes = 8; // sensor reading size
-};
 
 /// A sensor frame awaiting uplink.
 struct PendingFrame {
@@ -31,16 +24,9 @@ struct PendingFrame {
 };
 
 /// AP-side scheduler state for the proposed MAC: earliest-deadline-first
-/// over the registered devices' pending frames.
+/// over the devices' pending frames.
 class CycleScheduler {
  public:
-  void register_device(const CycleRegistration& reg);
-
-  const std::vector<CycleRegistration>& registrations() const {
-    return registry_;
-  }
-  const CycleRegistration& registration(DeviceId id) const;
-
   /// Queues a newly produced frame.
   void enqueue(PendingFrame frame);
 
@@ -62,7 +48,6 @@ class CycleScheduler {
   double next_deadline() const;
 
  private:
-  std::vector<CycleRegistration> registry_;
   std::vector<PendingFrame> pending_;  // kept deadline-sorted
 };
 

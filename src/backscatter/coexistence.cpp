@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "phy/airtime.hpp"
+
 namespace zeiot::backscatter {
 
 namespace {
@@ -19,6 +21,11 @@ constexpr double kNaiveCorruptionPerTag = 0.25;
 /// Residual WLAN corruption under the proposed MAC (full-duplex SIC).
 constexpr double kProposedCorruption = 0.02;
 
+/// Backscatter airtime of one device frame.
+double frame_airtime() {
+  return phy::backscatter_frame_airtime_s(kDeviceFrameBytes);
+}
+
 }  // namespace
 
 CoexistenceSimulator::CoexistenceSimulator(CoexistenceConfig cfg)
@@ -27,19 +34,10 @@ CoexistenceSimulator::CoexistenceSimulator(CoexistenceConfig cfg)
   ZEIOT_CHECK_MSG(cfg.wlan_rate_hz >= 0.0, "wlan rate must be >= 0");
   ZEIOT_CHECK_MSG(cfg.num_devices > 0, "need at least one device");
   ZEIOT_CHECK_MSG(cfg.device_period_s > 0.0, "device period must be > 0");
+  devices_.resize(cfg.num_devices);
   for (std::size_t i = 0; i < cfg.num_devices; ++i) {
-    DeviceState d;
-    d.id = static_cast<DeviceId>(i);
-    d.period_s = cfg.device_period_s;
-    d.frame_bytes = kDeviceFrameBytes;
-    devices_.push_back(d);
-    scheduler_.register_device(
-        {d.id, d.period_s, d.frame_bytes});
+    devices_[i].id = static_cast<DeviceId>(i);
   }
-}
-
-double CoexistenceSimulator::backscatter_airtime(std::size_t bytes) const {
-  return bs_phy_.frame_airtime_s(bytes);
 }
 
 void CoexistenceSimulator::set_fault_injector(fault::FaultInjector* fault) {
@@ -97,16 +95,17 @@ void CoexistenceSimulator::schedule_device_cycle(std::size_t dev_index,
     if (fault_ != nullptr && fault_->node_dead(now, d.id)) {
       // A dead tag neither harvests nor registers this cycle.
       ++metrics_.frames_suppressed;
-      schedule_device_cycle(dev_index, now + d.period_s);
+      schedule_device_cycle(dev_index, now + cfg_.device_period_s);
       return;
     }
     ++metrics_.frames_generated;
     if (cfg_.mode == MacMode::Proposed) {
-      scheduler_.enqueue({d.id, now, now + d.period_s});
+      scheduler_.enqueue({d.id, now, now + cfg_.device_period_s});
       // Deadline guard: if WLAN traffic does not offer a carrier in time,
       // the AP injects a dummy carrier shortly before the deadline.
-      const double tb = backscatter_airtime(d.frame_bytes);
-      const double guard_at = std::max(now, now + d.period_s - 2.0 * tb);
+      const double tb = frame_airtime();
+      const double guard_at =
+          std::max(now, now + cfg_.device_period_s - 2.0 * tb);
       sim_.schedule_at(guard_at, [this] { proposed_check_deadlines(); });
     } else {
       if (d.has_frame) {
@@ -115,11 +114,11 @@ void CoexistenceSimulator::schedule_device_cycle(std::size_t dev_index,
       }
       d.has_frame = true;
       d.ready_at = now;
-      d.deadline = now + d.period_s;
-      d.remaining_airtime_s = backscatter_airtime(d.frame_bytes);
+      d.deadline = now + cfg_.device_period_s;
+      d.remaining_airtime_s = frame_airtime();
       d.last_carrier_end = -1.0;
     }
-    schedule_device_cycle(dev_index, now + d.period_s);
+    schedule_device_cycle(dev_index, now + cfg_.device_period_s);
   });
 }
 
@@ -129,7 +128,7 @@ void CoexistenceSimulator::try_start_wlan() {
   auto [bytes, is_retry] = wlan_queue_.front();
   wlan_queue_.pop();
   ++metrics_.wlan_attempts;
-  const double airtime = wlan_phy_.exchange_airtime_s(bytes);
+  const double airtime = phy::dot11_exchange_airtime_s(bytes);
   channel_free_at_ = now + airtime;
   channel_.add(now, airtime, 0, mac::Medium::Wlan);
 
@@ -167,7 +166,7 @@ bool CoexistenceSimulator::proposed_on_carrier(double start,
   metrics_.frames_expired += scheduler_.drop_expired(start);
   // The AP can extend the carrier with a dummy tail, so a grant only needs
   // the deadline to accommodate the full backscatter frame from now.
-  const double tb = backscatter_airtime(kDeviceFrameBytes);
+  const double tb = frame_airtime();
   auto f = scheduler_.pop_earliest_deadline(start, tb, expired);
   metrics_.frames_expired += expired;
   if (!f.has_value()) return false;
@@ -209,7 +208,7 @@ void CoexistenceSimulator::proposed_check_deadlines() {
   const double now = sim_.now();
   metrics_.frames_expired += scheduler_.drop_expired(now);
   if (!scheduler_.has_pending()) return;
-  const double tb = backscatter_airtime(kDeviceFrameBytes);
+  const double tb = frame_airtime();
   // Only act when the earliest deadline is actually at risk.
   if (scheduler_.next_deadline() - now > 4.0 * tb) return;
   if (now < channel_free_at_) {
@@ -283,7 +282,7 @@ void CoexistenceSimulator::naive_on_carrier(double start,
     }
     for (std::size_t i : riders) {
       DeviceState& d = devices_[i];
-      d.remaining_airtime_s = backscatter_airtime(d.frame_bytes);
+      d.remaining_airtime_s = frame_airtime();
       d.last_carrier_end = start + carrier_airtime;
       ++metrics_.frames_collided;
     }
@@ -294,8 +293,8 @@ void CoexistenceSimulator::naive_on_carrier(double start,
   // A long carrier gap loses the partial frame.
   if (d.last_carrier_end >= 0.0 &&
       start - d.last_carrier_end > kNaiveGapToleranceS &&
-      d.remaining_airtime_s < backscatter_airtime(d.frame_bytes)) {
-    d.remaining_airtime_s = backscatter_airtime(d.frame_bytes);
+      d.remaining_airtime_s < frame_airtime()) {
+    d.remaining_airtime_s = frame_airtime();
   }
   channel_.add(start, carrier_airtime, d.id + 1, mac::Medium::Backscatter);
   if (obs_ != nullptr) {
@@ -331,7 +330,7 @@ CoexistenceMetrics CoexistenceSimulator::run() {
   schedule_wlan_arrival();
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     // Stagger cycle phases uniformly.
-    schedule_device_cycle(i, rng_.uniform(0.0, devices_[i].period_s));
+    schedule_device_cycle(i, rng_.uniform(0.0, cfg_.device_period_s));
   }
   sim_.run();
   if (probe_ != nullptr) probe_->flush_steps(cfg_.duration_s);

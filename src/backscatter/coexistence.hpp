@@ -4,9 +4,10 @@
 //
 // Two MAC modes are compared:
 //  * Proposed — the cycle-registration MAC: the AP grants exactly one
-//    device per carrier opportunity (EDF over registered cycles), rides
-//    WLAN packets when available, extends/injects dummy carrier packets
-//    when WLAN traffic alone cannot meet a deadline.  Full-duplex
+//    device per carrier opportunity, EDF over the pending frames (the AP
+//    takes each frame's deadline from its device's cycle), rides WLAN
+//    packets when available, extends/injects dummy carrier packets when
+//    WLAN traffic alone cannot meet a deadline.  Full-duplex
 //    self-interference cancellation keeps WLAN corruption negligible.
 //  * Naive — uncoordinated: every device with a pending frame backscatters
 //    on any passing WLAN packet with some persistence probability;
@@ -23,7 +24,6 @@
 #include "fault/injector.hpp"
 #include "mac/channel.hpp"
 #include "obs/sim_probe.hpp"
-#include "phy/airtime.hpp"
 #include "sim/simulator.hpp"
 
 namespace zeiot::backscatter {
@@ -116,8 +116,6 @@ class CoexistenceSimulator {
  private:
   struct DeviceState {
     DeviceId id = 0;
-    double period_s = 1.0;
-    std::size_t frame_bytes = 8;
     // Naive mode per-frame progress.
     bool has_frame = false;
     double ready_at = 0.0;
@@ -133,15 +131,12 @@ class CoexistenceSimulator {
   bool proposed_on_carrier(double start, double carrier_airtime);
   void proposed_check_deadlines();
   void naive_on_carrier(double start, double carrier_airtime);
-  double backscatter_airtime(std::size_t bytes) const;
   /// Consults the injector (if any) about an in-flight backscatter frame.
   bool frame_faulted(double t, DeviceId dev);
 
   CoexistenceConfig cfg_;
   sim::Simulator sim_;
   Rng rng_;
-  phy::Dot11Phy wlan_phy_;
-  phy::BackscatterPhy bs_phy_;
   mac::Channel channel_;
   CycleScheduler scheduler_;  // proposed mode
   std::vector<DeviceState> devices_;

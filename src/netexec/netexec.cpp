@@ -166,7 +166,7 @@ void NetworkExecutor::build_plans() {
                       kHeaderBytes;
     p.air_s = cfg_.channel.fixed_hop_latency_s >= 0.0
                   ? cfg_.channel.fixed_hop_latency_s
-                  : phy::Dot154Phy{}.frame_airtime_s(p.payload_bytes);
+                  : phy::dot154_frame_airtime_s(p.payload_bytes);
     p.first_uid = next_uid;
     p.out_msgs.resize(n_nodes);
     p.in_msgs.resize(n_nodes);

@@ -3,7 +3,7 @@
 // NetworkExecutor is the one MicroDeep executor.  It lowers the
 // per-(producer unit, consumer node) message set of an assignment into
 // timestamped frames forwarded hop by hop inside sim::Simulator, with
-//  * per-hop airtime from phy::Dot154Phy (or a fixed override),
+//  * per-hop airtime from phy::dot154_frame_airtime_s (or a fixed override),
 //  * per-node radio/CPU serialization,
 //  * loss, retry/timeout/exponential backoff, and per-frame abandonment,
 //  * energy charged per activity through energy::EnergyLedger,

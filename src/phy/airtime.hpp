@@ -1,45 +1,27 @@
 // Frame airtime models for the PHYs involved in the coexistence study
 // (paper Sec. IV.A): IEEE 802.11 OFDM, IEEE 802.15.4 O-QPSK, and the
-// backscatter uplink whose bit rate is far below both.
+// backscatter uplink whose bit rate is far below both.  Each PHY's timing
+// is a set of named constants in airtime.cpp.
 #pragma once
 
 #include <cstddef>
 
 namespace zeiot::phy {
 
-/// IEEE 802.11 (OFDM, 20 MHz) timing parameters.
-struct Dot11Phy {
-  double data_rate_bps = 54e6;
-  double preamble_s = 20e-6;   // PLCP preamble + header
-  double sifs_s = 16e-6;
-  double difs_s = 34e-6;
-  double slot_s = 9e-6;
-  double ack_s = 44e-6;        // ACK frame incl. preamble at basic rate
+/// IEEE 802.11 (OFDM, 20 MHz, 54 Mb/s): airtime of a data frame of
+/// `payload_bytes` (preamble + payload).
+double dot11_frame_airtime_s(std::size_t payload_bytes);
+/// IEEE 802.11 complete exchange: DIFS + data + SIFS + ACK.
+double dot11_exchange_airtime_s(std::size_t payload_bytes);
 
-  /// Airtime of a data frame of `payload_bytes` (preamble + payload).
-  double frame_airtime_s(std::size_t payload_bytes) const;
-  /// Complete exchange: DIFS + data + SIFS + ACK.
-  double exchange_airtime_s(std::size_t payload_bytes) const;
-};
-
-/// IEEE 802.15.4 2.4 GHz O-QPSK timing (250 kbps, 32-chip DSSS).
-struct Dot154Phy {
-  double data_rate_bps = 250e3;
-  double preamble_s = 160e-6;  // 4-byte preamble + SFD at 62.5 ksym/s
-  double lifs_s = 640e-6;
-
-  double frame_airtime_s(std::size_t payload_bytes) const;
-};
+/// IEEE 802.15.4 2.4 GHz O-QPSK (250 kb/s, 32-chip DSSS): preamble +
+/// payload.
+double dot154_frame_airtime_s(std::size_t payload_bytes);
 
 /// Backscatter uplink: tags modulate at a low chip rate on top of an
-/// ambient carrier.  Defaults give 250 kbps effective — the middle of the
-/// paper's regimes (kbps RFID up to "several Mbps" Wi-Fi backscatter) —
-/// so a small sensor reading fits within one carrier packet.
-struct BackscatterPhy {
-  double data_rate_bps = 250e3;
-  double sync_s = 50e-6;  // synchronisation header while the carrier settles
-
-  double frame_airtime_s(std::size_t payload_bytes) const;
-};
+/// ambient carrier.  250 kb/s effective — the middle of the paper's
+/// regimes (kb/s RFID up to "several Mb/s" Wi-Fi backscatter) — so a small
+/// sensor reading fits within one carrier packet.  Sync header + payload.
+double backscatter_frame_airtime_s(std::size_t payload_bytes);
 
 }  // namespace zeiot::phy

@@ -35,12 +35,17 @@ struct Ray {
   double amplitude;
 };
 
+constexpr double kCarrierHz = 5.21e9;  // 802.11ac channel 42
+constexpr double kSubcarrierSpacingHz = 312.5e3;
+/// Reflection loss at walls (amplitude factor).
+constexpr double kWallReflection = 0.35;
+/// Extra attenuation (amplitude) when the body blocks the LoS corridor.
+constexpr double kBodyBlockage = 0.55;
+
 }  // namespace
 
 CsiMatrix generate_csi(const CsiEnvironment& env, Point2D body,
                        double body_jitter_m, Rng& rng) {
-  ZEIOT_CHECK_MSG(env.ap_antennas > 0 && env.client_antennas > 0,
-                  "antenna counts must be > 0");
   ZEIOT_CHECK_MSG(env.subcarriers > 0, "need subcarriers");
   ZEIOT_CHECK_MSG(body_jitter_m >= 0.0, "jitter must be >= 0");
 
@@ -50,20 +55,20 @@ CsiMatrix generate_csi(const CsiEnvironment& env, Point2D body,
 
   CsiMatrix h;
   h.subcarriers = env.subcarriers;
-  h.rx = env.client_antennas;
-  h.tx = env.ap_antennas;
+  h.rx = kCsiClientAntennas;
+  h.tx = kCsiApAntennas;
   h.data.assign(static_cast<std::size_t>(env.subcarriers) * h.rx * h.tx,
                 Cx{0.0, 0.0});
 
   // Linear arrays along the y axis.
   auto ap_elem = [&](int t) {
-    return Point2D{env.ap.x,
-                   env.ap.y + (t - (env.ap_antennas - 1) / 2.0) *
+    return Point2D{kCsiAp.x,
+                   kCsiAp.y + (t - (kCsiApAntennas - 1) / 2.0) *
                                   env.antenna_spacing_m};
   };
   auto cl_elem = [&](int r) {
-    return Point2D{env.client.x,
-                   env.client.y + (r - (env.client_antennas - 1) / 2.0) *
+    return Point2D{kCsiClient.x,
+                   kCsiClient.y + (r - (kCsiClientAntennas - 1) / 2.0) *
                                       env.antenna_spacing_m};
   };
 
@@ -77,19 +82,19 @@ CsiMatrix generate_csi(const CsiEnvironment& env, Point2D body,
       {
         const double d = distance(pa, pc);
         double amp = 1.0 / std::max(0.5, d);
-        if (seg_distance(pa, pc, b) < 0.4) amp *= env.body_blockage;
+        if (seg_distance(pa, pc, b) < 0.4) amp *= kBodyBlockage;
         rays.push_back({d, amp});
       }
       // First-order wall reflections via image sources.
       const Point2D images[4] = {
-          {2.0 * env.room.x0 - pa.x, pa.y},  // left wall
-          {2.0 * env.room.x1 - pa.x, pa.y},  // right wall
-          {pa.x, 2.0 * env.room.y0 - pa.y},  // bottom wall
-          {pa.x, 2.0 * env.room.y1 - pa.y},  // top wall
+          {2.0 * kCsiRoom.x0 - pa.x, pa.y},  // left wall
+          {2.0 * kCsiRoom.x1 - pa.x, pa.y},  // right wall
+          {pa.x, 2.0 * kCsiRoom.y0 - pa.y},  // bottom wall
+          {pa.x, 2.0 * kCsiRoom.y1 - pa.y},  // top wall
       };
       for (const Point2D& img : images) {
         const double d = distance(img, pc);
-        rays.push_back({d, env.wall_reflection / std::max(0.5, d)});
+        rays.push_back({d, kWallReflection / std::max(0.5, d)});
       }
       // Body scatter path: AP -> body -> client.
       {
@@ -98,8 +103,8 @@ CsiMatrix generate_csi(const CsiEnvironment& env, Point2D body,
       }
 
       for (int k = 0; k < env.subcarriers; ++k) {
-        const double f = env.carrier_hz +
-                         (k - env.subcarriers / 2) * env.subcarrier_spacing_hz;
+        const double f =
+            kCarrierHz + (k - env.subcarriers / 2) * kSubcarrierSpacingHz;
         Cx acc{0.0, 0.0};
         for (const Ray& ray : rays) {
           const double tau = ray.length_m / kSpeedOfLight;

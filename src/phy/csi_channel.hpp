@@ -33,23 +33,23 @@ struct CsiMatrix {
   Cx at(int k, int r, int t) const;
 };
 
+/// The one room every CSI capture is taken in: an 8 m x 6 m room with the
+/// AP and the client on its long axis, each a linear array along y.
+inline constexpr Rect kCsiRoom{0.0, 0.0, 8.0, 6.0};
+inline constexpr Point2D kCsiAp{0.5, 3.0};
+inline constexpr Point2D kCsiClient{7.5, 3.0};
+inline constexpr int kCsiApAntennas = 4;      // Nr of the fed-back V
+inline constexpr int kCsiClientAntennas = 3;  // Nc (spatial streams)
+
+/// The capture settings that vary: the localization patterns change the
+/// array spacing and the noise, and the tests and microbenchmarks the
+/// subcarrier count and the body's scatter.
 struct CsiEnvironment {
-  Rect room{0.0, 0.0, 8.0, 6.0};
-  Point2D ap{0.5, 3.0};
-  Point2D client{7.5, 3.0};
   /// Antenna element spacing (metres) for the AP and client linear arrays.
   double antenna_spacing_m = 0.06;
-  int ap_antennas = 4;      // Nr of the fed-back V
-  int client_antennas = 3;  // Nc (spatial streams)
-  double carrier_hz = 5.21e9;   // 802.11ac channel 42
-  double subcarrier_spacing_hz = 312.5e3;
   int subcarriers = 52;     // data subcarriers of a 20 MHz VHT symbol
-  /// Reflection loss at walls (amplitude factor).
-  double wall_reflection = 0.35;
   /// Scattering strength of a human body (amplitude factor at 1 m).
   double body_reflection = 0.5;
-  /// Extra attenuation (amplitude) when the body blocks the LoS corridor.
-  double body_blockage = 0.55;
   /// Measurement noise added to each H entry (std dev, relative).
   double noise_sigma = 0.02;
 };

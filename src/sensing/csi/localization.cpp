@@ -26,14 +26,13 @@ std::vector<Pattern> all_patterns() {
   return ps;
 }
 
-std::vector<Point2D> default_positions(const phy::CsiEnvironment& env,
-                                       int num_positions) {
+std::vector<Point2D> default_positions(int num_positions) {
   ZEIOT_CHECK_MSG(num_positions >= 2, "need at least two positions");
   // Positions on a ring between AP and client, spread over the room.
   std::vector<Point2D> pos;
-  const Point2D c = env.room.center();
-  const double rx = env.room.width() * 0.3;
-  const double ry = env.room.height() * 0.3;
+  const Point2D c = phy::kCsiRoom.center();
+  const double rx = phy::kCsiRoom.width() * 0.3;
+  const double ry = phy::kCsiRoom.height() * 0.3;
   for (int i = 0; i < num_positions; ++i) {
     const double a =
         2.0 * M_PI * static_cast<double>(i) / static_cast<double>(num_positions);
@@ -127,7 +126,7 @@ std::vector<double> capture_sample(const PatternParams& pp, Point2D position,
 /// pre-split phase always did, so factoring this out changed no bits.
 LocalizationCaptures capture_into(const PatternParams& pp,
                                   const LocalizationConfig& cfg, Rng& rng) {
-  const auto positions = default_positions(pp.env, cfg.num_positions);
+  const auto positions = default_positions(cfg.num_positions);
   LocalizationCaptures caps;
   for (int p = 0; p < cfg.num_positions; ++p) {
     for (int f = 0; f < cfg.frames_per_position; ++f) {

@@ -56,9 +56,8 @@ struct LocalizationResult {
   std::size_t feature_dim = 0;
 };
 
-/// The seven candidate positions laid out in the default room.
-std::vector<Point2D> default_positions(const phy::CsiEnvironment& env,
-                                       int num_positions);
+/// The candidate positions, on a ring laid out in phy::kCsiRoom.
+std::vector<Point2D> default_positions(int num_positions);
 
 /// Labelled classifier-facing captures of one pattern: x[i] is the
 /// circular (cos, sin) embedding of one averaged feedback burst, y[i] the

@@ -127,7 +127,7 @@ RouteSet::RouteSet(const RouteSetConfig& c)
   // a different seed becomes the request pool, pre-standardized so a
   // request costs one kNN query and no transform.
   {
-    const phy::CsiEnvironment env;  // the default 8x6 m room
+    const phy::CsiEnvironment env;  // the default capture settings
     const sensing::csi::Pattern pattern{sensing::csi::Behavior::Static,
                                         sensing::csi::AntennaConfig::Divergent};
     sensing::csi::LocalizationConfig cap;

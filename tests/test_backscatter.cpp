@@ -11,21 +11,6 @@
 namespace zeiot::backscatter {
 namespace {
 
-TEST(CycleScheduler, RegistersAndRejectsDuplicates) {
-  CycleScheduler s;
-  s.register_device({1, 1.0, 8});
-  EXPECT_THROW(s.register_device({1, 2.0, 8}), Error);
-  EXPECT_EQ(s.registrations().size(), 1u);
-  EXPECT_DOUBLE_EQ(s.registration(1).period_s, 1.0);
-  EXPECT_THROW(s.registration(9), Error);
-}
-
-TEST(CycleScheduler, RejectsBadRegistration) {
-  CycleScheduler s;
-  EXPECT_THROW(s.register_device({1, 0.0, 8}), Error);
-  EXPECT_THROW(s.register_device({1, 1.0, 0}), Error);
-}
-
 TEST(CycleScheduler, EdfOrder) {
   CycleScheduler s;
   s.enqueue({1, 0.0, 5.0});

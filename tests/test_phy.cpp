@@ -11,24 +11,20 @@ namespace zeiot::phy {
 namespace {
 
 TEST(Airtime, WlanFrame) {
-  Dot11Phy p;
   // 1500 B at 54 Mbps = 222 us payload + 20 us preamble.
-  EXPECT_NEAR(p.frame_airtime_s(1500), 20e-6 + 1500.0 * 8.0 / 54e6, 1e-9);
-  EXPECT_GT(p.exchange_airtime_s(1500), p.frame_airtime_s(1500));
+  EXPECT_NEAR(dot11_frame_airtime_s(1500), 20e-6 + 1500.0 * 8.0 / 54e6,
+              1e-9);
+  EXPECT_GT(dot11_exchange_airtime_s(1500), dot11_frame_airtime_s(1500));
 }
 
 TEST(Airtime, ZigbeeMuchSlowerThanWlan) {
-  Dot11Phy w;
-  Dot154Phy z;
-  EXPECT_GT(z.frame_airtime_s(100), 10.0 * w.frame_airtime_s(100));
+  EXPECT_GT(dot154_frame_airtime_s(100), 10.0 * dot11_frame_airtime_s(100));
 }
 
 TEST(Airtime, BackscatterSlowestOfAll) {
-  Dot11Phy w;
-  BackscatterPhy b;
   // The paper: backscatter is much slower than WLAN, so a backscatter
   // frame outlasts the WLAN packet that carries it.
-  EXPECT_GT(b.frame_airtime_s(8), w.frame_airtime_s(1500));
+  EXPECT_GT(backscatter_frame_airtime_s(8), dot11_frame_airtime_s(1500));
 }
 
 CsiEnvironment small_env() {
@@ -42,8 +38,8 @@ TEST(CsiChannel, ShapeMatchesEnvironment) {
   const auto env = small_env();
   const auto h = generate_csi(env, {4.0, 3.0}, 0.0, rng);
   EXPECT_EQ(h.subcarriers, env.subcarriers);
-  EXPECT_EQ(h.rx, env.client_antennas);
-  EXPECT_EQ(h.tx, env.ap_antennas);
+  EXPECT_EQ(h.rx, kCsiClientAntennas);
+  EXPECT_EQ(h.tx, kCsiApAntennas);
   EXPECT_EQ(h.data.size(), static_cast<std::size_t>(8 * 3 * 4));
 }
 
@@ -75,8 +71,8 @@ TEST(CsiChannel, LosBlockageAttenuates) {
   env.noise_sigma = 0.0;
   env.body_reflection = 0.0;  // isolate the blockage mechanism
   // Body directly on the AP-client line vs far away.
-  const Point2D mid{(env.ap.x + env.client.x) / 2.0,
-                    (env.ap.y + env.client.y) / 2.0};
+  const Point2D mid{(kCsiAp.x + kCsiClient.x) / 2.0,
+                    (kCsiAp.y + kCsiClient.y) / 2.0};
   const auto blocked = generate_csi(env, mid, 0.0, rng1);
   const auto clear = generate_csi(env, {1.0, 5.5}, 0.0, rng2);
   double pb = 0.0, pc = 0.0;

@@ -22,11 +22,10 @@ TEST(Patterns, NameFormat) {
 }
 
 TEST(Positions, CountAndContainment) {
-  phy::CsiEnvironment env;
-  const auto pos = default_positions(env, 7);
+  const auto pos = default_positions(7);
   ASSERT_EQ(pos.size(), 7u);
-  for (const auto& p : pos) EXPECT_TRUE(env.room.contains(p));
-  EXPECT_THROW(default_positions(env, 1), Error);
+  for (const auto& p : pos) EXPECT_TRUE(phy::kCsiRoom.contains(p));
+  EXPECT_THROW(default_positions(1), Error);
 }
 
 LocalizationConfig fast_config() {
