@@ -130,7 +130,6 @@ class IntermittentDevice {
 
   bool is_on() const { return switch_.is_on(); }
   double voltage() const { return cap_.voltage(); }
-  double stored_joule() const { return cap_.energy_joule(); }
   const EnergyLedger& ledger() const { return ledger_; }
   /// Number of OFF->ON transitions observed (power-failure reboots).
   std::size_t boot_count() const { return boots_; }

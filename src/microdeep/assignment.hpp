@@ -27,8 +27,7 @@ class Assignment {
   /// The raw unit->node map in UnitId order.  This vector is the whole
   /// portable state of an assignment: rebinding it to another UnitGraph
   /// built from the same network/shape (via the constructor) reproduces
-  /// the assignment exactly — how zeiot::serve's plan cache stores search
-  /// results without keeping the source graph or topology alive.
+  /// the assignment exactly.
   const std::vector<NodeId>& unit_map() const { return map_; }
 
   /// Number of units hosted per node (indexed by NodeId).

@@ -8,10 +8,10 @@ namespace zeiot::microdeep {
 
 WsnTopology::WsnTopology(std::vector<Point2D> positions, Rect area,
                          double comm_radius_m)
-    : positions_(std::move(positions)), area_(area), comm_radius_(comm_radius_m) {
+    : positions_(std::move(positions)), area_(area) {
   ZEIOT_CHECK_MSG(!positions_.empty(), "topology requires nodes");
   ZEIOT_CHECK_MSG(comm_radius_m > 0.0, "comm radius must be > 0");
-  build_links();
+  build_links(comm_radius_m);
   ZEIOT_CHECK_MSG(connected(), "WSN topology is not connected at radius "
                                    << comm_radius_m);
   build_routing();
@@ -81,13 +81,13 @@ WsnTopology WsnTopology::jittered_grid(Rect area, int cols, int rows,
   return WsnTopology(std::move(pos), area, radius);
 }
 
-void WsnTopology::build_links() {
+void WsnTopology::build_links(double comm_radius_m) {
   const std::size_t n = positions_.size();
   adj_.assign(n, {});
   link_.assign(n * n, 0);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
-      if (distance(positions_[a], positions_[b]) <= comm_radius_) {
+      if (distance(positions_[a], positions_[b]) <= comm_radius_m) {
         adj_[a].push_back(static_cast<NodeId>(b));
         adj_[b].push_back(static_cast<NodeId>(a));
         link_[a * n + b] = 1;

@@ -40,7 +40,6 @@ class WsnTopology {
 
   std::size_t num_nodes() const { return positions_.size(); }
   const Rect& area() const { return area_; }
-  double comm_radius() const { return comm_radius_; }
   Point2D position(NodeId id) const;
   const std::vector<NodeId>& neighbors(NodeId id) const;
   bool is_link(NodeId a, NodeId b) const;
@@ -59,13 +58,12 @@ class WsnTopology {
   double mean_degree() const;
 
  private:
-  void build_links();
+  void build_links(double comm_radius_m);
   void build_routing();
   bool connected() const;
 
   std::vector<Point2D> positions_;
   Rect area_;
-  double comm_radius_;
   std::vector<std::vector<NodeId>> adj_;
   std::vector<std::uint8_t> link_;  // n*n adjacency matrix for O(1) is_link
   // next_hop_[to][from] = neighbour of `from` one step closer to `to`.

@@ -34,8 +34,6 @@ class TokenBucket {
     return false;
   }
 
-  double tokens() const { return tokens_; }
-
  private:
   double rate_;
   double burst_;
