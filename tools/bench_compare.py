@@ -22,6 +22,12 @@ when any regression is found, unless --warn-only is given (CI uses
 warn-only against the checked-in baseline, which was recorded on different
 hardware).
 
+Every metric key, of every kind (counters, gauges, histograms, summaries),
+that appears in only one of the two reports is listed as a warning: a key
+only in the baseline is a metric no bench emits any more, a key only in the
+current report one the baseline has not recorded yet.  These lines never
+change the exit status.
+
 Accepts both zeiot.obs.v1 (pre-span baselines) and zeiot.obs.v2 reports —
 v2 adds the "spans" block and the breakdown/overhead gauges, which simply
 show up as keys-only-in-current against a v1 baseline.
@@ -37,13 +43,20 @@ ACCEPTED_SCHEMAS = ("zeiot.obs.v1", "zeiot.obs.v2")
 COMPARED_PREFIXES = ("perf.", "netexec.breakdown.", "obs.overhead.", "serve.",
                      "e7.")
 
+# The metric kinds of a report, each a map from key to value.
+METRIC_KINDS = ("counters", "gauges", "histograms", "summaries")
 
-def load_compared_gauges(path):
+
+def load_report(path):
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") not in ACCEPTED_SCHEMAS:
         sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
-    gauges = doc.get("metrics", {}).get("gauges", {})
+    return doc.get("metrics", {})
+
+
+def compared_gauges(metrics):
+    gauges = metrics.get("gauges", {})
     out = {}
     for name, value in gauges.items():
         if not name.startswith(COMPARED_PREFIXES):
@@ -63,8 +76,10 @@ def main():
                     help="report regressions but exit 0")
     args = ap.parse_args()
 
-    base = load_compared_gauges(args.baseline)
-    cur = load_compared_gauges(args.current)
+    base_metrics = load_report(args.baseline)
+    cur_metrics = load_report(args.current)
+    base = compared_gauges(base_metrics)
+    cur = compared_gauges(cur_metrics)
     if not base:
         sys.exit(f"{args.baseline}: no perf.* gauges found")
     if not cur:
@@ -98,13 +113,16 @@ def main():
         elif rel < -args.threshold:
             improvements.append(line)
 
-    only_base = sorted(set(base) - set(cur))
-    only_cur = sorted(set(cur) - set(base))
-    if only_base:
-        print(f"keys only in baseline ({len(only_base)}):",
-              ", ".join(only_base))
-    if only_cur:
-        print(f"keys only in current ({len(only_cur)}):", ", ".join(only_cur))
+    for where, a, b in (("baseline", base_metrics, cur_metrics),
+                        ("current", cur_metrics, base_metrics)):
+        only = [(kind, sorted(set(a.get(kind, {})) - set(b.get(kind, {}))))
+                for kind in METRIC_KINDS]
+        count = sum(len(keys) for _, keys in only)
+        if count:
+            print(f"keys only in {where} ({count}):")
+            for kind, keys in only:
+                if keys:
+                    print(f"  {kind}: " + ", ".join(keys))
     if improvements:
         print(f"improvements (> {args.threshold:.0%}):")
         print("\n".join(improvements))

@@ -11,7 +11,9 @@ the tool contracts end to end:
   * dropped spans, root-count mismatches, and phase-tiling violations each
     fail with exit 1;
   * bench_compare accepts a zeiot.obs.v1 baseline against a v2 current,
-    applies the inverted items_per_s polarity, and honors --warn-only.
+    applies the inverted items_per_s polarity, and honors --warn-only;
+  * bench_compare lists, by kind, the metric keys that only one report has,
+    without changing the exit status.
 
 Runs under pytest (CI bench-smoke leg) or plain `python3 tools/test_tools.py`.
 """
@@ -383,6 +385,33 @@ class TestBenchCompare(ReportFixtureMixin, unittest.TestCase):
         code, out = self.compare(base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("checkpoint_energy_per_inference_j", out)
+
+    def test_keys_in_one_report_only_are_listed_by_kind(self):
+        # Stale keys of every kind (counters, gauges, histograms,
+        # summaries) are warnings: listed under the report that has them,
+        # and the exit status stays the regressions' alone.
+        base = self.v2_current()
+        base["metrics"]["counters"]["sim.events.cancelled"] = {"value": 0}
+        base["metrics"]["summaries"] = {
+            "sim.callback.wall_s": {"count": 512, "mean": 4e-08}}
+        cur = self.v2_current()
+        cur["metrics"]["gauges"]["sim.queue.depth"] = {"value": 3}
+        cur["metrics"]["histograms"] = {
+            "serve.latency_s": {"lo": 0.0, "hi": 1.0, "counts": [1]}}
+        code, out = self.compare(base, cur)
+        self.assertEqual(code, 0, out)
+        self.assertIn("keys only in baseline (2):", out)
+        self.assertIn("counters: sim.events.cancelled", out)
+        self.assertIn("summaries: sim.callback.wall_s", out)
+        self.assertIn("keys only in current (2):", out)
+        self.assertIn("gauges: sim.queue.depth", out)
+        self.assertIn("histograms: serve.latency_s", out)
+        cur["metrics"]["gauges"]["perf.fixture.wall_s"]["value"] = 1.5
+        code, out = self.compare(base, cur)
+        self.assertEqual(code, 1, out)
+        self.assertIn("counters: sim.events.cancelled", out)
+        code, out = self.compare(base, cur, "--warn-only")
+        self.assertEqual(code, 0, out)
 
     def test_warn_only_downgrades_regressions(self):
         code, out = self.compare(self.v1_baseline(wall=1.0),
